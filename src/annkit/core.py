@@ -241,11 +241,24 @@ def pairwise_scores(X: Collection, q: Vector, kind: DistanceKind) -> np.ndarray:
 
 
 def top_k_from_scores(scores: np.ndarray, k: int) -> TopKResult:
-    """Select the k smallest scores with (score, id) lexicographic ties."""
+    """Select the k smallest scores with (score, id) lexicographic ties.
+
+    A partial selection finds the k-th score; only the ids scoring at most
+    that much (ties included) are then sorted, so the result equals the
+    first k entries of the full ``lexsort`` order. A NaN k-th score, which
+    means fewer than k non-NaN scores, takes the full sort instead.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     k_eff = min(k, scores.size)
-    order = np.lexsort((np.arange(scores.size), scores))[:k_eff]
-    return TopKResult(ids=order, scores=scores[order], k=k)
+    if 0 < k_eff < scores.size:
+        kth = np.partition(scores, k_eff - 1)[k_eff - 1]
+        if not np.isnan(kth):
+            ids = np.flatnonzero(scores <= kth)
+            ids = ids[np.lexsort((ids, scores[ids]))[:k_eff]]
+            return TopKResult(ids=ids, scores=scores[ids], k=k)
+    # a copy, so that the result does not keep the m-long order alive
+    ids = np.lexsort((np.arange(scores.size), scores))[:k_eff].copy()
+    return TopKResult(ids=ids, scores=scores[ids], k=k)
 
 
 def brute_force_topk(X: Collection, q: Vector, k: int, kind: DistanceKind) -> TopKResult:

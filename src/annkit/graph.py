@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult
+from annkit.core import Collection, DistanceKind, TopKResult, top_k_from_scores
 
 __all__ = [
     "NeighborGraph",
@@ -71,7 +71,7 @@ def medoid(X: Collection, kind: DistanceKind = DistanceKind.L2_SQUARED) -> int:
     center = mat.mean(axis=0)
     diff = mat - center
     scores = np.einsum("ij,ij->i", diff, diff)
-    return int(np.lexsort((np.arange(len(X)), scores))[0])
+    return int(top_k_from_scores(scores, 1).ids[0])
 
 
 def build_knn_graph(X: Collection, k: int, kind: DistanceKind = DistanceKind.L2_SQUARED) -> NeighborGraph:
@@ -83,8 +83,7 @@ def build_knn_graph(X: Collection, k: int, kind: DistanceKind = DistanceKind.L2_
     for i in range(m):
         scores = _score_rows(X, np.arange(m), X.vectors[i].astype(np.float64), kind)
         scores[i] = np.inf  # no self-loops
-        order = np.lexsort((np.arange(m), scores))[:k]
-        adjacency.append(np.sort(order).astype(np.int64))
+        adjacency.append(np.sort(top_k_from_scores(scores, k).ids))
     return NeighborGraph(adjacency=adjacency, directed=True, entry=medoid(X, kind),
                          kind=kind, construction="knn")
 

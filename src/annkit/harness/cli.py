@@ -13,19 +13,20 @@ import sys
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk
+from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk, top_k_from_scores
 from annkit.graph import NeighborGraph, build_knn_graph, build_alpha_sng_exact, build_vamana, greedy_search
 from annkit.ivf import IvfIndex, build_ivf, ivf_search, route
 from annkit.lsh import FamilyKind, HashFamily, LshIndex, build_index as lsh_build, lsh_topk
 from annkit.quant import (
-    AqCodebook, OpqModel, PqCodebook, aq_adc, aq_distance, aq_encode, aq_train,
-    opq_train, pq_adc, pq_adc_distance, pq_encode_all, pq_train,
+    AqCodebook, OpqModel, PqCodebook, adc_offsets, aq_adc_scan, aq_encode, aq_train,
+    opq_train, pq_adc, pq_adc_distance, pq_adc_scan, pq_encode_all, pq_train,
 )
 from annkit.sampling import WedgeIndex, build_wedge_index, wedge_topk
 from annkit.trees import (
     CoverTree, KdTree, RpTree, cover_build, cover_nn,
     defeatist_search, kd_build, kd_search_exact, rp_build, spill_build,
 )
+from annkit.trees.rp import _route_to_leaf
 from annkit.harness.container import load_index, save_index
 from annkit.harness.experiments import ExperimentReport, benchmark, experiment_coincidence, experiment_instability
 from annkit.harness.io import load_vecs, save_vecs
@@ -100,7 +101,26 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _query_index(obj, X, q, k, args) -> TopKResult:
+def _encode_collection(obj, X: Collection):
+    """Encode X once for a quantizer index, so that every query is one
+    table lookup scan: ADC offsets for PQ and OPQ (X rotated first), ADC
+    offsets plus stored norms for AQ. Other families need nothing."""
+    if isinstance(obj, PqCodebook):
+        return adc_offsets(pq_encode_all(obj, X), obj.n_codewords)
+    if isinstance(obj, OpqModel):
+        rot = obj.rotation.astype(np.float64)
+        rx = Collection((X.vectors.astype(np.float64) @ rot.T).astype(np.float32))
+        return adc_offsets(pq_encode_all(obj.codebook, rx), obj.codebook.n_codewords)
+    if isinstance(obj, AqCodebook):
+        codes = [aq_encode(obj, X.vectors[i]) for i in range(len(X))]
+        offsets = adc_offsets(np.stack([c.codes for c in codes]), obj.n_codewords)
+        return offsets, np.array([c.norm_sq for c in codes])
+    return None
+
+
+def _query_index(obj, X, q, k, args, encoded) -> TopKResult:
+    """One query against a loaded index; ``encoded`` is what
+    :func:`_encode_collection` returned for ``obj`` and ``X``."""
     if isinstance(obj, KdTree):
         return kd_search_exact(obj, X, q, k)
     if isinstance(obj, list) and obj and isinstance(obj[0], RpTree):
@@ -117,48 +137,27 @@ def _query_index(obj, X, q, k, args) -> TopKResult:
         ell = args.ell or max(1, obj.model.n_clusters // 10)
         return ivf_search(obj, X, q, k, ell)
     if isinstance(obj, PqCodebook):
-        codes = _cached_codes(obj, X)
-        tables = pq_adc(obj, q)
-        scores = np.array([pq_adc_distance(tables, codes[i]) for i in range(len(X))])
-        order = np.lexsort((np.arange(len(X)), scores))[:k]
-        return TopKResult(ids=order, scores=scores[order], k=k)
+        return top_k_from_scores(pq_adc_scan(pq_adc(obj, q), encoded), k)
     if isinstance(obj, OpqModel):
-        rot = obj.rotation.astype(np.float64)
-        rx = Collection((X.vectors.astype(np.float64) @ rot.T).astype(np.float32))
-        codes = _cached_codes(obj.codebook, rx)
-        tables = pq_adc(obj.codebook, rot @ np.asarray(q, dtype=np.float64))
-        scores = np.array([pq_adc_distance(tables, codes[i]) for i in range(len(X))])
-        order = np.lexsort((np.arange(len(X)), scores))[:k]
-        return TopKResult(ids=order, scores=scores[order], k=k)
+        rq = obj.rotation.astype(np.float64) @ np.asarray(q, dtype=np.float64)
+        return top_k_from_scores(pq_adc_scan(pq_adc(obj.codebook, rq), encoded), k)
     if isinstance(obj, AqCodebook):
-        codes = [aq_encode(obj, X.vectors[i]) for i in range(len(X))]
-        tables = aq_adc(obj, q)
-        scores = np.array([aq_distance(obj, q, c, tables) for c in codes])
-        order = np.lexsort((np.arange(len(X)), scores))[:k]
-        return TopKResult(ids=order, scores=scores[order], k=k)
+        offsets, norms = encoded
+        return top_k_from_scores(aq_adc_scan(obj, q, offsets, norms), k)
     if isinstance(obj, WedgeIndex):
         return wedge_topk(obj, X, q, samples=args.samples, k=k,
                           k_prime=args.k_prime, seed=args.seed)
     raise TypeError(f"cannot query {type(obj).__name__}")
 
 
-_CODE_CACHE: dict = {}
-
-
-def _cached_codes(cb: PqCodebook, X: Collection) -> np.ndarray:
-    key = id(cb)
-    if key not in _CODE_CACHE:
-        _CODE_CACHE[key] = pq_encode_all(cb, X)
-    return _CODE_CACHE[key]
-
-
 def _cmd_query(args) -> int:
     X = load_vecs(args.data)
     queries = load_vecs(args.queries)
     obj = load_index(args.index_file, X=X)
+    encoded = _encode_collection(obj, X)
     lines = ["query_id,rank,id,score"]
     for qi in range(len(queries)):
-        result = _query_index(obj, X, queries.vectors[qi], args.k, args)
+        result = _query_index(obj, X, queries.vectors[qi], args.k, args, encoded)
         for rank, (pid, score) in enumerate(zip(result.ids, result.scores)):
             lines.append(f"{qi},{rank},{int(pid)},{float(score)!r}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -174,11 +173,12 @@ def _cmd_bench(args) -> int:
         index = build_ivf(X, C, kind, seed=args.seed)
         sweep = _ints(args.sweep_l)
 
-        def run(ell, q):
-            result = ivf_search(index, X, q, args.k, ell)
+        def cost(ell, q):
             clusters = route(index, q, ell)
-            cost = index.model.n_clusters + sum(index.lists[int(c)].size for c in clusters)
-            return result, cost
+            return index.model.n_clusters + sum(index.lists[int(c)].size for c in clusters)
+
+        def run(ell, q):
+            return ivf_search(index, X, q, args.k, ell), lambda: cost(ell, q)
 
         report = benchmark("ivf", X, queries, args.k, kind, sweep, run, timings=args.timings)
     elif args.target == "vamana":
@@ -194,14 +194,14 @@ def _cmd_bench(args) -> int:
         sweep = _ints(args.sweep_trees)
         forest = [rp_build(X, args.leaf_capacity, seed=args.seed + t) for t in range(max(sweep))]
 
-        def run(n_trees, q):
-            result = defeatist_search(forest[:n_trees], X, q, args.k)
+        def cost(n_trees, q):
             leaves = set()
             for tree in forest[:n_trees]:
-                from annkit.trees.rp import _route_to_leaf
-
                 leaves.update(_route_to_leaf(tree, q).tolist())
-            return result, len(leaves)
+            return len(leaves)
+
+        def run(n_trees, q):
+            return defeatist_search(forest[:n_trees], X, q, args.k), lambda: cost(n_trees, q)
 
         report = benchmark("forest", X, queries, args.k, kind, sweep, run, timings=args.timings)
     elif args.target == "boundedme":

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from annkit.core import Collection, DistanceKind, TopKResult, pairwise_scores
 from annkit.transforms import TransformedPair, mips_to_mcs
@@ -239,6 +238,9 @@ def lsh_topk(index: LshIndex, X: Collection, q: np.ndarray, k: int,
 def pstable_collision_probability(dist: float, r: float) -> float:
     """Collision probability of the p-stable family at separation ``dist``,
     by numeric quadrature (1e-6 absolute tolerance)."""
+    # imported on use, so that importing annkit (every CLI start) does not load it
+    from scipy import integrate
+
     if dist <= 0:
         return 1.0
 

@@ -28,6 +28,8 @@ __all__ = [
     "pq_decode",
     "pq_adc",
     "pq_adc_distance",
+    "adc_offsets",
+    "pq_adc_scan",
     "opq_train",
     "opq_encode",
     "opq_adc_distance",
@@ -36,6 +38,7 @@ __all__ = [
     "aq_decode",
     "aq_adc",
     "aq_distance",
+    "aq_adc_scan",
     "residual_decompose",
     "score_aware_weight",
     "score_aware_vq_train",
@@ -150,6 +153,21 @@ def pq_adc_distance(tables: np.ndarray, code: np.ndarray) -> float:
     """Asymmetric distance: L table lookups, equal to the exact squared
     distance between the raw query and the decoded code."""
     return float(tables[np.arange(tables.shape[0]), code].sum())
+
+
+def adc_offsets(codes: np.ndarray, n_codewords: int) -> np.ndarray:
+    """Flat positions of an (m, L) code array in a raveled (L, C) table:
+    entry [n, i] becomes ``codes[n, i] + i * C``. Compute once per encoded
+    collection and reuse for every query."""
+    codes = np.asarray(codes)
+    return (codes + np.arange(codes.shape[1]) * n_codewords).astype(np.intp)
+
+
+def pq_adc_scan(tables: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """:func:`pq_adc_distance` for every encoded row at once, one gather
+    and one row sum; each row is summed in the same order, so the scores
+    are bit-identical to the per-row function."""
+    return tables.ravel().take(offsets).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +379,16 @@ def aq_distance(cb: AqCodebook, q: np.ndarray, code: AqCode,
         tables = aq_adc(cb, q)
     ip = float(tables[np.arange(cb.n_codebooks), code.codes].sum())
     return float(q64 @ q64) - 2.0 * ip + code.norm_sq
+
+
+def aq_adc_scan(cb: AqCodebook, q: np.ndarray, offsets: np.ndarray,
+                norms: np.ndarray) -> np.ndarray:
+    """:func:`aq_distance` for every encoded row at once, bit-identical:
+    ``offsets`` from :func:`adc_offsets` on the stacked codes, ``norms``
+    the stored ``norm_sq`` values."""
+    q64 = np.asarray(q, dtype=np.float64)
+    ip = pq_adc_scan(aq_adc(cb, q), offsets)
+    return float(q64 @ q64) - 2.0 * ip + norms
 
 
 # ---------------------------------------------------------------------------

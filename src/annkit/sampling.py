@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from annkit.core import Collection, TopKResult
+from annkit.core import Collection, TopKResult, top_k_from_scores
 
 __all__ = [
     "AliasTable",
@@ -138,8 +138,7 @@ def wedge_topk(
         signs = np.sign(q64[t] * mat[points, t].astype(np.float64))
         np.add.at(counts, points, signs)
 
-    top = np.lexsort((np.arange(len(X)), -counts))[: min(k_prime, len(X))]
-    top = np.sort(top)
+    top = np.sort(top_k_from_scores(-counts, k_prime).ids)
     mat64 = X.vectors[top].astype(np.float64)
     scores = -np.einsum("ij,j->i", mat64, q64)
     order = np.lexsort((top, scores))[: min(k, top.size)]

@@ -13,6 +13,7 @@ from annkit.core import (
     distance,
     epsilon_valid,
     recall,
+    top_k_from_scores,
 )
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False, width=32)
@@ -102,6 +103,35 @@ class TestBruteForce:
         q = SparseVector(indices=np.array([2]), values=np.array([1.0], dtype=np.float32), dim=4)
         res = brute_force_topk(X, q, 1, DistanceKind.NEG_JACCARD)
         assert res.ids.tolist() == [2]
+
+
+class TestTopKSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_full_lexsort_under_heavy_ties(self, data):
+        m = data.draw(st.integers(1, 200))
+        scores = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)),
+                          dtype=np.float64)
+        k = data.draw(st.integers(1, m + 2))
+        res = top_k_from_scores(scores, k)
+        order = np.lexsort((np.arange(m), scores))[:k]
+        assert np.array_equal(res.ids, order)
+        assert np.array_equal(res.scores, scores[order])
+
+    def test_nan_scores_rank_last(self):
+        scores = np.array([np.nan, 2.0, np.nan, 1.0, np.nan])
+        for k in range(1, 6):
+            order = np.lexsort((np.arange(5), scores))[:k]
+            assert top_k_from_scores(scores, k).ids.tolist() == order.tolist()
+
+    def test_brute_force_ids_do_not_hold_the_full_order(self):
+        rng = np.random.default_rng(3)
+        m = 5000
+        X = Collection(rng.standard_normal((m, 8)).astype(np.float32))
+        res = brute_force_topk(X, rng.standard_normal(8).astype(np.float32), 10,
+                               DistanceKind.L2_SQUARED)
+        assert res.ids.base is None or res.ids.base.size < m
+        assert res.scores.base is None or res.scores.base.size < m
 
 
 class TestRecall:

@@ -8,12 +8,13 @@ import pytest
 from annkit.core import Collection, DistanceKind, brute_force_topk
 from annkit.graph import build_vamana, greedy_search
 from annkit.harness.container import load_index, pack_pq_codes, save_index, unpack_pq_codes
-from annkit.harness.experiments import experiment_coincidence, experiment_instability, self_coincidence_fraction
+from annkit.harness import cli, experiments
+from annkit.harness.experiments import benchmark, experiment_coincidence, experiment_instability, self_coincidence_fraction
 from annkit.harness.io import load_vecs, save_vecs
 from annkit.harness.synth import Distribution, SyntheticSpec, generate
 from annkit.ivf import build_ivf, ivf_search
 from annkit.lsh import FamilyKind, HashFamily, build_index, lsh_topk
-from annkit.quant import aq_distance, aq_encode, aq_train, opq_train, pq_adc, pq_train
+from annkit.quant import aq_adc, aq_distance, aq_encode, aq_train, opq_train, pq_adc, pq_train
 from annkit.sampling import build_wedge_index, wedge_topk
 from annkit.sketch import JlSketcher, jl_project
 from annkit.trees import cover_build, cover_nn, defeatist_search, kd_build, kd_search_exact, rp_build, spill_build
@@ -259,6 +260,26 @@ class TestExperiments:
         fracs = report.column("coincidence_fraction")
         assert fracs[0] < fracs[1]
 
+    def test_benchmark_times_only_the_search(self, monkeypatch):
+        clock = [0.0]
+        monkeypatch.setattr(experiments.time, "perf_counter", lambda: clock[0])
+        X = rand_collection(30, 4, 37)
+        queries = rand_collection(3, 4, 38).vectors
+
+        def run(param, q):
+            clock[0] += 1.0  # the search
+
+            def cost():
+                clock[0] += 100.0  # counting the cost, e.g. routing again
+                return param
+
+            return brute_force_topk(X, q, 2, DistanceKind.L2_SQUARED), cost
+
+        report = benchmark("t", X, queries, 2, DistanceKind.L2_SQUARED, [5, 7], run, timings=True)
+        assert report.column("wall_ms") == [3000.0, 3000.0]
+        assert report.column("dist_evals_mean") == [5.0, 7.0]
+        assert report.column("recall_mean") == [1.0, 1.0]
+
     def test_instability_m1_ratio_one(self):
         report = experiment_instability(Distribution.GAUSSIAN_STD, m=1, dims=[4],
                                         n_queries=5, seed=35)
@@ -419,3 +440,67 @@ class TestCli:
                       "--queries", str(queries), "--k", "3")
         assert out.returncode == 0, out.stderr
         assert len(out.stdout.strip().split("\n")) == 7  # header + 2 queries x 3
+
+    def test_import_does_not_load_scipy_integrate(self):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, annkit.harness.cli; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "False\n"
+
+    @pytest.mark.parametrize("index,extra", [
+        ("pq", ["--subspaces", "4", "--codewords", "8"]),
+        ("opq", ["--subspaces", "4", "--codewords", "8", "--iters", "2"]),
+    ])
+    def test_in_process_queries_match_fresh_processes(self, tmp_path, index, extra):
+        # two indexes queried one after the other in one process must not
+        # share encoded state
+        data, queries = tmp_path / "d.vecs", tmp_path / "q.vecs"
+        save_vecs(data, rand_collection(200, 8, 23))
+        save_vecs(queries, rand_collection(4, 8, 24))
+        for seed in ("1", "2"):
+            assert cli.main(["build", "--index", index, "--data", str(data), "--seed", seed,
+                             "--out", str(tmp_path / f"{seed}.akx"), *extra]) == 0
+        flags = ["--data", str(data), "--queries", str(queries), "--k", "5"]
+        for seed in ("1", "2"):
+            inproc = tmp_path / f"{seed}.csv"
+            assert cli.main(["query", "--index-file", str(tmp_path / f"{seed}.akx"),
+                             "--out", str(inproc), *flags]) == 0
+        fresh = [run_cli("query", "--index-file", str(tmp_path / f"{seed}.akx"), *flags)
+                 for seed in ("1", "2")]
+        assert fresh[0].stdout != fresh[1].stdout
+        for seed, proc in zip(("1", "2"), fresh):
+            assert proc.returncode == 0, proc.stderr
+            assert (tmp_path / f"{seed}.csv").read_text() == proc.stdout
+
+    def test_aq_query_encodes_each_point_once(self, tmp_path, monkeypatch):
+        X = rand_collection(40, 6, 25)
+        Q = rand_collection(3, 6, 26)
+        data, queries, idx, out = (tmp_path / name for name in ("d.vecs", "q.vecs", "aq.akx", "o.csv"))
+        save_vecs(data, X)
+        save_vecs(queries, Q)
+        cb, _, _ = aq_train(X, 2, 4, beam=2, iters=1, seed=27)
+        save_index(idx, cb)
+        calls = []
+
+        def counting_encode(*args, **kwargs):
+            calls.append(1)
+            return aq_encode(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "aq_encode", counting_encode)
+        assert cli.main(["query", "--index-file", str(idx), "--data", str(data),
+                         "--queries", str(queries), "--k", "5", "--out", str(out)]) == 0
+        assert len(calls) == len(X)
+
+        # reference: per-row aq_distance and the full (score, id) sort
+        loaded = load_index(idx, X=X)
+        codes = [aq_encode(loaded, X.vectors[i]) for i in range(len(X))]
+        lines = ["query_id,rank,id,score"]
+        for qi, q in enumerate(Q.vectors):
+            tables = aq_adc(loaded, q)
+            scores = np.array([aq_distance(loaded, q, c, tables) for c in codes])
+            order = np.lexsort((np.arange(len(X)), scores))[:5]
+            lines += [f"{qi},{rank},{int(i)},{float(scores[i])!r}" for rank, i in enumerate(order)]
+        assert out.read_text() == "\n".join(lines) + "\n"

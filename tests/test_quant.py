@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from annkit.core import Collection, DistanceKind, brute_force_topk
 from annkit.quant import (
     PqCodebook,
+    adc_offsets,
+    aq_adc,
+    aq_adc_scan,
     aq_decode,
     aq_distance,
     aq_encode,
@@ -13,6 +16,7 @@ from annkit.quant import (
     opq_train,
     pq_adc,
     pq_adc_distance,
+    pq_adc_scan,
     pq_decode,
     pq_encode,
     pq_encode_all,
@@ -114,6 +118,19 @@ class TestPq:
         tables = pq_adc(cb, q)
         # chunk 0 vs codeword 1: (1-1)^2 + 1^2 = 1; chunk 1 vs codeword 0: 1 + 0 = 1
         assert pq_adc_distance(tables, np.array([1, 0])) == pytest.approx(2.0)
+
+
+    @pytest.mark.parametrize("L", [2, 8, 32])
+    def test_adc_scan_is_bit_identical_to_per_row(self, L):
+        X = rand_collection(3000, 64, 17)
+        cb = pq_train(Collection(X.vectors[:500]), L, 16, seed=18, max_iters=5)
+        codes = pq_encode_all(cb, X)
+        offsets = adc_offsets(codes, cb.n_codewords)
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            tables = pq_adc(cb, rng.standard_normal(64))
+            per_row = np.array([pq_adc_distance(tables, code) for code in codes])
+            assert np.array_equal(pq_adc_scan(tables, offsets), per_row)
 
 
 class TestOpq:
@@ -225,6 +242,19 @@ class TestAq:
             recon = aq_decode(cb, code)
             gap = aq_distance(cb, q, code) - float(np.sum((q - u) ** 2))
             assert gap == pytest.approx(2.0 * float(q @ (u - recon)), abs=1e-9)
+
+    def test_adc_scan_is_bit_identical_to_per_row(self):
+        X = rand_collection(300, 8, 40)
+        cb, _, _ = aq_train(X, 3, 8, beam=3, iters=1, seed=41)
+        codes = [aq_encode(cb, X.vectors[i]) for i in range(len(X))]
+        offsets = adc_offsets(np.stack([c.codes for c in codes]), cb.n_codewords)
+        norms = np.array([c.norm_sq for c in codes])
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            q = rng.standard_normal(8).astype(np.float32)
+            tables = aq_adc(cb, q)
+            per_row = np.array([aq_distance(cb, q, c, tables) for c in codes])
+            assert np.array_equal(aq_adc_scan(cb, q, offsets, norms), per_row)
 
     def test_exactly_representable_point(self):
         codewords = np.zeros((2, 2, 2), dtype=np.float32)
