@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +22,8 @@ __all__ = [
     "dense_vector",
     "distance",
     "brute_force_topk",
+    "score_rows",
+    "rescore",
     "recall",
     "epsilon_valid",
 ]
@@ -214,51 +216,95 @@ def distance(kind: DistanceKind, u: Vector, v: Vector) -> float:
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def pairwise_scores(X: Collection, q: Vector, kind: DistanceKind) -> np.ndarray:
-    """Scores of ``q`` against every vector in ``X`` (float64).
+_DENSE_KINDS = (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT, DistanceKind.ANGULAR)
 
-    The dense paths use einsum reductions only: per-row results are then
-    bit-identical no matter how the rows are batched, which lets exact tree
-    searches reproduce oracle scores exactly.
+
+def _dense_scores(mat: np.ndarray, q: np.ndarray, kind: DistanceKind) -> np.ndarray:
+    """Scores of a dense query against the float32 rows of ``mat``.
+
+    Only einsum reductions are used, so each row's score is bit-identical
+    however the rows are batched or gathered. L2 upcasts inside the
+    subtraction, which gives the same float64 differences as converting
+    the rows first, without a float64 copy of them.
     """
-    if X.is_dense and not isinstance(q, SparseVector):
-        mat = _as_f64(X.vectors)
-        qv = _as_f64(q)
-        if qv.shape[0] != X.dim:
-            raise ValueError(f"dimension mismatch: {qv.shape[0]} vs {X.dim}")
-        if kind is DistanceKind.L2_SQUARED:
-            diff = mat - qv
-            return np.einsum("ij,ij->i", diff, diff)
-        if kind is DistanceKind.NEG_INNER_PRODUCT:
-            return -np.einsum("ij,j->i", mat, qv)
-        if kind is DistanceKind.ANGULAR:
-            norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
-            qn = np.sqrt(qv @ qv)
-            if qn == 0.0 or np.any(norms == 0.0):
-                raise ValueError("angular distance undefined for zero vectors")
-            return 1.0 - np.einsum("ij,j->i", mat, qv) / (norms * qn)
+    qv = _as_f64(q)
+    if qv.shape[0] != mat.shape[1]:
+        raise ValueError(f"dimension mismatch: {qv.shape[0]} vs {mat.shape[1]}")
+    if kind is DistanceKind.L2_SQUARED:
+        diff = np.subtract(mat, qv)
+        return np.einsum("ij,ij->i", diff, diff)
+    mat = _as_f64(mat)
+    if kind is DistanceKind.NEG_INNER_PRODUCT:
+        return -np.einsum("ij,j->i", mat, qv)
+    norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
+    qn = np.sqrt(qv @ qv)
+    if qn == 0.0 or np.any(norms == 0.0):
+        raise ValueError("angular distance undefined for zero vectors")
+    return 1.0 - np.einsum("ij,j->i", mat, qv) / (norms * qn)
+
+
+def _is_dense_case(X: Collection, q: Vector, kind: DistanceKind) -> bool:
+    return X.is_dense and not isinstance(q, SparseVector) and kind in _DENSE_KINDS
+
+
+def pairwise_scores(X: Collection, q: Vector, kind: DistanceKind) -> np.ndarray:
+    """Scores of ``q`` against every vector in ``X`` (float64)."""
+    if _is_dense_case(X, q, kind):
+        return _dense_scores(X.vectors, q, kind)
     return np.array([distance(kind, q, X[i]) for i in range(len(X))], dtype=np.float64)
 
 
-def top_k_from_scores(scores: np.ndarray, k: int) -> TopKResult:
-    """Select the k smallest scores with (score, id) lexicographic ties.
+def score_rows(X: Collection, ids: np.ndarray, q: Vector, kind: DistanceKind) -> np.ndarray:
+    """Scores of ``q`` against the rows ``ids`` of ``X`` (float64).
 
-    A partial selection finds the k-th score; only the ids scoring at most
-    that much (ties included) are then sorted, so the result equals the
-    first k entries of the full ``lexsort`` order. A NaN k-th score, which
-    means fewer than k non-NaN scores, takes the full sort instead.
+    Equal, bit for bit, to ``pairwise_scores(X, q, kind)[ids]``, but only
+    the rows asked for are read, and no sub-collection is built or checked.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    if _is_dense_case(X, q, kind):
+        return _dense_scores(X.vectors[ids], q, kind)
+    return np.array([distance(kind, q, X[int(i)]) for i in ids], dtype=np.float64)
+
+
+def _smallest(scores: np.ndarray, k: int, ids: Optional[np.ndarray] = None) -> np.ndarray:
+    """Positions of the k smallest scores in (score, id) order; the ids
+    default to the positions themselves.
+
+    A partial selection finds the k-th score; only the entries scoring at
+    most that much (ties included) are then sorted, so the result equals
+    the first k entries of the full ``lexsort`` order. A NaN k-th score,
+    which means fewer than k non-NaN scores, takes the full sort instead.
+    """
     k_eff = min(k, scores.size)
     if 0 < k_eff < scores.size:
         kth = np.partition(scores, k_eff - 1)[k_eff - 1]
         if not np.isnan(kth):
-            ids = np.flatnonzero(scores <= kth)
-            ids = ids[np.lexsort((ids, scores[ids]))[:k_eff]]
-            return TopKResult(ids=ids, scores=scores[ids], k=k)
-    # a copy, so that the result does not keep the m-long order alive
-    ids = np.lexsort((np.arange(scores.size), scores))[:k_eff].copy()
+            pos = np.flatnonzero(scores <= kth)
+            ties = pos if ids is None else ids[pos]
+            return pos[np.lexsort((ties, scores[pos]))[:k_eff]]
+    ties = np.arange(scores.size) if ids is None else ids
+    # a copy, so that the result does not keep the full order alive
+    return np.lexsort((ties, scores))[:k_eff].copy()
+
+
+def top_k_from_scores(scores: np.ndarray, k: int) -> TopKResult:
+    """Select the k smallest scores with (score, id) lexicographic ties,
+    where the id of a score is its position."""
+    scores = np.asarray(scores, dtype=np.float64)
+    ids = _smallest(scores, k)
     return TopKResult(ids=ids, scores=scores[ids], k=k)
+
+
+def rescore(X: Collection, ids: np.ndarray, q: Vector, k: int, kind: DistanceKind) -> TopKResult:
+    """Exact top-k of the candidate rows ``ids`` (unique, in any order).
+
+    The one rescoring path of every candidate family: :func:`score_rows`,
+    then the selection of :func:`top_k_from_scores` with ties broken by
+    id, so the result equals brute force over the candidates.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    scores = score_rows(X, ids, q, kind)
+    pos = _smallest(scores, k, ids)
+    return TopKResult(ids=ids[pos], scores=scores[pos], k=k)
 
 
 def brute_force_topk(X: Collection, q: Vector, k: int, kind: DistanceKind) -> TopKResult:

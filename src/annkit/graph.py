@@ -13,14 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, top_k_from_scores
+from annkit.core import Collection, DistanceKind, TopKResult, score_rows, top_k_from_scores
 
 __all__ = [
     "NeighborGraph",
     "SearchTrace",
     "build_knn_graph",
     "greedy_search",
-    "greedy_search_reference",
     "robust_prune",
     "build_alpha_sng_exact",
     "build_vamana",
@@ -55,16 +54,6 @@ class SearchTrace:
     best_history: list = field(default_factory=list)
 
 
-def _score_rows(X: Collection, ids: np.ndarray, q64: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    mat = X.vectors[ids].astype(np.float64)
-    if kind is DistanceKind.L2_SQUARED:
-        diff = mat - q64
-        return np.einsum("ij,ij->i", diff, diff)
-    if kind is DistanceKind.NEG_INNER_PRODUCT:
-        return -np.einsum("ij,j->i", mat, q64)
-    raise ValueError("graph search supports L2_SQUARED and NEG_INNER_PRODUCT")
-
-
 def medoid(X: Collection, kind: DistanceKind = DistanceKind.L2_SQUARED) -> int:
     """Default entry point: the data point closest to the collection mean."""
     mat = X.vectors.astype(np.float64)
@@ -81,7 +70,7 @@ def build_knn_graph(X: Collection, k: int, kind: DistanceKind = DistanceKind.L2_
         raise ValueError("need 1 <= k < m")
     adjacency = []
     for i in range(m):
-        scores = _score_rows(X, np.arange(m), X.vectors[i].astype(np.float64), kind)
+        scores = score_rows(X, np.arange(m), X.vectors[i].astype(np.float64), kind)
         scores[i] = np.inf  # no self-loops
         adjacency.append(np.sort(top_k_from_scores(scores, k).ids))
     return NeighborGraph(adjacency=adjacency, directed=True, entry=medoid(X, kind),
@@ -106,7 +95,7 @@ def greedy_search(
     q64 = np.asarray(q, dtype=np.float64)
     trace = SearchTrace()
 
-    start_score = float(_score_rows(X, np.array([start]), q64, G.kind)[0])
+    start_score = float(score_rows(X, np.array([start]), q64, G.kind)[0])
     trace.visited = 1
     beam_list: list[tuple[float, int]] = [(start_score, start)]
     expanded = np.zeros(len(G), dtype=bool)
@@ -123,7 +112,7 @@ def greedy_search(
         adj = G.adjacency[u]
         nbrs = adj[~scored[adj]]
         if nbrs.size:
-            scores = _score_rows(X, nbrs, q64, G.kind)
+            scores = score_rows(X, nbrs, q64, G.kind)
             trace.visited += nbrs.size
             scored[nbrs] = True
             beam_list.extend(zip(scores.tolist(), nbrs.tolist()))
@@ -139,44 +128,6 @@ def greedy_search(
         k=k,
     )
     return result, trace
-
-
-def greedy_search_reference(
-    G: NeighborGraph, X: Collection, q: np.ndarray, k: int, entry: int
-) -> TopKResult:
-    """Queue-stabilization formulation: rescan every queue member's
-    neighborhood, admit the single best improving outsider, repeat until
-    the queue stops changing. Kept as a test oracle for ``greedy_search``."""
-    q64 = np.asarray(q, dtype=np.float64)
-    score_cache: dict[int, float] = {}
-
-    def score(u: int) -> float:
-        if u not in score_cache:
-            score_cache[u] = float(_score_rows(X, np.array([u]), q64, G.kind)[0])
-        return score_cache[u]
-
-    queue = {entry}
-    changed = True
-    while changed:
-        changed = False
-        outside = set().union(*(set(G.adjacency[u].tolist()) for u in queue)) - queue
-        if not outside:
-            break
-        best = min(outside, key=lambda u: (score(u), u))
-        worst = max(queue, key=lambda u: (score(u), u))
-        if len(queue) < k:
-            queue.add(best)
-            changed = True
-        elif (score(best), best) < (score(worst), worst):
-            queue.remove(worst)
-            queue.add(best)
-            changed = True
-    ordered = sorted(queue, key=lambda u: (score(u), u))[:k]
-    return TopKResult(
-        ids=np.array(ordered, dtype=np.int64),
-        scores=np.array([score(u) for u in ordered]),
-        k=k,
-    )
 
 
 def robust_prune(
@@ -199,7 +150,7 @@ def robust_prune(
     if cand.size == 0:
         return cand
     u64 = X.vectors[u].astype(np.float64)
-    d_u = np.sqrt(_score_rows(X, cand, u64, DistanceKind.L2_SQUARED))
+    d_u = np.sqrt(score_rows(X, cand, u64, DistanceKind.L2_SQUARED))
     order = np.lexsort((cand, d_u))
     cand, d_u = cand[order], d_u[order]
     cmat = X.vectors[cand].astype(np.float64)
@@ -242,7 +193,7 @@ def alpha_shortcut_violations(G: NeighborGraph, X: Collection, alpha: float) -> 
     mat = X.vectors.astype(np.float64)
     # same per-row arithmetic as robust_prune so boundary cases agree bitwise
     all_ids = np.arange(m, dtype=np.int64)
-    dist = np.stack([np.sqrt(_score_rows(X, all_ids, mat[u], DistanceKind.L2_SQUARED))
+    dist = np.stack([np.sqrt(score_rows(X, all_ids, mat[u], DistanceKind.L2_SQUARED))
                      for u in range(m)])
     violations = 0
     for u in range(m):

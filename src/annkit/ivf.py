@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, pairwise_scores, top_k_from_scores
+from annkit.core import Collection, DistanceKind, TopKResult, pairwise_scores, rescore, top_k_from_scores
 
 __all__ = ["KMeansKind", "KMeansModel", "IvfIndex", "kmeans_train", "build_ivf", "route", "ivf_search"]
 
@@ -171,11 +171,5 @@ def route(index: IvfIndex, q: np.ndarray, ell: int) -> np.ndarray:
 def ivf_search(index: IvfIndex, X: Collection, q: np.ndarray, k: int, ell: int) -> TopKResult:
     """Route, then brute-force the union of the routed inverted lists."""
     clusters = route(index, q, ell)
-    candidate_lists = [index.lists[int(c)] for c in clusters]
-    candidates = np.concatenate(candidate_lists) if candidate_lists else np.array([], dtype=np.int64)
-    if candidates.size == 0:
-        return TopKResult(ids=np.array([], dtype=np.int64), scores=np.array([]), k=k)
-    candidates = np.sort(candidates)
-    scores = pairwise_scores(Collection(X.vectors[candidates]), q, index.kind)
-    order = np.lexsort((candidates, scores))[: min(k, candidates.size)]
-    return TopKResult(ids=candidates[order], scores=scores[order], k=k)
+    candidates = np.concatenate([index.lists[int(c)] for c in clusters])
+    return rescore(X, np.sort(candidates), q, k, index.kind)

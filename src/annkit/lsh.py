@@ -16,7 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, pairwise_scores
+from annkit.core import Collection, DistanceKind, TopKResult, rescore
+from annkit.core import pairwise_scores  # noqa: F401 -- perfbench traces calls through this name
+from annkit.sketch import _mix64
 from annkit.transforms import TransformedPair, mips_to_mcs
 
 __all__ = [
@@ -63,6 +65,21 @@ def _fwht(x: np.ndarray) -> np.ndarray:
     return (y / math.sqrt(n)).reshape(shape)
 
 
+_CROSS_POLYTOPE_PAIRS = 1 << 14  # (row, function) pairs hashed at once
+
+
+def _cross_polytope(mat: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Cross-polytope hashes of every row of ``mat`` under each function's
+    (3, n) sign vectors, an (n_rows, n_functions) matrix."""
+    x = np.zeros((mat.shape[0], signs.shape[0], signs.shape[2]), dtype=np.float64)
+    x[:, :, : mat.shape[1]] = mat[:, None, :]
+    for o in range(3):  # pseudo-rotation: three rounds of sign flips + Hadamard
+        x = _fwht(x * signs[:, o])
+    i = np.argmax(np.abs(x), axis=2)
+    neg = np.take_along_axis(x, i[:, :, None], axis=2)[:, :, 0] < 0
+    return (2 * i + neg).astype(np.int64)
+
+
 @dataclass
 class HashFamily:
     """A seeded family; function ``f`` of the family is fully determined by
@@ -72,7 +89,8 @@ class HashFamily:
     seed: int
     d: int
     r: float = 1.0  # bucket width, p-stable family only
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)  # function -> parameters
+    _stacks: dict = field(default_factory=dict, repr=False)  # (first, count) -> stacked
 
     def _rng(self, func_index: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(entropy=(self.seed, func_index)))
@@ -97,32 +115,45 @@ class HashFamily:
             self._cache[func_index] = p
         return self._cache[func_index]
 
-    def hash_many(self, func_index: int, mat: np.ndarray) -> np.ndarray:
-        """Hash every row of ``mat``; einsum projections keep the result
-        independent of how rows are batched."""
+    def _stacked(self, first: int, count: int):
+        """Parameters of functions first..first+count-1, stacked along a
+        leading function axis (p-stable: the alphas and the betas)."""
+        key = (first, count)
+        if key not in self._stacks:
+            params = [self._params(f) for f in range(first, first + count)]
+            if self.kind is FamilyKind.P_STABLE_L2:
+                self._stacks[key] = (np.stack([a for a, _ in params]), np.array([b for _, b in params]))
+            else:
+                self._stacks[key] = np.array(params)
+        return self._stacks[key]
+
+    def hash_block(self, first: int, count: int, mat: np.ndarray) -> np.ndarray:
+        """Hash every row of ``mat`` with functions first..first+count-1,
+        giving an (n, count) matrix. Each projection is one einsum reduction
+        per (row, function), so a value does not depend on how rows or
+        functions are batched."""
         mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
         if mat.shape[1] != self.d:
             raise ValueError("input dimension mismatch")
-        params = self._params(func_index)
+        params = self._stacked(first, count)
         if self.kind is FamilyKind.BIT_SAMPLING:
             if not np.all((mat == 0.0) | (mat == 1.0)):
                 raise ValueError("bit sampling requires binary vectors")
             return mat[:, params].astype(np.int64)
         if self.kind is FamilyKind.HYPERPLANE:
-            return (np.einsum("ij,j->i", mat, params) >= 0.0).astype(np.int64)
+            return (np.einsum("ij,fj->if", mat, params) >= 0.0).astype(np.int64)
         if self.kind is FamilyKind.CROSS_POLYTOPE:
-            n = params.shape[1]
-            x = np.zeros((mat.shape[0], n), dtype=np.float64)
-            x[:, : self.d] = mat
-            for o in range(3):  # pseudo-rotation: three rounds of sign flips + Hadamard
-                x = _fwht(x * params[o])
-            i = np.argmax(np.abs(x), axis=1)
-            neg = x[np.arange(x.shape[0]), i] < 0
-            return (2 * i + neg).astype(np.int64)
-        if self.kind is FamilyKind.P_STABLE_L2:
-            alpha, beta = params
-            return np.floor((np.einsum("ij,j->i", mat, alpha) + beta) / self.r).astype(np.int64)
-        raise ValueError(f"unknown family kind {self.kind!r}")
+            # rows in chunks, so that the (rows, count, n) work array stays
+            # near _CROSS_POLYTOPE_PAIRS * n floats however many rows come in
+            step = max(1, _CROSS_POLYTOPE_PAIRS // count)
+            return np.concatenate([_cross_polytope(mat[s:s + step], params)
+                                   for s in range(0, max(mat.shape[0], 1), step)])
+        alpha, beta = params
+        return np.floor((np.einsum("ij,fj->if", mat, alpha) + beta) / self.r).astype(np.int64)
+
+    def hash_many(self, func_index: int, mat: np.ndarray) -> np.ndarray:
+        """Hash every row of ``mat`` with function ``func_index``."""
+        return self.hash_block(func_index, 1, mat)[:, 0]
 
     def hash(self, func_index: int, u: np.ndarray) -> int:
         return int(self.hash_many(func_index, np.asarray(u)[None, :])[0])
@@ -151,13 +182,10 @@ def derive_params(m: int, p1: float, p2: float) -> tuple[int, int, float]:
 
 def _mix_keys(columns: np.ndarray) -> np.ndarray:
     """Mix rows of hash values (n, ell) into 64-bit bucket keys (n,)."""
+    mixed = _mix64(columns.astype(np.uint64))
     with np.errstate(over="ignore"):
         h = np.full(columns.shape[0], 0x9E3779B97F4A7C15, dtype=np.uint64)
-        for j in range(columns.shape[1]):
-            x = columns[:, j].astype(np.uint64)
-            x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            x = x ^ (x >> np.uint64(31))
+        for x in mixed.T:
             h = (h ^ x) * np.uint64(0x85EBCA77C2B2AE63)
     return h
 
@@ -171,14 +199,16 @@ class LshIndex:
     eps: float = 0.0
 
     def bucket_keys(self, table: int, mat: np.ndarray) -> np.ndarray:
-        cols = np.stack(
-            [self.family.hash_many(table * self.ell + j, mat) for j in range(self.ell)],
-            axis=1,
-        )
-        return _mix_keys(cols)
+        return _mix_keys(self.family.hash_block(table * self.ell, self.ell, mat))
 
     def bucket_key(self, table: int, u: np.ndarray) -> int:
         return int(self.bucket_keys(table, np.asarray(u)[None, :])[0])
+
+    def query_keys(self, u: np.ndarray) -> list:
+        """The bucket key of ``u`` in every table, from one stacked hash of
+        all L * ell functions."""
+        cols = self.family.hash_block(0, self.big_l * self.ell, np.asarray(u)[None, :])
+        return _mix_keys(cols.reshape(self.big_l, self.ell)).tolist()
 
 
 @dataclass
@@ -209,9 +239,8 @@ def pleb_query(index: LshIndex, X: Collection, q: np.ndarray, r: float, eps: flo
     4L candidates; answers Yes with the first point within (1+eps)r."""
     budget = 4 * index.big_l
     visited = 0
-    for t in range(index.big_l):
-        bucket = index.tables[t].get(index.bucket_key(t, q), [])
-        for i in bucket:
+    for table, key in zip(index.tables, index.query_keys(q)):
+        for i in table.get(key, []):
             if visited >= budget:
                 return PlebAnswer(yes=False, visited=visited)
             visited += 1
@@ -224,15 +253,10 @@ def pleb_query(index: LshIndex, X: Collection, q: np.ndarray, r: float, eps: flo
 def lsh_topk(index: LshIndex, X: Collection, q: np.ndarray, k: int,
              kind: DistanceKind = DistanceKind.L2_SQUARED) -> TopKResult:
     """Practical retrieval: union of the query's L buckets, rescored exactly."""
-    seen: set[int] = set()
-    for t in range(index.big_l):
-        seen.update(index.tables[t].get(index.bucket_key(t, q), []))
-    if not seen:
-        return TopKResult(ids=np.array([], dtype=np.int64), scores=np.array([]), k=k)
-    candidates = np.array(sorted(seen), dtype=np.int64)
-    scores = pairwise_scores(Collection(X.vectors[candidates]), q, kind)
-    order = np.lexsort((candidates, scores))[: min(k, candidates.size)]
-    return TopKResult(ids=candidates[order], scores=scores[order], k=k)
+    seen = np.zeros(len(X), dtype=bool)
+    for table, key in zip(index.tables, index.query_keys(q)):
+        seen[table.get(key, [])] = True
+    return rescore(X, np.flatnonzero(seen), q, k, kind)
 
 
 def pstable_collision_probability(dist: float, r: float) -> float:
@@ -358,11 +382,7 @@ class MipsHashIndex:
         tq = self.pair.query_map(q)
         res = lsh_topk(self.index, self.transformed, tq, k, DistanceKind.ANGULAR)
         # rescore in the original space: ranking is preserved, scores are not
-        if res.ids.size == 0:
-            return res
-        scores = pairwise_scores(Collection(X.vectors[res.ids]), q, DistanceKind.NEG_INNER_PRODUCT)
-        order = np.lexsort((res.ids, scores))
-        return TopKResult(ids=res.ids[order], scores=scores[order], k=k)
+        return rescore(X, res.ids, q, k, DistanceKind.NEG_INNER_PRODUCT)
 
 
 def mips_hash_index(X: Collection, ell: int, big_l: int, seed: int,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from annkit.core import Collection, TopKResult, top_k_from_scores
+from annkit.core import Collection, DistanceKind, TopKResult, rescore, top_k_from_scores
 
 __all__ = [
     "AliasTable",
@@ -138,11 +138,8 @@ def wedge_topk(
         signs = np.sign(q64[t] * mat[points, t].astype(np.float64))
         np.add.at(counts, points, signs)
 
-    top = np.sort(top_k_from_scores(-counts, k_prime).ids)
-    mat64 = X.vectors[top].astype(np.float64)
-    scores = -np.einsum("ij,j->i", mat64, q64)
-    order = np.lexsort((top, scores))[: min(k, top.size)]
-    return TopKResult(ids=top[order], scores=scores[order], k=k)
+    top = top_k_from_scores(-counts, k_prime).ids
+    return rescore(X, top, q64, k, DistanceKind.NEG_INNER_PRODUCT)
 
 
 def sample_size_h(x: float, d: int) -> float:
@@ -160,27 +157,28 @@ def boundedme_schedule(n_alive: int, k: int, eps_i: float, delta_i: float, d: in
     return min(d, max(1, math.ceil(sample_size_h(x, d))))
 
 
-def _normalize_for_bounds(X: Collection, q: np.ndarray):
-    """Affine per-coordinate maps putting every per-dimension contribution
-    into [0, 1] while preserving the inner-product ranking.
+def _contributions(X: Collection, q: np.ndarray) -> np.ndarray:
+    """Per-dimension contributions in [0, 1] whose sums over any shared
+    dimension set rank points exactly like the raw partial inner products.
 
-    Data coordinates map into [0, 1]; the query is scaled by the data span
-    per coordinate (compensating the data scaling) then by its max
-    magnitude. The final contribution (q'_t u'_t + 1) / 2 lies in [0, 1]
-    and, summed over any shared dimension set, ranks points exactly like
-    the raw partial inner products.
+    Data coordinates map affinely into [0, 1]; the query is scaled by the
+    data span per coordinate (compensating the data scaling) then by its
+    max magnitude, and each contribution is (q'_t u'_t + 1) / 2. The (m, d)
+    matrix is built in place in one float64 buffer, one float64 operation
+    at a time in that order.
     """
-    mat = X.vectors.astype(np.float64)
-    q64 = np.asarray(q, dtype=np.float64)
-    lo = mat.min(axis=0)
-    span = mat.max(axis=0) - lo
-    safe_span = np.where(span > 0, span, 1.0)
-    data = (mat - lo) / safe_span
-    q_scaled = q64 * span
+    lo = X.vectors.min(axis=0).astype(np.float64)
+    span = X.vectors.max(axis=0).astype(np.float64) - lo
+    q_scaled = np.asarray(q, dtype=np.float64) * span
     q_max = np.abs(q_scaled).max()
     if q_max > 0:
         q_scaled = q_scaled / q_max
-    return data, q_scaled
+    contrib = np.subtract(X.vectors, lo)
+    contrib /= np.where(span > 0, span, 1.0)
+    contrib *= q_scaled
+    contrib += 1.0
+    contrib *= 0.5  # the same correctly rounded halving as / 2
+    return contrib
 
 
 def boundedme_topk(
@@ -210,16 +208,10 @@ def boundedme_topk(
         raise ValueError("eps and delta must lie in (0, 1)")
     d = X.dim
     if k >= m:
-        q64 = np.asarray(q, dtype=np.float64)
-        scores = -np.einsum("ij,j->i", X.vectors.astype(np.float64), q64)
-        order = np.lexsort((np.arange(m), scores))
-        return (
-            TopKResult(ids=order, scores=scores[order], k=k),
-            {"products": 0, "schedule": [], "rounds": 0},
-        )
+        result = rescore(X, np.arange(m), q, k, DistanceKind.NEG_INNER_PRODUCT)
+        return result, {"products": 0, "schedule": [], "rounds": 0}
 
-    data, q_scaled = _normalize_for_bounds(X, q)
-    contrib = (data * q_scaled + 1.0) / 2.0  # (m, d), entries in [0, 1]
+    contrib = _contributions(X, q)  # (m, d), entries in [0, 1]
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(d)
@@ -253,11 +245,7 @@ def boundedme_topk(
         eps_i *= 0.75
         delta_i /= 2.0
 
-    q64 = np.asarray(q, dtype=np.float64)
-    mat = X.vectors[alive].astype(np.float64)
-    scores = -np.einsum("ij,j->i", mat, q64)
-    order = np.lexsort((alive, scores))[: min(k, alive.size)]
-    result = TopKResult(ids=alive[order], scores=scores[order], k=k)
+    result = rescore(X, alive, q, k, DistanceKind.NEG_INNER_PRODUCT)
     diag = {"products": products, "schedule": schedule, "rounds": len(schedule),
             "contrib_matrix": contrib}
     return result, diag

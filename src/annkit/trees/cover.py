@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from annkit.core import Collection, TopKResult
+from annkit.core import Collection, DistanceKind, TopKResult, score_rows
 
 __all__ = [
     "CoverNode",
@@ -52,9 +52,7 @@ class CoverTree:
     size: int = 0
 
     def _sq_dist_many(self, q64: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        # einsum keeps per-row sums bit-identical to the brute-force oracle
-        diff = self.X.vectors[ids].astype(np.float64) - q64
-        return np.einsum("ij,ij->i", diff, diff)
+        return score_rows(self.X, ids, q64, DistanceKind.L2_SQUARED)
 
     def _dist_many(self, q64: np.ndarray, ids: np.ndarray) -> np.ndarray:
         return np.sqrt(self._sq_dist_many(q64, ids))

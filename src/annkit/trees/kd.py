@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, pairwise_scores
+from annkit.core import Collection, DistanceKind, TopKResult, score_rows
+from annkit.core import pairwise_scores  # noqa: F401 -- perfbench traces calls through this name
 
 __all__ = ["KdNode", "KdTree", "kd_build", "kd_search_exact"]
 
@@ -69,57 +70,37 @@ def kd_build(X: Collection, leaf_capacity: int = 1) -> KdTree:
     return KdTree(root=root, leaf_capacity=leaf_capacity, dim=X.dim, size=len(X))
 
 
-class _BestList:
-    """Bounded candidate set ordered by (score, id), worst entry evictable."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.entries: list[tuple[float, int]] = []
-
-    def offer(self, score: float, idx: int) -> None:
-        entry = (score, idx)
-        if len(self.entries) < self.k:
-            self.entries.append(entry)
-            self.entries.sort()
-        elif entry < self.entries[-1]:
-            self.entries[-1] = entry
-            self.entries.sort()
-
-    @property
-    def worst_score(self) -> float:
-        if len(self.entries) < self.k:
-            return np.inf
-        return self.entries[-1][0]
-
-
 def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKResult:
     """Exact top-k: defeatist descent plus backtracking certification.
 
     Matches :func:`annkit.core.brute_force_topk` on ids and scores; a branch
     is pruned only when the splitting plane alone certifies that nothing on
-    the far side can improve (or tie) the current candidate list.
+    the far side can improve (or tie) the current best set.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     q64 = np.asarray(q, dtype=np.float64)
     if q64.shape[0] != tree.dim:
         raise ValueError("query dimension mismatch")
-    best = _BestList(k)
-    mat = X.vectors
+    best_ids = np.zeros(0, dtype=np.int64)
+    best_scores = np.zeros(0)
 
     def visit(node: KdNode) -> None:
+        nonlocal best_ids, best_scores
         if node.is_leaf:
-            scores = pairwise_scores(Collection(mat[node.ids]), q, DistanceKind.L2_SQUARED)
-            for s, i in zip(scores, node.ids):
-                best.offer(float(s), int(i))
+            scores = score_rows(X, node.ids, q64, DistanceKind.L2_SQUARED)
+            # a leaf whose every score is above the k-th best cannot enter
+            if best_ids.size < k or scores.min() <= best_scores[-1]:
+                ids = np.concatenate((best_ids, node.ids))
+                scores = np.concatenate((best_scores, scores))
+                order = np.lexsort((ids, scores))[:k]
+                best_ids, best_scores = ids[order], scores[order]
             return
         diff = q64[node.axis] - node.split_value
         near, far = (node.left, node.right) if diff <= 0 else (node.right, node.left)
         visit(near)
-        if diff * diff <= best.worst_score:
+        if best_ids.size < k or diff * diff <= best_scores[-1]:
             visit(far)
 
     visit(tree.root)
-    ids = np.array([i for _, i in best.entries], dtype=np.int64)
-    scores = np.array([s for s, _ in best.entries], dtype=np.float64)
-    return TopKResult(ids=ids, scores=scores, k=k)
+    return TopKResult(ids=best_ids, scores=best_scores, k=k)

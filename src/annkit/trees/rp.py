@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult
+from annkit.core import Collection, DistanceKind, TopKResult, rescore
 
 __all__ = [
     "ProjNode",
@@ -146,13 +146,10 @@ def defeatist_search(
     union exhaustively. Candidates are de-duplicated by id before scoring."""
     if isinstance(trees, RpTree):
         trees = [trees]
-    candidates = np.unique(np.concatenate([_route_to_leaf(t, q) for t in trees]))
-    from annkit.core import pairwise_scores
-
-    scores = pairwise_scores(Collection(X.vectors[candidates]), q, kind)
-    k_eff = min(k, candidates.size)
-    order = np.lexsort((candidates, scores))[:k_eff]
-    return TopKResult(ids=candidates[order], scores=scores[order], k=k)
+    candidates = np.zeros(len(X), dtype=bool)
+    for tree in trees:
+        candidates[_route_to_leaf(tree, q)] = True
+    return rescore(X, np.flatnonzero(candidates), q, k, kind)
 
 
 def potential_phi(X: Collection, q: np.ndarray, s: int) -> float:

@@ -12,7 +12,10 @@ from annkit.core import (
     dense_vector,
     distance,
     epsilon_valid,
+    pairwise_scores,
     recall,
+    rescore,
+    score_rows,
     top_k_from_scores,
 )
 
@@ -132,6 +135,44 @@ class TestTopKSelection:
                                DistanceKind.L2_SQUARED)
         assert res.ids.base is None or res.ids.base.size < m
         assert res.scores.base is None or res.scores.base.size < m
+
+
+class TestRescore:
+    """``rescore`` against the reference it replaces: score the candidate
+    sub-collection, then take the full ``(score, id)`` lexsort."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_sub_collection_plus_full_lexsort(self, data):
+        kind = data.draw(st.sampled_from([DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT,
+                                          DistanceKind.ANGULAR]))
+        m = data.draw(st.integers(1, 60))
+        d = data.draw(st.integers(1, 5))
+        # few small non-zero integers: many tied scores and duplicate rows
+        values = st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=m * d, max_size=m * d)
+        X = Collection(np.array(data.draw(values), dtype=np.float32).reshape(m, d))
+        q = np.array(data.draw(st.lists(st.sampled_from([-1, 1, 2]), min_size=d, max_size=d)),
+                     dtype=np.float32)
+        ids = np.array(data.draw(st.permutations(range(m)))[:data.draw(st.integers(0, m))],
+                       dtype=np.int64)
+        k = data.draw(st.integers(1, m + 2))
+        got = rescore(X, ids, q, k, kind)
+        if ids.size == 0:
+            assert got.ids.size == 0 and got.scores.size == 0
+            return
+        scores = pairwise_scores(Collection(X.vectors[ids]), q, kind)
+        order = np.lexsort((ids, scores))[:k]
+        assert got.ids.dtype == np.int64 and got.scores.dtype == np.float64
+        assert np.array_equal(got.ids, ids[order])
+        assert np.array_equal(got.scores, scores[order])
+
+    def test_score_rows_equal_full_scores_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        X = Collection(rng.standard_normal((300, 33)).astype(np.float32))
+        q = rng.standard_normal(33).astype(np.float32)
+        ids = rng.permutation(300)[:57]
+        for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT, DistanceKind.ANGULAR):
+            assert np.array_equal(score_rows(X, ids, q, kind), pairwise_scores(X, q, kind)[ids])
 
 
 class TestRecall:

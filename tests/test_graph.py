@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from annkit.core import Collection, DistanceKind, brute_force_topk, recall
+from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk, recall, score_rows
 from annkit.graph import (
     alpha_shortcut_violations,
     build_alpha_sng_exact,
@@ -9,7 +9,6 @@ from annkit.graph import (
     build_vamana,
     connectivity_check,
     greedy_search,
-    greedy_search_reference,
     medoid,
     robust_prune,
 )
@@ -17,6 +16,42 @@ from annkit.graph import (
 
 def rand_collection(m, d, seed):
     return Collection(np.random.default_rng(seed).standard_normal((m, d)).astype(np.float32))
+
+
+def greedy_search_reference(G, X, q, k, entry):
+    """Queue-stabilization formulation: rescan every queue member's
+    neighborhood, admit the single best improving outsider, repeat until
+    the queue stops changing. The oracle for ``greedy_search`` at beam k."""
+    q64 = np.asarray(q, dtype=np.float64)
+    score_cache: dict[int, float] = {}
+
+    def score(u: int) -> float:
+        if u not in score_cache:
+            score_cache[u] = float(score_rows(X, np.array([u]), q64, G.kind)[0])
+        return score_cache[u]
+
+    queue = {entry}
+    changed = True
+    while changed:
+        changed = False
+        outside = set().union(*(set(G.adjacency[u].tolist()) for u in queue)) - queue
+        if not outside:
+            break
+        best = min(outside, key=lambda u: (score(u), u))
+        worst = max(queue, key=lambda u: (score(u), u))
+        if len(queue) < k:
+            queue.add(best)
+            changed = True
+        elif (score(best), best) < (score(worst), worst):
+            queue.remove(worst)
+            queue.add(best)
+            changed = True
+    ordered = sorted(queue, key=lambda u: (score(u), u))[:k]
+    return TopKResult(
+        ids=np.array(ordered, dtype=np.int64),
+        scores=np.array([score(u) for u in ordered]),
+        k=k,
+    )
 
 
 class TestKnnGraph:

@@ -148,6 +148,77 @@ class TestIndex:
         assert all(x == y for x, y in zip(a.tables, b.tables))
 
 
+def _golden_inputs(kind):
+    rng = np.random.default_rng(2024)
+    real = Collection(rng.standard_normal((4, 5)).astype(np.float32))
+    bits = Collection((rng.random((4, 5)) < 0.5).astype(np.float32))
+    return bits if kind is FamilyKind.BIT_SAMPLING else real
+
+
+# bucket keys of build_index(_golden_inputs(kind), HashFamily(kind, seed=17, d=5, r=1.5),
+# ell=2, big_l=2), recorded from the per-function hashing and mixing that the
+# stacked path replaced: they pin the family parameters, the hashes and the mixer
+GOLDEN_TABLES = {
+    FamilyKind.BIT_SAMPLING: [
+        [(7474122154768515502, [0, 3]), (12625994271908667519, [1, 2])],
+        [(3726783526585247088, [1]), (7474122154768515502, [2]), (12625994271908667519, [0, 3])],
+    ],
+    FamilyKind.HYPERPLANE: [
+        [(3726783526585247088, [0, 3]), (7474122154768515502, [2]), (9455998881361994749, [1])],
+        [(3726783526585247088, [0, 2, 3]), (12625994271908667519, [1])],
+    ],
+    FamilyKind.CROSS_POLYTOPE: [
+        [(6853861111426726173, [1]), (12932512738290084495, [0]), (15233876699831730167, [3]),
+         (18417387968796742665, [2])],
+        [(71821172764252720, [1]), (1155564691202938701, [3]), (10915730973859549832, [2]),
+         (15233876699831730167, [0])],
+    ],
+    FamilyKind.P_STABLE_L2: [
+        [(11106947005267860311, [3]), (11528619866141895516, [0]), (13359741158660888813, [2]),
+         (14840733671420057898, [1])],
+        [(3726783526585247088, [2]), (11106947005267860311, [0]), (14782015320885546093, [1]),
+         (16227481403549772285, [3])],
+    ],
+}
+
+
+class TestStackedHashing:
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_table_keys_equal_recorded_values(self, kind):
+        index = build_index(_golden_inputs(kind), HashFamily(kind, seed=17, d=5, r=1.5), ell=2, big_l=2)
+        assert [sorted(t.items()) for t in index.tables] == GOLDEN_TABLES[kind]
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_query_keys_equal_per_table_keys(self, kind):
+        rng = np.random.default_rng(40)
+        d = 9  # cross-polytope pads to 16
+        if kind is FamilyKind.BIT_SAMPLING:
+            mat = (rng.random((50, d)) < 0.5).astype(np.float32)
+        else:
+            mat = rng.standard_normal((50, d)).astype(np.float32)
+        index = build_index(Collection(mat), HashFamily(kind, seed=3, d=d, r=0.7), ell=3, big_l=5)
+        for u in mat[:20]:
+            keys = index.query_keys(u)
+            assert keys == [index.bucket_key(t, u) for t in range(index.big_l)]
+            # a point always finds itself in every table
+            assert all(key in table for key, table in zip(keys, index.tables))
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_block_hashes_equal_single_function_hashes(self, kind):
+        rng = np.random.default_rng(41)
+        if kind is FamilyKind.BIT_SAMPLING:
+            mat = (rng.random((30, 6)) < 0.5).astype(np.float64)
+        else:
+            mat = rng.standard_normal((30, 6))
+        fam = HashFamily(kind, seed=8, d=6, r=0.9)
+        block = fam.hash_block(3, 7, mat)
+        assert block.shape == (30, 7)
+        for j in range(7):
+            single = HashFamily(kind, seed=8, d=6, r=0.9)
+            assert np.array_equal(block[:, j], single.hash_many(3 + j, mat))
+            assert [single.hash(3 + j, u) for u in mat[:5]] == block[:5, j].tolist()
+
+
 class TestPleb:
     def test_self_collision_yes(self):
         X = rand_collection(50, 4, 13)

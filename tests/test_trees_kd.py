@@ -101,6 +101,20 @@ class TestSearchExact:
         want = brute_force_topk(X, q, 40, DistanceKind.L2_SQUARED)
         assert got.ids.tolist() == want.ids.tolist()
 
+    def test_duplicate_rows_bit_identical_to_brute_force(self):
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((30, 4)).astype(np.float32)
+        X = Collection(base[rng.integers(0, 30, size=300)])  # every row about ten times
+        for leaf_capacity in (1, 4, 16):
+            tree = kd_build(X, leaf_capacity)
+            for i in range(12):
+                q = X.vectors[i] if i % 2 else rng.standard_normal(4).astype(np.float32)
+                for k in (1, 9, 25):
+                    got = kd_search_exact(tree, X, q, k)
+                    want = brute_force_topk(X, q, k, DistanceKind.L2_SQUARED)
+                    assert np.array_equal(got.ids, want.ids)
+                    assert np.array_equal(got.scores, want.scores)
+
     def test_rejects_sparse(self):
         from annkit.core import SparseVector
 
