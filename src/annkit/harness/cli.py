@@ -1,33 +1,35 @@
 """Command-line harness: generate / build / query / bench / experiment /
 selftest.
 
-Every run with the same flags and seed writes byte-identical output
-(benchmark wall-clock columns appear only behind --timings). Exit codes:
-0 ok, 1 test failure, 2 usage error.
+`build` looks its --index name up in one table (``_BUILDS``), `query` the
+loaded container's family in another (``_QUERIES``). Every run with the
+same flags and seed writes byte-identical output (benchmark wall-clock
+columns appear only behind --timings). Exit codes: 0 ok, 1 test failure,
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk, top_k_from_scores
-from annkit.graph import NeighborGraph, build_knn_graph, build_alpha_sng_exact, build_vamana, greedy_search
-from annkit.ivf import IvfIndex, build_ivf, ivf_search, route
-from annkit.lsh import FamilyKind, HashFamily, LshIndex, build_index as lsh_build, lsh_topk
+from annkit.graph import build_knn_graph, build_alpha_sng_exact, build_vamana, greedy_search
+from annkit.ivf import build_ivf, ivf_search, route
+from annkit.lsh import FamilyKind, HashFamily, build_index as lsh_build, lsh_topk
 from annkit.quant import (
     AqCodebook, OpqModel, PqCodebook, adc_offsets, aq_adc_scan, aq_encode, aq_train,
     opq_train, pq_adc, pq_adc_distance, pq_adc_scan, pq_encode_all, pq_train,
 )
-from annkit.sampling import WedgeIndex, build_wedge_index, wedge_topk
+from annkit.sampling import build_wedge_index, wedge_topk
 from annkit.trees import (
-    CoverTree, KdTree, RpTree, cover_build, cover_nn,
-    defeatist_search, kd_build, kd_search_exact, rp_build, spill_build,
+    cover_build, cover_nn, defeatist_search, kd_build, kd_search_exact, rp_build, spill_build,
 )
 from annkit.trees.rp import _route_to_leaf
-from annkit.harness.container import load_index, save_index
+from annkit.harness.container import family_of, load_index, save_index
 from annkit.harness.experiments import ExperimentReport, benchmark, experiment_coincidence, experiment_instability
 from annkit.harness.io import load_vecs, save_vecs
 from annkit.harness.synth import Distribution, SyntheticSpec, generate
@@ -59,105 +61,112 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _clusters(args) -> int:
+    return 0 if args.clusters == "auto" else int(args.clusters)
+
+
+# --index name -> build(X, args), in --index choice order. Entries look up
+# library functions on this module at call time, so rebinding them reaches here.
+_BUILDS = {
+    "kd": lambda X, a: kd_build(X, a.leaf_capacity),
+    "rp": lambda X, a: [rp_build(X, a.leaf_capacity, seed=a.seed + t) for t in range(a.trees)],
+    "spill": lambda X, a: [spill_build(X, a.leaf_capacity, a.overlap, seed=a.seed + t)
+                           for t in range(a.trees)],
+    "cover": lambda X, a: cover_build(X),
+    "lsh": lambda X, a: lsh_build(X, HashFamily(FamilyKind(a.family), seed=a.seed, d=X.dim, r=a.radius),
+                                  a.ell, a.tables, eps=a.eps),
+    "knn": lambda X, a: build_knn_graph(X, a.k, _KINDS[a.kind]),
+    "sng": lambda X, a: build_alpha_sng_exact(X, a.alpha),
+    "vamana": lambda X, a: build_vamana(X, alpha=a.alpha, cap=a.degree, beam=a.beam or 2 * a.degree,
+                                        seed=a.seed),
+    "ivf": lambda X, a: build_ivf(X, _clusters(a), _KINDS[a.kind], max_iters=a.iters, seed=a.seed),
+    "pq": lambda X, a: pq_train(X, a.subspaces, a.codewords, seed=a.seed),
+    "opq": lambda X, a: opq_train(X, a.subspaces, a.codewords, iters=a.iters, seed=a.seed),
+    "aq": lambda X, a: aq_train(X, a.codebooks, a.codewords, beam=a.beam or a.codebooks,
+                                iters=a.iters, seed=a.seed)[0],
+    "wedge": lambda X, a: build_wedge_index(X),
+}
+
+
 def _cmd_build(args) -> int:
-    X = load_vecs(args.data)
-    kind = _KINDS[args.kind]
-    if args.index == "kd":
-        obj = kd_build(X, args.leaf_capacity)
-    elif args.index == "rp":
-        obj = [rp_build(X, args.leaf_capacity, seed=args.seed + t) for t in range(args.trees)]
-    elif args.index == "spill":
-        obj = [spill_build(X, args.leaf_capacity, args.overlap, seed=args.seed + t)
-               for t in range(args.trees)]
-    elif args.index == "cover":
-        obj = cover_build(X)
-    elif args.index == "lsh":
-        family = HashFamily(FamilyKind(args.family), seed=args.seed, d=X.dim, r=args.radius)
-        obj = lsh_build(X, family, args.ell, args.tables, eps=args.eps)
-    elif args.index == "knn":
-        obj = build_knn_graph(X, args.k, kind)
-    elif args.index == "sng":
-        obj = build_alpha_sng_exact(X, args.alpha)
-    elif args.index == "vamana":
-        beam = args.beam if args.beam else 2 * args.degree
-        obj = build_vamana(X, alpha=args.alpha, cap=args.degree, beam=beam, seed=args.seed)
-    elif args.index == "ivf":
-        C = 0 if args.clusters == "auto" else int(args.clusters)
-        obj = build_ivf(X, C, kind, max_iters=args.iters, seed=args.seed)
-    elif args.index == "pq":
-        obj = pq_train(X, args.subspaces, args.codewords, seed=args.seed)
-    elif args.index == "opq":
-        obj = opq_train(X, args.subspaces, args.codewords, iters=args.iters, seed=args.seed)
-    elif args.index == "aq":
-        beam = args.beam if args.beam else args.codebooks
-        cb, _, _ = aq_train(X, args.codebooks, args.codewords, beam=beam,
-                            iters=args.iters, seed=args.seed)
-        obj = cb
-    elif args.index == "wedge":
-        obj = build_wedge_index(X)
-    else:
-        raise ValueError(f"unknown index kind {args.index}")
-    save_index(args.out, obj)
+    save_index(args.out, _BUILDS[args.index](load_vecs(args.data), args))
     return 0
 
 
-def _encode_collection(obj, X: Collection):
-    """Encode X once for a quantizer index, so that every query is one
-    table lookup scan: ADC offsets for PQ and OPQ (X rotated first), ADC
-    offsets plus stored norms for AQ. Other families need nothing."""
-    if isinstance(obj, PqCodebook):
-        return adc_offsets(pq_encode_all(obj, X), obj.n_codewords)
-    if isinstance(obj, OpqModel):
-        rot = obj.rotation.astype(np.float64)
-        rx = Collection((X.vectors.astype(np.float64) @ rot.T).astype(np.float32))
-        return adc_offsets(pq_encode_all(obj.codebook, rx), obj.codebook.n_codewords)
-    if isinstance(obj, AqCodebook):
-        codes = [aq_encode(obj, X.vectors[i]) for i in range(len(X))]
-        offsets = adc_offsets(np.stack([c.codes for c in codes]), obj.n_codewords)
-        return offsets, np.array([c.norm_sq for c in codes])
-    return None
+class _Query(NamedTuple):
+    """How `annkit query` searches one container family. Quantizers
+    ``prepare`` X once per process, so that every query is one table-lookup
+    scan: ADC offsets for PQ and OPQ (X rotated first), plus stored norms
+    for AQ."""
+
+    search: Optional[Callable]  # (obj, X, q, k, args, prepared) -> TopKResult; None: unqueryable
+    prepare: Callable = lambda obj, X: None  # (obj, X) -> prepared
 
 
-def _query_index(obj, X, q, k, args, encoded) -> TopKResult:
-    """One query against a loaded index; ``encoded`` is what
-    :func:`_encode_collection` returned for ``obj`` and ``X``."""
-    if isinstance(obj, KdTree):
-        return kd_search_exact(obj, X, q, k)
-    if isinstance(obj, list) and obj and isinstance(obj[0], RpTree):
-        return defeatist_search(obj, X, q, k)
-    if isinstance(obj, CoverTree):
-        return cover_nn(obj, q, k)
-    if isinstance(obj, LshIndex):
-        return lsh_topk(obj, X, q, k, _KINDS[args.kind])
-    if isinstance(obj, NeighborGraph):
-        entry = None if args.entry < 0 else args.entry
-        result, _ = greedy_search(obj, X, q, k, entry=entry, beam=args.beam)
-        return result
-    if isinstance(obj, IvfIndex):
-        ell = args.ell or max(1, obj.model.n_clusters // 10)
-        return ivf_search(obj, X, q, k, ell)
-    if isinstance(obj, PqCodebook):
-        return top_k_from_scores(pq_adc_scan(pq_adc(obj, q), encoded), k)
-    if isinstance(obj, OpqModel):
-        rq = obj.rotation.astype(np.float64) @ np.asarray(q, dtype=np.float64)
-        return top_k_from_scores(pq_adc_scan(pq_adc(obj.codebook, rq), encoded), k)
-    if isinstance(obj, AqCodebook):
-        offsets, norms = encoded
-        return top_k_from_scores(aq_adc_scan(obj, q, offsets, norms), k)
-    if isinstance(obj, WedgeIndex):
-        return wedge_topk(obj, X, q, samples=args.samples, k=k,
-                          k_prime=args.k_prime, seed=args.seed)
-    raise TypeError(f"cannot query {type(obj).__name__}")
+def _prepare_pq(cb: PqCodebook, X: Collection):
+    return adc_offsets(pq_encode_all(cb, X), cb.n_codewords)
+
+
+def _prepare_opq(model: OpqModel, X: Collection):
+    rot = model.rotation.astype(np.float64)
+    return _prepare_pq(model.codebook,
+                       Collection((X.vectors.astype(np.float64) @ rot.T).astype(np.float32)))
+
+
+def _search_opq(model: OpqModel, X, q, k, args, prepared) -> TopKResult:
+    rq = model.rotation.astype(np.float64) @ np.asarray(q, dtype=np.float64)
+    return top_k_from_scores(pq_adc_scan(pq_adc(model.codebook, rq), prepared), k)
+
+
+def _prepare_aq(cb: AqCodebook, X: Collection):
+    codes = [aq_encode(cb, X.vectors[i]) for i in range(len(X))]
+    offsets = adc_offsets(np.stack([c.codes for c in codes]), cb.n_codewords)
+    return offsets, np.array([c.norm_sq for c in codes])
+
+
+_FOREST = _Query(lambda obj, X, q, k, a, p: defeatist_search(obj, X, q, k))
+
+# container family name -> _Query
+_QUERIES = {
+    "kd": _Query(lambda obj, X, q, k, a, p: kd_search_exact(obj, X, q, k)),
+    "rp_forest": _FOREST,
+    "spill_forest": _FOREST,
+    "cover": _Query(lambda obj, X, q, k, a, p: cover_nn(obj, q, k)),
+    "lsh": _Query(lambda obj, X, q, k, a, p: lsh_topk(obj, X, q, k, _KINDS[a.kind])),
+    "graph": _Query(lambda obj, X, q, k, a, p: greedy_search(
+        obj, X, q, k, entry=None if a.entry < 0 else a.entry, beam=a.beam)[0]),
+    "ivf": _Query(lambda obj, X, q, k, a, p: ivf_search(
+        obj, X, q, k, a.ell or max(1, obj.model.n_clusters // 10))),
+    "pq": _Query(lambda obj, X, q, k, a, p: top_k_from_scores(pq_adc_scan(pq_adc(obj, q), p), k),
+                 _prepare_pq),
+    "opq": _Query(_search_opq, _prepare_opq),
+    "aq": _Query(lambda obj, X, q, k, a, p: top_k_from_scores(aq_adc_scan(obj, q, *p), k),
+                 _prepare_aq),
+    "wedge": _Query(lambda obj, X, q, k, a, p: wedge_topk(
+        obj, X, q, samples=a.samples, k=k, k_prime=a.k_prime, seed=a.seed)),
+    "jl": _Query(None),
+    "asym_set": _Query(None),
+    "threshold_set": _Query(None),
+}
+
+
+def _query_index(obj, X, q, k, args, prepared) -> TopKResult:
+    """One query against a loaded index; ``prepared`` is what its family's
+    ``prepare`` returned for ``obj`` and ``X``."""
+    search = _QUERIES[family_of(obj)].search
+    if search is None:
+        raise TypeError(f"cannot query {type(obj).__name__}")
+    return search(obj, X, q, k, args, prepared)
 
 
 def _cmd_query(args) -> int:
     X = load_vecs(args.data)
     queries = load_vecs(args.queries)
     obj = load_index(args.index_file, X=X)
-    encoded = _encode_collection(obj, X)
+    prepared = _QUERIES[family_of(obj)].prepare(obj, X)
     lines = ["query_id,rank,id,score"]
     for qi in range(len(queries)):
-        result = _query_index(obj, X, queries.vectors[qi], args.k, args, encoded)
+        result = _query_index(obj, X, queries.vectors[qi], args.k, args, prepared)
         for rank, (pid, score) in enumerate(zip(result.ids, result.scores)):
             lines.append(f"{qi},{rank},{int(pid)},{float(score)!r}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -169,8 +178,7 @@ def _cmd_bench(args) -> int:
     queries = load_vecs(args.queries).vectors
     kind = _KINDS[args.kind]
     if args.target == "ivf":
-        C = 0 if args.clusters == "auto" else int(args.clusters)
-        index = build_ivf(X, C, kind, seed=args.seed)
+        index = build_ivf(X, _clusters(args), kind, seed=args.seed)
         sweep = _ints(args.sweep_l)
 
         def cost(ell, q):
@@ -333,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = add_parser("build", help="build an index container from a .vecs file")
-    p.add_argument("--index", required=True,
-                   choices=["kd", "rp", "spill", "cover", "lsh", "knn", "sng",
-                            "vamana", "ivf", "pq", "opq", "aq", "wedge"])
+    p.add_argument("--index", required=True, choices=list(_BUILDS))
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=sorted(_KINDS), default="l2")

@@ -5,14 +5,18 @@ block, then named arrays (dtype string, shape, raw little-endian bytes).
 Writing is fully deterministic: meta keys are sorted and arrays are
 emitted in sorted name order. PQ codes are packed little-endian with
 ceil(log2 C) bits rounded up to whole bytes per subspace.
+
+Each family is one ``_FAMILIES`` entry: its pinned tag, the exact type of
+its index object, and an adjacent encode/decode pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,33 +31,15 @@ from annkit.trees.cover import CoverNode, CoverTree
 from annkit.trees.kd import KdNode, KdTree
 from annkit.trees.rp import ProjNode, RpTree, SpillTree
 
-__all__ = ["save_index", "load_index", "pack_pq_codes", "unpack_pq_codes"]
+__all__ = ["family_of", "save_index", "load_index", "pack_pq_codes", "unpack_pq_codes"]
 
 _MAGIC = b"AKIX"
 _VERSION = 1
 
-_TAGS = {
-    "kd": 1,
-    "rp_forest": 2,
-    "spill_forest": 3,
-    "cover": 4,
-    "lsh": 5,
-    "graph": 6,
-    "ivf": 7,
-    "pq": 8,
-    "opq": 9,
-    "aq": 10,
-    "wedge": 11,
-    "jl": 12,
-    "asym_set": 13,
-    "threshold_set": 14,
-}
-_TAG_NAMES = {v: k for k, v in _TAGS.items()}
 
-
-def _write_blob(fh, family: str, meta: dict, arrays: dict) -> None:
+def _write_blob(fh, tag: int, meta: dict, arrays: dict) -> None:
     fh.write(_MAGIC)
-    fh.write(struct.pack("<HH", _VERSION, _TAGS[family]))
+    fh.write(struct.pack("<HH", _VERSION, tag))
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     fh.write(struct.pack("<I", len(meta_bytes)))
     fh.write(meta_bytes)
@@ -74,42 +60,57 @@ def _write_blob(fh, family: str, meta: dict, arrays: dict) -> None:
 
 
 def _read_blob(path) -> tuple[str, dict, dict]:
-    raw = open(path, "rb").read()
+    """Parse a container; anything but one whole container, byte for byte,
+    raises ValueError naming ``path``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not an index container")
-    version, tag = struct.unpack_from("<HH", raw, 4)
+    pos = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(raw) - pos:
+            raise ValueError(f"{path}: truncated: {n} bytes expected at offset {pos}, "
+                             f"{len(raw) - pos} left")
+        pos += n
+        return raw[pos - n:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    version, tag = unpack("<HH")
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported container version {version}")
-    if tag not in _TAG_NAMES:
+    if tag not in _NAME_OF_TAG:
         raise ValueError(f"{path}: unknown family tag {tag}")
-    offset = 8
-    (meta_len,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    meta = json.loads(raw[offset:offset + meta_len])
-    offset += meta_len
-    (n_arrays,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
+    (meta_len,) = unpack("<I")
+    try:
+        meta = json.loads(take(meta_len))
+    except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{path}: corrupt meta block: {err}") from None
+    (n_arrays,) = unpack("<I")
     arrays = {}
     for _ in range(n_arrays):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset:offset + name_len].decode()
-        offset += name_len
-        (dtype_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        dtype = np.dtype(raw[offset:offset + dtype_len].decode())
-        offset += dtype_len
-        (ndim,) = struct.unpack_from("<B", raw, offset)
-        offset += 1
-        shape = []
-        for _ in range(ndim):
-            (dim,) = struct.unpack_from("<Q", raw, offset)
-            offset += 8
-            shape.append(dim)
-        count = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
-        offset += count * dtype.itemsize
-    return _TAG_NAMES[tag], meta, arrays
+        (name_len,) = unpack("<H")
+        name = take(name_len).decode()
+        (dtype_len,) = unpack("<H")
+        dtype_b = take(dtype_len)
+        try:
+            dtype = np.dtype(dtype_b.decode())
+        except (TypeError, ValueError):  # ValueError covers UnicodeDecodeError
+            raise ValueError(f"{path}: array {name!r} has unknown dtype {dtype_b!r}") from None
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}Q")
+        count = math.prod(shape)
+        if count * dtype.itemsize > len(raw) - pos:
+            raise ValueError(f"{path}: array {name!r} of shape {shape} needs "
+                             f"{count * dtype.itemsize} bytes, {len(raw) - pos} left")
+        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(shape).copy()
+        pos += count * dtype.itemsize
+    if pos != len(raw):
+        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last array")
+    return _NAME_OF_TAG[tag], meta, arrays
 
 
 # ---------------------------------------------------------------------------
@@ -140,53 +141,56 @@ def unpack_pq_codes(packed: np.ndarray, n_codewords: int, n_subspaces: int) -> n
 
 
 # ---------------------------------------------------------------------------
-# per-family encoders: object -> (meta, arrays); decoders invert them
+# per-family encoders: object -> (meta, arrays); each decoder, next to its
+# encoder, inverts it: (meta, arrays, X) -> object
 
 
-def _flatten_kd(root: KdNode):
-    axes, splits, lefts, rights, leaf_ptr = [], [], [], [], []
-    flat_ids = []
+def _pack_ragged(parts, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Variable-length parts -> (their concatenation as ``dtype``, int64
+    offsets): part i is ``flat[offsets[i]:offsets[i + 1]]``."""
+    offsets = np.cumsum([0] + [len(p) for p in parts], dtype=np.int64)
+    return np.concatenate([np.asarray(p, dtype=dtype) for p in parts] or [np.zeros(0, dtype)]), offsets
 
-    def walk(node: KdNode) -> int:
-        idx = len(axes)
-        axes.append(node.axis)
-        splits.append(node.split_value)
-        lefts.append(-1)
-        rights.append(-1)
-        if node.is_leaf:
-            leaf_ptr.append((idx, len(flat_ids), len(flat_ids) + node.ids.size))
-            flat_ids.extend(node.ids.tolist())
-        return idx
 
-    def recurse(node: KdNode) -> int:
-        idx = walk(node)
+def _unpack_ragged(flat: np.ndarray, offsets: np.ndarray) -> list:
+    return [flat[offsets[i]:offsets[i + 1]].copy() for i in range(offsets.size - 1)]
+
+
+def _tree_arrays(root) -> tuple[list, dict]:
+    """A binary tree's nodes in pre-order, plus its shape: each node's child
+    indexes (-1 at leaves) and each leaf's ``[leaf_start, leaf_end)`` slice
+    of the flat ``leaf_ids`` (-1 at inner nodes)."""
+    nodes, left, right = [], [], []
+
+    def recurse(node) -> int:
+        idx = len(nodes)
+        nodes.append(node)
+        left.append(-1)
+        right.append(-1)
         if not node.is_leaf:
-            lefts[idx] = recurse(node.left)
-            rights[idx] = recurse(node.right)
+            left[idx] = recurse(node.left)
+            right[idx] = recurse(node.right)
         return idx
 
     recurse(root)
-    starts = np.full(len(axes), -1, dtype=np.int64)
-    ends = np.full(len(axes), -1, dtype=np.int64)
-    for idx, s, e in leaf_ptr:
-        starts[idx], ends[idx] = s, e
-    return {
-        "axis": np.array(axes, dtype=np.int64),
-        "split": np.array(splits, dtype=np.float64),
-        "left": np.array(lefts, dtype=np.int64),
-        "right": np.array(rights, dtype=np.int64),
-        "leaf_start": starts,
-        "leaf_end": ends,
-        "leaf_ids": np.array(flat_ids, dtype=np.int64),
+    is_leaf = np.array([n.is_leaf for n in nodes])
+    leaf_ids, offsets = _pack_ragged([n.ids if n.is_leaf else () for n in nodes], np.int64)
+    return nodes, {
+        "left": np.array(left, dtype=np.int64),
+        "right": np.array(right, dtype=np.int64),
+        "leaf_start": np.where(is_leaf, offsets[:-1], -1),
+        "leaf_end": np.where(is_leaf, offsets[1:], -1),
+        "leaf_ids": leaf_ids,
     }
 
 
-def _rebuild_kd(arrays) -> KdNode:
-    def build(idx: int) -> KdNode:
+def _rebuild_tree(arrays: dict, leaf: Callable, inner: Callable):
+    """Invert :func:`_tree_arrays`; ``leaf(idx, ids)`` and ``inner(idx)``
+    make the nodes, children are attached here."""
+    def build(idx: int):
         if arrays["leaf_start"][idx] >= 0:
-            s, e = arrays["leaf_start"][idx], arrays["leaf_end"][idx]
-            return KdNode(ids=arrays["leaf_ids"][s:e].copy())
-        node = KdNode(axis=int(arrays["axis"][idx]), split_value=float(arrays["split"][idx]))
+            return leaf(idx, arrays["leaf_ids"][arrays["leaf_start"][idx]:arrays["leaf_end"][idx]].copy())
+        node = inner(idx)
         node.left = build(int(arrays["left"][idx]))
         node.right = build(int(arrays["right"][idx]))
         return node
@@ -194,362 +198,332 @@ def _rebuild_kd(arrays) -> KdNode:
     return build(0)
 
 
+def _encode_kd(tree: KdTree):
+    nodes, arrays = _tree_arrays(tree.root)
+    arrays["axis"] = np.array([n.axis for n in nodes], dtype=np.int64)
+    arrays["split"] = np.array([n.split_value for n in nodes], dtype=np.float64)
+    return {"leaf_capacity": tree.leaf_capacity, "dim": tree.dim, "size": tree.size}, arrays
+
+
+def _decode_kd(meta, arrays, X) -> KdTree:
+    root = _rebuild_tree(arrays, lambda idx, ids: KdNode(ids=ids),
+                         lambda idx: KdNode(axis=int(arrays["axis"][idx]),
+                                            split_value=float(arrays["split"][idx])))
+    return KdTree(root=root, leaf_capacity=meta["leaf_capacity"], dim=meta["dim"], size=meta["size"])
+
+
 def _flatten_proj_tree(root: ProjNode, prefix: str, arrays: dict) -> None:
-    dirs, thresholds, lefts, rights = [], [], [], []
-    sizes, lc, rc = [], [], []
-    starts, ends, flat_ids = [], [], []
-
-    def recurse(node: ProjNode) -> int:
-        idx = len(thresholds)
-        thresholds.append(node.threshold)
-        sizes.append(node.size)
-        lc.append(node.left_count)
-        rc.append(node.right_count)
-        lefts.append(-1)
-        rights.append(-1)
-        if node.is_leaf:
-            dirs.append(np.zeros(0))
-            starts.append(len(flat_ids))
-            ends.append(len(flat_ids) + node.ids.size)
-            flat_ids.extend(node.ids.tolist())
-        else:
-            dirs.append(node.direction)
-            starts.append(-1)
-            ends.append(-1)
-            lefts[idx] = recurse(node.left)
-            rights[idx] = recurse(node.right)
-        return idx
-
-    recurse(root)
-    dim = max((d.size for d in dirs), default=0)
-    dir_mat = np.zeros((len(dirs), dim))
-    for i, d in enumerate(dirs):
-        if d.size:
-            dir_mat[i] = d
-    arrays[f"{prefix}dir"] = dir_mat
-    arrays[f"{prefix}threshold"] = np.array(thresholds, dtype=np.float64)
-    arrays[f"{prefix}left"] = np.array(lefts, dtype=np.int64)
-    arrays[f"{prefix}right"] = np.array(rights, dtype=np.int64)
-    arrays[f"{prefix}size"] = np.array(sizes, dtype=np.int64)
-    arrays[f"{prefix}left_count"] = np.array(lc, dtype=np.int64)
-    arrays[f"{prefix}right_count"] = np.array(rc, dtype=np.int64)
-    arrays[f"{prefix}leaf_start"] = np.array(starts, dtype=np.int64)
-    arrays[f"{prefix}leaf_end"] = np.array(ends, dtype=np.int64)
-    arrays[f"{prefix}leaf_ids"] = np.array(flat_ids, dtype=np.int64)
+    nodes, cols = _tree_arrays(root)
+    inner = [i for i, n in enumerate(nodes) if not n.is_leaf]
+    cols["dir"] = np.zeros((len(nodes), max((nodes[i].direction.size for i in inner), default=0)))
+    for i in inner:
+        cols["dir"][i] = nodes[i].direction
+    cols["threshold"] = np.array([n.threshold for n in nodes], dtype=np.float64)
+    for name in ("size", "left_count", "right_count"):
+        cols[name] = np.array([getattr(n, name) for n in nodes], dtype=np.int64)
+    arrays.update({prefix + name: a for name, a in cols.items()})
 
 
 def _rebuild_proj_tree(prefix: str, arrays: dict) -> ProjNode:
-    def build(idx: int) -> ProjNode:
-        if arrays[f"{prefix}leaf_start"][idx] >= 0:
-            s, e = arrays[f"{prefix}leaf_start"][idx], arrays[f"{prefix}leaf_end"][idx]
-            return ProjNode(ids=arrays[f"{prefix}leaf_ids"][s:e].copy(),
-                            size=int(arrays[f"{prefix}size"][idx]))
-        node = ProjNode(
-            direction=arrays[f"{prefix}dir"][idx].copy(),
-            threshold=float(arrays[f"{prefix}threshold"][idx]),
-            size=int(arrays[f"{prefix}size"][idx]),
-            left_count=int(arrays[f"{prefix}left_count"][idx]),
-            right_count=int(arrays[f"{prefix}right_count"][idx]),
-        )
-        node.left = build(int(arrays[f"{prefix}left"][idx]))
-        node.right = build(int(arrays[f"{prefix}right"][idx]))
-        return node
-
-    return build(0)
+    tree = {name[len(prefix):]: a for name, a in arrays.items() if name.startswith(prefix)}
+    return _rebuild_tree(
+        tree,
+        lambda idx, ids: ProjNode(ids=ids, size=int(tree["size"][idx])),
+        lambda idx: ProjNode(direction=tree["dir"][idx].copy(), threshold=float(tree["threshold"][idx]),
+                             size=int(tree["size"][idx]), left_count=int(tree["left_count"][idx]),
+                             right_count=int(tree["right_count"][idx])))
 
 
-def _encode(obj):
-    if isinstance(obj, KdTree):
-        return "kd", {"leaf_capacity": obj.leaf_capacity, "dim": obj.dim, "size": obj.size}, _flatten_kd(obj.root)
+def _encode_rp_forest(forest):
+    meta = {"n_trees": len(forest), "dim": forest[0].dim,
+            "leaf_capacity": forest[0].leaf_capacity, "seeds": [t.seed for t in forest]}
+    arrays: dict = {}
+    for i, tree in enumerate(forest):
+        _flatten_proj_tree(tree.root, f"t{i}_", arrays)
+    return meta, arrays
 
-    if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], RpTree):
-        family = "spill_forest" if isinstance(obj[0], SpillTree) else "rp_forest"
-        arrays: dict = {}
-        meta: dict = {"n_trees": len(obj), "dim": obj[0].dim,
-                      "leaf_capacity": obj[0].leaf_capacity,
-                      "seeds": [t.seed for t in obj]}
-        if family == "spill_forest":
-            meta["alphas"] = [t.alpha for t in obj]
-        for i, tree in enumerate(obj):
-            _flatten_proj_tree(tree.root, f"t{i}_", arrays)
-        return family, meta, arrays
 
-    if isinstance(obj, CoverTree):
-        points, levels, parents = [], [], []
+def _decode_rp_forest(meta, arrays, X) -> list:
+    return [RpTree(root=_rebuild_proj_tree(f"t{i}_", arrays), leaf_capacity=meta["leaf_capacity"],
+                   dim=meta["dim"], seed=meta["seeds"][i])
+            for i in range(meta["n_trees"])]
 
-        def walk(node: CoverNode, parent: int) -> None:
-            my = len(points)
-            points.append(node.point_id)
-            levels.append(node.level)
-            parents.append(parent)
-            for lvl in sorted(node.children):
-                for child in node.children[lvl]:
-                    walk(child, my)
 
-        if obj.root is not None:
-            walk(obj.root, -1)
-        meta = {"root_level": obj.root_level, "size": obj.size}
-        return "cover", meta, {
-            "point": np.array(points, dtype=np.int64),
-            "level": np.array(levels, dtype=np.int64),
-            "parent": np.array(parents, dtype=np.int64),
-        }
+def _encode_spill_forest(forest):
+    meta, arrays = _encode_rp_forest(forest)
+    meta["alphas"] = [t.alpha for t in forest]
+    return meta, arrays
 
-    if isinstance(obj, LshIndex):
-        keys, offsets, flat = [], [0], []
-        for table in obj.tables:
-            for key in sorted(table):
-                keys.append(key)
-                flat.extend(table[key])
-                offsets.append(len(flat))
-        table_sizes = [len(t) for t in obj.tables]
-        meta = {
-            "kind": obj.family.kind.value,
-            "seed": obj.family.seed,
-            "d": obj.family.d,
-            "r": obj.family.r,
-            "ell": obj.ell,
-            "big_l": obj.big_l,
-            "eps": obj.eps,
-            "table_sizes": table_sizes,
-        }
-        return "lsh", meta, {
-            "keys": np.array(keys, dtype=np.uint64),
-            "offsets": np.array(offsets, dtype=np.int64),
-            "ids": np.array(flat, dtype=np.int64),
-        }
 
-    if isinstance(obj, NeighborGraph):
-        offsets = np.zeros(len(obj) + 1, dtype=np.int64)
-        for i, adj in enumerate(obj.adjacency):
-            offsets[i + 1] = offsets[i] + adj.size
-        flat = np.concatenate(obj.adjacency) if len(obj) else np.array([], dtype=np.int64)
-        meta = {
-            "directed": obj.directed,
-            "entry": obj.entry,
-            "kind": obj.kind.value,
-            "alpha": obj.alpha,
-            "degree_cap": obj.degree_cap,
-            "construction": obj.construction,
-        }
-        return "graph", meta, {"offsets": offsets, "ids": flat.astype(np.int64)}
+def _decode_spill_forest(meta, arrays, X) -> list:
+    return [SpillTree(root=t.root, leaf_capacity=t.leaf_capacity, dim=t.dim, seed=t.seed, alpha=alpha)
+            for t, alpha in zip(_decode_rp_forest(meta, arrays, X), meta["alphas"])]
 
-    if isinstance(obj, IvfIndex):
-        meta = {
-            "kind": obj.kind.value,
-            "kmeans_kind": obj.model.kind.value,
-            "objective_trace": obj.model.objective_trace,
-        }
-        return "ivf", meta, {
-            "centroids": obj.model.centroids.astype(np.float32),
-            "assignment": obj.model.assignment.astype(np.int64),
-        }
 
-    if isinstance(obj, PqCodebook):
-        meta = {"L": obj.n_subspaces, "C": obj.n_codewords, "d_sub": obj.sub_dim}
-        return "pq", meta, {"codewords": obj.codewords.astype(np.float32)}
+def _encode_cover(tree: CoverTree):
+    points, levels, parents = [], [], []
 
-    if isinstance(obj, OpqModel):
-        meta = {"L": obj.codebook.n_subspaces, "C": obj.codebook.n_codewords}
-        return "opq", meta, {
-            "rotation": obj.rotation.astype(np.float32),
-            "codewords": obj.codebook.codewords.astype(np.float32),
-        }
+    def walk(node: CoverNode, parent: int) -> None:
+        my = len(points)
+        points.append(node.point_id)
+        levels.append(node.level)
+        parents.append(parent)
+        for lvl in sorted(node.children):
+            for child in node.children[lvl]:
+                walk(child, my)
 
-    if isinstance(obj, AqCodebook):
-        meta = {"L": obj.n_codebooks, "C": obj.n_codewords, "beam": obj.beam_width}
-        return "aq", meta, {"codewords": obj.codewords.astype(np.float32)}
+    if tree.root is not None:
+        walk(tree.root, -1)
+    return {"root_level": tree.root_level, "size": tree.size}, {
+        "point": np.array(points, dtype=np.int64),
+        "level": np.array(levels, dtype=np.int64),
+        "parent": np.array(parents, dtype=np.int64),
+    }
 
-    if isinstance(obj, WedgeIndex):
-        probs = np.concatenate([t.prob for t in obj.tables]) if obj.tables else np.zeros(0)
-        aliases = np.concatenate([t.alias for t in obj.tables]) if obj.tables else np.zeros(0, dtype=np.int64)
-        lengths = np.array([len(t) for t in obj.tables], dtype=np.int64)
-        sums = np.array([t.weight_sum for t in obj.tables])
-        meta = {"dim": obj.dim}
-        return "wedge", meta, {
-            "dims": obj.dims.astype(np.int64),
-            "column_sums": obj.column_sums.astype(np.float64),
-            "prob": probs,
-            "alias": aliases.astype(np.int64),
-            "lengths": lengths,
-            "weight_sums": sums,
-        }
 
-    if isinstance(obj, JlSketcher):
-        return "jl", {"out_dim": obj.out_dim, "seed": obj.seed}, {}
+def _decode_cover(meta, arrays, X) -> CoverTree:
+    if X is None:
+        raise ValueError("cover tree loading requires the collection")
+    tree = CoverTree(X=X)
+    nodes = [CoverNode(point_id=int(p), level=int(lv))
+             for p, lv in zip(arrays["point"], arrays["level"])]
+    for i, parent in enumerate(arrays["parent"]):
+        if parent >= 0:
+            nodes[int(parent)].attach(nodes[i], nodes[i].level)
+    tree.root = nodes[0] if nodes else None
+    tree.root_level = meta["root_level"]
+    tree.size = meta["size"]
+    return tree
 
-    if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], AsymSketch):
-        nz_offsets = [0]
-        nz_flat = []
-        has_nz = []
-        has_lower = []
-        for sk in obj:
-            has_nz.append(sk.nz is not None)
-            has_lower.append(sk.lower is not None)
-            if sk.nz is not None:
-                nz_flat.extend(sk.nz.tolist())
-            nz_offsets.append(len(nz_flat))
-        buckets = obj[0].buckets
-        uppers = np.stack([sk.upper for sk in obj])
-        lowers = np.stack([sk.lower if sk.lower is not None else np.zeros(buckets)
-                           for sk in obj])
-        meta = {
-            "h": obj[0].h,
-            "seed": obj[0].seed,
-            "dims": [sk.dim for sk in obj],
-            "has_nz": has_nz,
-            "has_lower": has_lower,
-        }
-        return "asym_set", meta, {
-            "upper": uppers,
-            "lower": lowers,
-            "nz": np.array(nz_flat, dtype=np.int64),
-            "nz_offsets": np.array(nz_offsets, dtype=np.int64),
-        }
 
-    if isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], ThresholdSketch):
-        offsets = [0]
-        idx_flat = []
-        val_flat = []
-        for sk in obj:
-            idx_flat.extend(sk.indices.tolist())
-            val_flat.extend(sk.values.tolist())
-            offsets.append(len(idx_flat))
-        meta = {"out_dim": obj[0].out_dim, "norms": [sk.norm_sq for sk in obj]}
-        return "threshold_set", meta, {
-            "indices": np.array(idx_flat, dtype=np.int64),
-            "values": np.array(val_flat, dtype=np.float64),
-            "offsets": np.array(offsets, dtype=np.int64),
-        }
+def _encode_lsh(index: LshIndex):
+    keys = [key for table in index.tables for key in sorted(table)]
+    ids, offsets = _pack_ragged([table[key] for table in index.tables for key in sorted(table)], np.int64)
+    meta = {
+        "kind": index.family.kind.value,
+        "seed": index.family.seed,
+        "d": index.family.d,
+        "r": index.family.r,
+        "ell": index.ell,
+        "big_l": index.big_l,
+        "eps": index.eps,
+        "table_sizes": [len(t) for t in index.tables],
+    }
+    return meta, {"keys": np.array(keys, dtype=np.uint64), "offsets": offsets, "ids": ids}
 
-    raise TypeError(f"no container encoding for {type(obj).__name__}")
+
+def _decode_lsh(meta, arrays, X) -> LshIndex:
+    fam = HashFamily(FamilyKind(meta["kind"]), seed=meta["seed"], d=meta["d"], r=meta["r"])
+    index = LshIndex(family=fam, ell=meta["ell"], big_l=meta["big_l"], tables=[], eps=meta["eps"])
+    buckets = zip(arrays["keys"].tolist(), _unpack_ragged(arrays["ids"], arrays["offsets"]))
+    for size in meta["table_sizes"]:
+        index.tables.append({key: ids.tolist() for key, ids in itertools.islice(buckets, size)})
+    return index
+
+
+def _encode_graph(graph: NeighborGraph):
+    ids, offsets = _pack_ragged(graph.adjacency, np.int64)
+    meta = {
+        "directed": graph.directed,
+        "entry": graph.entry,
+        "kind": graph.kind.value,
+        "alpha": graph.alpha,
+        "degree_cap": graph.degree_cap,
+        "construction": graph.construction,
+    }
+    return meta, {"offsets": offsets, "ids": ids}
+
+
+def _decode_graph(meta, arrays, X) -> NeighborGraph:
+    return NeighborGraph(
+        adjacency=_unpack_ragged(arrays["ids"], arrays["offsets"]),
+        directed=meta["directed"],
+        entry=meta["entry"],
+        kind=DistanceKind(meta["kind"]),
+        alpha=meta["alpha"],
+        degree_cap=meta["degree_cap"],
+        construction=meta["construction"],
+    )
+
+
+def _encode_ivf(index: IvfIndex):
+    meta = {
+        "kind": index.kind.value,
+        "kmeans_kind": index.model.kind.value,
+        "objective_trace": index.model.objective_trace,
+    }
+    return meta, {
+        "centroids": index.model.centroids.astype(np.float32),
+        "assignment": index.model.assignment.astype(np.int64),
+    }
+
+
+def _decode_ivf(meta, arrays, X) -> IvfIndex:
+    model = KMeansModel(
+        centroids=arrays["centroids"],
+        assignment=arrays["assignment"],
+        objective_trace=meta["objective_trace"],
+        kind=KMeansKind(meta["kmeans_kind"]),
+    )
+    lists = [np.flatnonzero(model.assignment == c).astype(np.int64)
+             for c in range(model.centroids.shape[0])]
+    return IvfIndex(model=model, lists=lists, kind=DistanceKind(meta["kind"]))
+
+
+def _encode_pq(cb: PqCodebook):
+    meta = {"L": cb.n_subspaces, "C": cb.n_codewords, "d_sub": cb.sub_dim}
+    return meta, {"codewords": cb.codewords.astype(np.float32)}
+
+
+def _decode_pq(meta, arrays, X) -> PqCodebook:
+    return PqCodebook(codewords=arrays["codewords"])
+
+
+def _encode_opq(model: OpqModel):
+    meta = {"L": model.codebook.n_subspaces, "C": model.codebook.n_codewords}
+    return meta, {
+        "rotation": model.rotation.astype(np.float32),
+        "codewords": model.codebook.codewords.astype(np.float32),
+    }
+
+
+def _decode_opq(meta, arrays, X) -> OpqModel:
+    return OpqModel(rotation=arrays["rotation"], codebook=PqCodebook(codewords=arrays["codewords"]))
+
+
+def _encode_aq(cb: AqCodebook):
+    meta = {"L": cb.n_codebooks, "C": cb.n_codewords, "beam": cb.beam_width}
+    return meta, {"codewords": cb.codewords.astype(np.float32)}
+
+
+def _decode_aq(meta, arrays, X) -> AqCodebook:
+    return AqCodebook(codewords=arrays["codewords"], beam_width=meta["beam"])
+
+
+def _encode_wedge(index: WedgeIndex):
+    prob, offsets = _pack_ragged([t.prob for t in index.tables], np.float64)
+    alias, _ = _pack_ragged([t.alias for t in index.tables], np.int64)
+    return {"dim": index.dim}, {
+        "dims": index.dims.astype(np.int64),
+        "column_sums": index.column_sums.astype(np.float64),
+        "prob": prob,
+        "alias": alias,
+        "lengths": np.diff(offsets),
+        "weight_sums": np.array([t.weight_sum for t in index.tables]),
+    }
+
+
+def _decode_wedge(meta, arrays, X) -> WedgeIndex:
+    offsets = np.cumsum([0, *arrays["lengths"]], dtype=np.int64)
+    tables = [AliasTable(prob=prob, alias=alias, weight_sum=float(wsum))
+              for prob, alias, wsum in zip(_unpack_ragged(arrays["prob"], offsets),
+                                           _unpack_ragged(arrays["alias"], offsets),
+                                           arrays["weight_sums"])]
+    return WedgeIndex(dims=arrays["dims"], tables=tables,
+                      column_sums=arrays["column_sums"], dim=meta["dim"])
+
+
+def _encode_jl(sketcher: JlSketcher):
+    return {"out_dim": sketcher.out_dim, "seed": sketcher.seed}, {}
+
+
+def _decode_jl(meta, arrays, X) -> JlSketcher:
+    return JlSketcher(out_dim=meta["out_dim"], seed=meta["seed"])
+
+
+def _encode_asym_set(sketches):
+    nz, nz_offsets = _pack_ragged([() if sk.nz is None else sk.nz for sk in sketches], np.int64)
+    buckets = sketches[0].buckets
+    meta = {
+        "h": sketches[0].h,
+        "seed": sketches[0].seed,
+        "dims": [sk.dim for sk in sketches],
+        "has_nz": [sk.nz is not None for sk in sketches],
+        "has_lower": [sk.lower is not None for sk in sketches],
+    }
+    return meta, {
+        "upper": np.stack([sk.upper for sk in sketches]),
+        "lower": np.stack([sk.lower if sk.lower is not None else np.zeros(buckets)
+                           for sk in sketches]),
+        "nz": nz,
+        "nz_offsets": nz_offsets,
+    }
+
+
+def _decode_asym_set(meta, arrays, X) -> list:
+    sketches = []
+    nzs = _unpack_ragged(arrays["nz"], arrays["nz_offsets"])
+    for i, dim in enumerate(meta["dims"]):
+        nz = nzs[i] if meta["has_nz"][i] else None
+        lower = arrays["lower"][i].copy() if meta["has_lower"][i] else None
+        sketches.append(AsymSketch(nz=nz, upper=arrays["upper"][i].copy(),
+                                   lower=lower, h=meta["h"], seed=meta["seed"], dim=dim))
+    return sketches
+
+
+def _encode_threshold_set(sketches):
+    indices, offsets = _pack_ragged([sk.indices for sk in sketches], np.int64)
+    values, _ = _pack_ragged([sk.values for sk in sketches], np.float64)
+    meta = {"out_dim": sketches[0].out_dim, "norms": [sk.norm_sq for sk in sketches]}
+    return meta, {"indices": indices, "values": values, "offsets": offsets}
+
+
+def _decode_threshold_set(meta, arrays, X) -> list:
+    return [ThresholdSketch(indices=idx, values=vals, norm_sq=norm, out_dim=meta["out_dim"])
+            for idx, vals, norm in zip(_unpack_ragged(arrays["indices"], arrays["offsets"]),
+                                       _unpack_ragged(arrays["values"], arrays["offsets"]),
+                                       meta["norms"])]
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+
+
+class _Family(NamedTuple):
+    tag: int  # written into every container; never renumber
+    type: object  # exact type of the index object; list[T] for a list or tuple of T
+    encode: Callable  # obj -> (meta, arrays)
+    decode: Callable  # (meta, arrays, X or None) -> obj
+
+
+_FAMILIES = {
+    "kd": _Family(1, KdTree, _encode_kd, _decode_kd),
+    "rp_forest": _Family(2, list[RpTree], _encode_rp_forest, _decode_rp_forest),
+    "spill_forest": _Family(3, list[SpillTree], _encode_spill_forest, _decode_spill_forest),
+    "cover": _Family(4, CoverTree, _encode_cover, _decode_cover),
+    "lsh": _Family(5, LshIndex, _encode_lsh, _decode_lsh),
+    "graph": _Family(6, NeighborGraph, _encode_graph, _decode_graph),
+    "ivf": _Family(7, IvfIndex, _encode_ivf, _decode_ivf),
+    "pq": _Family(8, PqCodebook, _encode_pq, _decode_pq),
+    "opq": _Family(9, OpqModel, _encode_opq, _decode_opq),
+    "aq": _Family(10, AqCodebook, _encode_aq, _decode_aq),
+    "wedge": _Family(11, WedgeIndex, _encode_wedge, _decode_wedge),
+    "jl": _Family(12, JlSketcher, _encode_jl, _decode_jl),
+    "asym_set": _Family(13, list[AsymSketch], _encode_asym_set, _decode_asym_set),
+    "threshold_set": _Family(14, list[ThresholdSketch], _encode_threshold_set, _decode_threshold_set),
+}
+_NAME_OF_TAG = {f.tag: name for name, f in _FAMILIES.items()}
+_NAME_OF_TYPE = {f.type: name for name, f in _FAMILIES.items()}
+
+
+def family_of(obj) -> str:
+    """The container family name of an index object: keyed on its exact
+    type, or on its first element's type for a forest or sketch set."""
+    key = list[type(obj[0])] if isinstance(obj, (list, tuple)) and obj else type(obj)
+    if key not in _NAME_OF_TYPE:
+        raise TypeError(f"no container encoding for {type(obj).__name__}")
+    return _NAME_OF_TYPE[key]
 
 
 def save_index(path, obj) -> None:
-    family, meta, arrays = _encode(obj)
+    family = _FAMILIES[family_of(obj)]
+    meta, arrays = family.encode(obj)
     with open(path, "wb") as fh:
-        _write_blob(fh, family, meta, arrays)
+        _write_blob(fh, family.tag, meta, arrays)
 
 
 def load_index(path, X: Optional[Collection] = None):
     """Load an index; tree families that keep the collection inside
     (cover trees) need ``X`` supplied."""
     family, meta, arrays = _read_blob(path)
-
-    if family == "kd":
-        return KdTree(root=_rebuild_kd(arrays), leaf_capacity=meta["leaf_capacity"],
-                      dim=meta["dim"], size=meta["size"])
-
-    if family in ("rp_forest", "spill_forest"):
-        trees = []
-        for i in range(meta["n_trees"]):
-            root = _rebuild_proj_tree(f"t{i}_", arrays)
-            if family == "spill_forest":
-                trees.append(SpillTree(root=root, leaf_capacity=meta["leaf_capacity"],
-                                       dim=meta["dim"], seed=meta["seeds"][i],
-                                       alpha=meta["alphas"][i]))
-            else:
-                trees.append(RpTree(root=root, leaf_capacity=meta["leaf_capacity"],
-                                    dim=meta["dim"], seed=meta["seeds"][i]))
-        return trees
-
-    if family == "cover":
-        if X is None:
-            raise ValueError("cover tree loading requires the collection")
-        tree = CoverTree(X=X)
-        nodes = [CoverNode(point_id=int(p), level=int(lv))
-                 for p, lv in zip(arrays["point"], arrays["level"])]
-        for i, parent in enumerate(arrays["parent"]):
-            if parent >= 0:
-                nodes[int(parent)].attach(nodes[i], nodes[i].level)
-        tree.root = nodes[0] if nodes else None
-        tree.root_level = meta["root_level"]
-        tree.size = meta["size"]
-        return tree
-
-    if family == "lsh":
-        fam = HashFamily(FamilyKind(meta["kind"]), seed=meta["seed"], d=meta["d"], r=meta["r"])
-        index = LshIndex(family=fam, ell=meta["ell"], big_l=meta["big_l"], tables=[], eps=meta["eps"])
-        keys, offsets, ids = arrays["keys"], arrays["offsets"], arrays["ids"]
-        pos = 0
-        for size in meta["table_sizes"]:
-            table = {}
-            for j in range(size):
-                start, end = offsets[pos], offsets[pos + 1]
-                table[int(keys[pos])] = ids[start:end].tolist()
-                pos += 1
-            index.tables.append(table)
-        return index
-
-    if family == "graph":
-        offsets, ids = arrays["offsets"], arrays["ids"]
-        adjacency = [ids[offsets[i]:offsets[i + 1]].copy() for i in range(offsets.size - 1)]
-        return NeighborGraph(
-            adjacency=adjacency,
-            directed=meta["directed"],
-            entry=meta["entry"],
-            kind=DistanceKind(meta["kind"]),
-            alpha=meta["alpha"],
-            degree_cap=meta["degree_cap"],
-            construction=meta["construction"],
-        )
-
-    if family == "ivf":
-        model = KMeansModel(
-            centroids=arrays["centroids"],
-            assignment=arrays["assignment"],
-            objective_trace=meta["objective_trace"],
-            kind=KMeansKind(meta["kmeans_kind"]),
-        )
-        lists = [np.flatnonzero(model.assignment == c).astype(np.int64)
-                 for c in range(model.centroids.shape[0])]
-        return IvfIndex(model=model, lists=lists, kind=DistanceKind(meta["kind"]))
-
-    if family == "pq":
-        return PqCodebook(codewords=arrays["codewords"])
-
-    if family == "opq":
-        return OpqModel(rotation=arrays["rotation"], codebook=PqCodebook(codewords=arrays["codewords"]))
-
-    if family == "aq":
-        return AqCodebook(codewords=arrays["codewords"], beam_width=meta["beam"])
-
-    if family == "wedge":
-        tables = []
-        pos = 0
-        for length, wsum in zip(arrays["lengths"], arrays["weight_sums"]):
-            tables.append(AliasTable(prob=arrays["prob"][pos:pos + length].copy(),
-                                     alias=arrays["alias"][pos:pos + length].copy(),
-                                     weight_sum=float(wsum)))
-            pos += length
-        return WedgeIndex(dims=arrays["dims"], tables=tables,
-                          column_sums=arrays["column_sums"], dim=meta["dim"])
-
-    if family == "jl":
-        return JlSketcher(out_dim=meta["out_dim"], seed=meta["seed"])
-
-    if family == "asym_set":
-        sketches = []
-        offsets = arrays["nz_offsets"]
-        for i, dim in enumerate(meta["dims"]):
-            nz = None
-            if meta["has_nz"][i]:
-                nz = arrays["nz"][offsets[i]:offsets[i + 1]].copy()
-            lower = arrays["lower"][i].copy() if meta["has_lower"][i] else None
-            sketches.append(AsymSketch(nz=nz, upper=arrays["upper"][i].copy(),
-                                       lower=lower, h=meta["h"], seed=meta["seed"], dim=dim))
-        return sketches
-
-    if family == "threshold_set":
-        offsets = arrays["offsets"]
-        return [
-            ThresholdSketch(
-                indices=arrays["indices"][offsets[i]:offsets[i + 1]].copy(),
-                values=arrays["values"][offsets[i]:offsets[i + 1]].copy(),
-                norm_sq=norm,
-                out_dim=meta["out_dim"],
-            )
-            for i, norm in enumerate(meta["norms"])
-        ]
-
-    raise ValueError(f"unhandled family {family}")
+    return _FAMILIES[family].decode(meta, arrays, X)

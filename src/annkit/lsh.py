@@ -89,8 +89,8 @@ class HashFamily:
     seed: int
     d: int
     r: float = 1.0  # bucket width, p-stable family only
-    _cache: dict = field(default_factory=dict, repr=False)  # function -> parameters
-    _stacks: dict = field(default_factory=dict, repr=False)  # (first, count) -> stacked
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)  # function -> parameters
+    _stacks: dict = field(default_factory=dict, repr=False, compare=False)  # (first, count) -> stacked
 
     def _rng(self, func_index: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(entropy=(self.seed, func_index)))

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from annkit.core import Collection
-from annkit.ivf import KMeansKind, kmeans_train
+from annkit.ivf import KMeansKind, _assign, kmeans_train
 
 __all__ = [
     "VqModel",
@@ -60,18 +60,9 @@ def vq_train(X: Collection, C: int, seed: int = 0, max_iters: int = 50) -> VqMod
     return VqModel(centroids=model.centroids)
 
 
-def _nearest_codeword(mat: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.einsum("ij,ij->i", mat, mat)[:, None]
-        - 2.0 * (mat @ centroids.T)
-        + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    )
-    return np.argmin(d2, axis=1).astype(np.int64)
-
-
 def vq_encode(model: VqModel, u: np.ndarray) -> int:
-    return int(_nearest_codeword(np.asarray(u, dtype=np.float64)[None, :],
-                                 model.centroids.astype(np.float64))[0])
+    return int(_assign(np.asarray(u, dtype=np.float64)[None, :],
+                       model.centroids.astype(np.float64), KMeansKind.EUCLIDEAN)[0])
 
 
 def vq_decode(model: VqModel, code: int) -> np.ndarray:
@@ -120,7 +111,7 @@ def pq_encode(cb: PqCodebook, u: np.ndarray) -> np.ndarray:
     code = np.empty(cb.n_subspaces, dtype=np.int64)
     for i in range(cb.n_subspaces):
         chunk = u64[i * d_sub:(i + 1) * d_sub][None, :]
-        code[i] = _nearest_codeword(chunk, cb.codewords[i].astype(np.float64))[0]
+        code[i] = _assign(chunk, cb.codewords[i].astype(np.float64), KMeansKind.EUCLIDEAN)[0]
     return code
 
 
@@ -129,8 +120,8 @@ def pq_encode_all(cb: PqCodebook, X: Collection) -> np.ndarray:
     d_sub = cb.sub_dim
     codes = np.empty((len(X), cb.n_subspaces), dtype=np.int64)
     for i in range(cb.n_subspaces):
-        codes[:, i] = _nearest_codeword(mat[:, i * d_sub:(i + 1) * d_sub],
-                                        cb.codewords[i].astype(np.float64))
+        codes[:, i] = _assign(mat[:, i * d_sub:(i + 1) * d_sub],
+                              cb.codewords[i].astype(np.float64), KMeansKind.EUCLIDEAN)
     return codes
 
 

@@ -1,12 +1,15 @@
+import re
 import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annkit.core import Collection, DistanceKind, brute_force_topk
-from annkit.graph import build_vamana, greedy_search
+from annkit.graph import build_knn_graph, build_vamana, greedy_search
 from annkit.harness.container import load_index, pack_pq_codes, save_index, unpack_pq_codes
 from annkit.harness import cli, experiments
 from annkit.harness.experiments import benchmark, experiment_coincidence, experiment_instability, self_coincidence_fraction
@@ -16,12 +19,44 @@ from annkit.ivf import build_ivf, ivf_search
 from annkit.lsh import FamilyKind, HashFamily, build_index, lsh_topk
 from annkit.quant import aq_adc, aq_distance, aq_encode, aq_train, opq_train, pq_adc, pq_train
 from annkit.sampling import build_wedge_index, wedge_topk
-from annkit.sketch import JlSketcher, jl_project
+from annkit.sketch import JlSketcher, ThresholdSketcher, asym_sketch, jl_project
 from annkit.trees import cover_build, cover_nn, defeatist_search, kd_build, kd_search_exact, rp_build, spill_build
 
 
 def rand_collection(m, d, seed):
     return Collection(np.random.default_rng(seed).standard_normal((m, d)).astype(np.float32))
+
+
+# container family name -> (pinned tag, build of a small index object)
+FAMILIES = {
+    "kd": (1, lambda X: kd_build(X, 8)),
+    "rp_forest": (2, lambda X: [rp_build(X, 16, seed=t) for t in range(2)]),
+    "spill_forest": (3, lambda X: [spill_build(X, 16, 0.1, seed=t) for t in range(2)]),
+    "cover": (4, cover_build),
+    "lsh": (5, lambda X: build_index(X, HashFamily(FamilyKind.HYPERPLANE, seed=1, d=X.dim), 2, 3)),
+    "graph": (6, lambda X: build_knn_graph(X, 4)),
+    "ivf": (7, lambda X: build_ivf(X, 4, seed=1)),
+    "pq": (8, lambda X: pq_train(X, 2, 4, seed=1)),
+    "opq": (9, lambda X: opq_train(X, 2, 4, iters=1, seed=1)),
+    "aq": (10, lambda X: aq_train(X, 2, 4, beam=2, iters=1, seed=1)[0]),
+    "wedge": (11, build_wedge_index),
+    "jl": (12, lambda X: JlSketcher(out_dim=4, seed=1)),
+    "asym_set": (13, lambda X: [asym_sketch(u, sketch_dim=4, h=2, seed=1, dense=i % 2 == 0)
+                                for i, u in enumerate(X.vectors[:3])]),
+    "threshold_set": (14, lambda X: [ThresholdSketcher(out_dim=4, seed=1).sketch(u) for u in X.vectors[:3]]),
+}
+FAMILY_X = rand_collection(60, 8, 50)
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory) -> dict:
+    """Family name -> the bytes of one saved container of that family."""
+    out = {}
+    for family, (_, build) in FAMILIES.items():
+        path = tmp_path_factory.mktemp("containers") / f"{family}.akx"
+        save_index(path, build(FAMILY_X))
+        out[family] = path.read_bytes()
+    return out
 
 
 class TestSynth:
@@ -235,6 +270,59 @@ class TestContainerRoundTrips:
         with pytest.raises(ValueError):
             load_index(path)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_resave_is_identical_and_tag_pinned(self, tmp_path, containers, family):
+        first, again = tmp_path / "first.akx", tmp_path / "again.akx"
+        first.write_bytes(containers[family])
+        save_index(again, load_index(first, X=FAMILY_X))
+        assert again.read_bytes() == containers[family]
+        assert struct.unpack_from("<H", containers[family], 6)[0] == FAMILIES[family][0]
+
+
+def _blob(version=1, tag=8, meta=b"{}", dtype=b"<f4", shape=(2,), data=b"\0" * 8):
+    """A hand-made container holding one array named "codewords"."""
+    return (b"AKIX" + struct.pack("<HHI", version, tag, len(meta)) + meta + struct.pack("<IH", 1, 9)
+            + b"codewords" + struct.pack("<H", len(dtype)) + dtype
+            + struct.pack(f"<B{len(shape)}Q", len(shape), *shape) + data)
+
+
+class TestContainerInputChecks:
+    def test_hand_made_blob_loads(self, tmp_path):
+        path = tmp_path / "ok.akx"
+        path.write_bytes(_blob(meta=b'{"L":1,"C":1,"d_sub":2}', shape=(1, 1, 2)))
+        assert load_index(path).codewords.shape == (1, 1, 2)
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"NOPE" + b"\0" * 16, "not an index container"),
+        (_blob(version=2), "unsupported container version 2"),
+        (_blob(tag=99), "unknown family tag 99"),
+        (b"AKIX\1", "truncated"),
+        (_blob()[:30], "truncated"),
+        (_blob()[:-1], "needs 8 bytes, 7 left"),
+        (_blob(meta=b"{"), "corrupt meta block"),
+        (_blob(dtype=b"zz!"), "array 'codewords' has unknown dtype b'zz!'"),
+        (_blob() + b"junk", "4 trailing bytes"),
+        (_blob(shape=(1000,)), "shape (1000,) needs 4000 bytes, 8 left"),
+        (_blob(shape=(2**40, 2**40)), "needs"),
+    ], ids=["magic", "version", "tag", "short_header", "short_array_header", "short_data",
+            "meta", "dtype", "trailing", "shape", "huge_shape"])
+    def test_malformed_container_rejected(self, tmp_path, raw, message):
+        path = tmp_path / "bad.akx"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            load_index(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)), cut=st.integers(0, 2**20),
+           tail=st.binary(max_size=16))
+    def test_truncated_or_extended_container_raises_value_error(self, tmp_path_factory, containers,
+                                                                family, cut, tail):
+        blob = containers[family]
+        path = tmp_path_factory.getbasetemp() / "mangled.akx"
+        path.write_bytes(blob + tail if tail else blob[:cut % len(blob)])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_index(path, X=FAMILY_X)
+
 
 class TestPqCodePacking:
     def test_round_trip(self):
@@ -427,6 +515,12 @@ class TestCli:
         ("opq", ["--subspaces", "2", "--codewords", "8", "--iters", "2"]),
         ("aq", ["--codebooks", "2", "--codewords", "8", "--iters", "2"]),
         ("wedge", []),
+        ("kd", ["--leaf-capacity", "8"]),
+        ("cover", []),
+        ("lsh", ["--ell", "2", "--tables", "3"]),
+        ("knn", ["--k", "5"]),
+        ("vamana", ["--degree", "8"]),
+        ("ivf", ["--clusters", "6", "--iters", "3"]),
     ])
     def test_build_query_all_families(self, tmp_path, index, extra):
         data, queries = tmp_path / "d.vecs", tmp_path / "q.vecs"
@@ -440,6 +534,10 @@ class TestCli:
                       "--queries", str(queries), "--k", "3")
         assert out.returncode == 0, out.stderr
         assert len(out.stdout.strip().split("\n")) == 7  # header + 2 queries x 3
+
+    def test_build_index_choices(self):
+        out = run_cli("build", "--help")
+        assert "--index {kd,rp,spill,cover,lsh,knn,sng,vamana,ivf,pq,opq,aq,wedge}" in out.stdout
 
     def test_import_does_not_load_scipy_integrate(self):
         out = subprocess.run(

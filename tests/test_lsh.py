@@ -43,6 +43,15 @@ class TestDeriveParams:
 
 
 class TestHashFamilies:
+    def test_equality_ignores_parameter_caches(self):
+        a = HashFamily(FamilyKind.HYPERPLANE, seed=1, d=3)
+        b = HashFamily(FamilyKind.HYPERPLANE, seed=1, d=3)
+        u = np.ones(3)
+        a.hash(0, u)
+        b.hash_block(0, 2, u[None, :])
+        assert a == b
+        assert a != HashFamily(FamilyKind.HYPERPLANE, seed=2, d=3)
+
     def test_hyperplane_antipodal_never_collides(self):
         fam = HashFamily(FamilyKind.HYPERPLANE, seed=0, d=6)
         u = np.random.default_rng(1).standard_normal(6)
