@@ -307,11 +307,116 @@ def rescore(X: Collection, ids: np.ndarray, q: Vector, k: int, kind: DistanceKin
     return TopKResult(ids=ids[pos], scores=scores[pos], k=k)
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+_U32 = 2.0 ** -24  # unit roundoff of float32
+_TINY64 = 2.0 ** -1074  # smallest float64 subnormal
+_SCREEN_KINDS = (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT)
+
+
+def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind) -> Optional[np.ndarray]:
+    """Rows that may hold the exact top-k, from a certified float32 scan;
+    None where the screen does not apply.
+
+    Each row i gets a float32-fast estimate ``a_i`` of its exact score
+    ``s_i`` (the float64 value :func:`score_rows` returns) and a bound
+    ``e_i >= |a_i - s_i|``. With ``T`` the k-th smallest ``a_i + e_i``,
+    every row scoring at most the k-th exact score, ties included,
+    satisfies ``a_i - e_i <= s_i <= T``. So the rows ``a_i - e_i <= T``
+    hold the top-k, and rescoring them gives brute force's answer bit
+    for bit.
+
+    The estimate: ``q32 = fl32(q)``, ``p_i = fl32(x_i . q32)`` (one
+    sgemv), ``n_i = fl32(|x_i|^2)``; then in float64 ``a_i = n_i - 2 p_i
+    + |q|^2`` for L2_SQUARED and ``a_i = -p_i`` for NEG_INNER_PRODUCT.
+
+    The bound, with ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1), ``u`` the unit roundoff
+    (``2^-24`` float32, ``2^-53`` float64), ``g = gamma_{d+2}`` in
+    float32, ``c_i >= |x_i|``, ``b >= max(|q|, |q32|)`` and
+    ``rho >= |q - q32|``, sums over j taken in any order, fused or not:
+
+    * float32 sums: ``|n_i - |x_i|^2| <= gamma_d |x_i|^2`` and
+      ``|p_i - x_i . q32| <= gamma_d sum_j |x_ij q32_j| <= gamma_d c_i b``;
+    * underflow: a float32 product may also lose ``2^-150`` in absolute
+      terms (additions lose nothing there), so ``n_i`` and ``2 p_i``
+      together lose at most ``3 d 2^-150 (1 + gamma_d)`` and ``p_i`` alone
+      ``d 2^-150 (1 + gamma_d)``; float64 underflow adds ``O(d 2^-1074)``;
+    * rounding q: ``x_i . q - x_i . q32 = x_i . (q - q32)``, at most
+      ``c_i rho`` in size by Cauchy-Schwarz;
+    * float64: ``|q|^2`` and forming ``a_i`` lose at most
+      ``(gamma_d + 3u) (c_i + b)^2``, and ``s_i`` itself is within
+      ``gamma_{d+2} (c_i + b)^2`` (L2) or ``gamma_d c_i b`` (IP) of the
+      real-number score;
+    * widening: ``g`` exceeds float32's ``gamma_d`` by at least
+      ``2^-23``, far more than the float64 terms above plus the roundings
+      of computing ``c_i``, ``b``, ``rho``, ``e_i``, ``a_i +- e_i`` (each
+      ``O(d 2^-53)`` relative for any d the screen accepts), so ``g`` in
+      place of ``gamma_d``, on the relative and the underflow terms alike,
+      covers them.
+
+    Since ``|x_i|^2 + 2 c_i b + |q|^2 <= (c_i + b)^2``, this gives
+    ``e_i = g (c_i + b)^2 + 2 rho c_i + 3 d 2^-150 (1 + g)`` for
+    L2_SQUARED and ``e_i = (g b + rho) c_i + d 2^-150 (1 + g)`` for
+    NEG_INNER_PRODUCT.
+
+    The bound assumes no overflow, so the screen gives up (None) when
+    ``q32`` is not finite or any screen quantity is; also when ``k >= m``,
+    for other kinds (ANGULAR keeps its zero-row check), sparse vectors,
+    and a query of the wrong shape (the full path raises).
+    """
+    if kind not in _SCREEN_KINDS or not X.is_dense or isinstance(q, SparseVector):
+        return None
+    mat = X.vectors
+    m, d = mat.shape
+    qv = _as_f64(q)
+    nu = (d + 2) * _U32
+    if k >= m or qv.shape != (d,) or not np.abs(qv).max() <= _F32_MAX or nu >= 0.5:
+        return None
+    g = nu / (1.0 - nu)
+    q32 = qv.astype(np.float32)
+    r = qv - q32  # exact: q32 is the rounding of qv
+    qq = float(qv @ qv)
+    rho = np.sqrt(r @ r + d * _TINY64) * (1.0 + g)
+    b = np.sqrt(qq + d * _TINY64) * (1.0 + g) + rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = (mat @ q32).astype(np.float64)
+        n = np.einsum("ij,ij->i", mat, mat).astype(np.float64)
+        c = np.sqrt(n + d * 2.0 ** -149)
+        c *= 1.0 + g
+        if kind is DistanceKind.L2_SQUARED:
+            a = n - 2.0 * p
+            a += qq
+            e = c + b
+            e *= e
+            e *= g
+            e += (2.0 * rho) * c
+            e += 3 * d * 2.0 ** -150 * (1.0 + g)
+        else:
+            a = -p
+            e = (g * b + rho) * c
+            e += d * 2.0 ** -150 * (1.0 + g)
+        hi = a + e
+        if not np.isfinite(hi.sum()):
+            return None
+        a -= e
+    kth = np.partition(hi, k - 1)[k - 1]
+    return np.flatnonzero(a <= kth)
+
+
 def brute_force_topk(X: Collection, q: Vector, k: int, kind: DistanceKind) -> TopKResult:
-    """Exact top-k of X for q: the oracle every other index is compared to."""
+    """Exact top-k of X for q: the oracle every other index is compared to.
+
+    Dense L2_SQUARED and NEG_INNER_PRODUCT queries rescore only the rows a
+    certified float32 screen keeps (:func:`_screen`); the result is the
+    same, ids and scores bit for bit, as selecting from
+    :func:`pairwise_scores`, which every other case does.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return top_k_from_scores(pairwise_scores(X, q, kind), k)
+    cand = _screen(X, q, k, kind)
+    if cand is None:
+        return top_k_from_scores(pairwise_scores(X, q, kind), k)
+    return rescore(X, cand, q, k, kind)
 
 
 def recall(exact: TopKResult, approx: TopKResult, k: int) -> float:

@@ -50,7 +50,6 @@ class NeighborGraph:
 class SearchTrace:
     visited: int = 0  # distance evaluations
     hops: int = 0  # expanded nodes
-    final_queue: list = field(default_factory=list)
     best_history: list = field(default_factory=list)
 
 
@@ -120,7 +119,6 @@ def greedy_search(
             del beam_list[b:]
         trace.best_history.append(beam_list[0][0])
 
-    trace.final_queue = list(beam_list)
     top = beam_list[: min(k, len(beam_list))]
     result = TopKResult(
         ids=np.array([u for _, u in top], dtype=np.int64),

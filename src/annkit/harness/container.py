@@ -89,6 +89,8 @@ def _read_blob(path) -> tuple[str, dict, dict]:
         meta = json.loads(take(meta_len))
     except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"{path}: corrupt meta block: {err}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: corrupt meta block: not a JSON object")
     (n_arrays,) = unpack("<I")
     arrays = {}
     for _ in range(n_arrays):
@@ -526,4 +528,7 @@ def load_index(path, X: Optional[Collection] = None):
     """Load an index; tree families that keep the collection inside
     (cover trees) need ``X`` supplied."""
     family, meta, arrays = _read_blob(path)
-    return _FAMILIES[family].decode(meta, arrays, X)
+    try:
+        return _FAMILIES[family].decode(meta, arrays, X)
+    except KeyError as err:  # a well-framed file whose meta or arrays do not fit its family
+        raise ValueError(f"{path}: malformed {family} container: missing {err}") from None

@@ -32,7 +32,6 @@ __all__ = [
     "pq_adc_scan",
     "opq_train",
     "opq_encode",
-    "opq_adc_distance",
     "aq_train",
     "aq_encode",
     "aq_decode",
@@ -223,11 +222,6 @@ def _pq_reconstruct(cb: PqCodebook, codes: np.ndarray) -> np.ndarray:
 def opq_encode(model: OpqModel, u: np.ndarray) -> np.ndarray:
     ru = model.rotation.astype(np.float64) @ np.asarray(u, dtype=np.float64)
     return pq_encode(model.codebook, ru)
-
-
-def opq_adc_distance(model: OpqModel, q: np.ndarray, code: np.ndarray) -> float:
-    rq = model.rotation.astype(np.float64) @ np.asarray(q, dtype=np.float64)
-    return pq_adc_distance(pq_adc(model.codebook, rq), code)
 
 
 # ---------------------------------------------------------------------------

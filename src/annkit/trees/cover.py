@@ -70,6 +70,18 @@ def cover_insert(tree: CoverTree, point_id: int) -> None:
     convention (any candidate within the cover radius would satisfy the
     invariants).
     """
+    if tree.root is not None:
+        # candidate pruning during descent can skip a deep duplicate, so the
+        # presence check must be an exact search
+        nearest = cover_nn(tree, tree.X.vectors[point_id], 1)
+        if nearest.scores[0] == 0.0:
+            raise DuplicatePointError(
+                f"point {point_id} duplicates point {int(nearest.ids[0])}")
+    _insert(tree, point_id)
+
+
+def _insert(tree: CoverTree, point_id: int) -> None:
+    """:func:`cover_insert` for a point known to duplicate no indexed point."""
     q64 = tree.X.vectors[point_id].astype(np.float64)
 
     if tree.root is None:
@@ -79,22 +91,12 @@ def cover_insert(tree: CoverTree, point_id: int) -> None:
         return
 
     root_dist = float(tree._dist_many(q64, np.array([tree.root.point_id]))[0])
-    if root_dist == 0.0:
-        raise DuplicatePointError(f"point {point_id} duplicates point {tree.root.point_id}")
-
     if tree.root_level is None:
         tree.root_level = max(int(math.ceil(math.log2(root_dist))), -60)
         tree.root.level = tree.root_level
     while root_dist > 2.0 ** tree.root_level:
         tree.root_level += 1
         tree.root.level = tree.root_level
-
-    # candidate pruning during descent can skip a deep duplicate, so the
-    # presence check must be an exact search
-    nearest = cover_nn(tree, tree.X.vectors[point_id], 1)
-    if nearest.scores[0] == 0.0:
-        raise DuplicatePointError(
-            f"point {point_id} duplicates point {int(nearest.ids[0])}")
 
     inserted = _insert_rec(tree, q64, point_id, [tree.root], tree.root_level)
     if not inserted:  # cannot happen once the root radius covers the point
@@ -130,10 +132,25 @@ def _insert_rec(tree: CoverTree, q64, point_id: int, q_nodes: list, level: int) 
 
 
 def cover_build(X: Collection) -> CoverTree:
-    """Build by repeated insertion in id order."""
+    """Build by repeated insertion in id order.
+
+    The tree equals the one :func:`cover_insert` builds point by point, and
+    a duplicate raises the same error: the first point, in id order, equal
+    to an earlier one, naming that earlier point. Over finite float32 rows,
+    distance 0 means equal element for element, so one pass over the row
+    bytes (``+ 0.0`` turns -0.0 into 0.0) replaces a search per insert.
+    """
+    rows = np.ascontiguousarray(X.vectors + 0.0)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    earlier = first[inverse.ravel()]
+    dups = np.flatnonzero(earlier != np.arange(len(X)))
+    if dups.size:
+        i = int(dups[0])
+        raise DuplicatePointError(f"point {i} duplicates point {int(earlier[i])}")
     tree = CoverTree(X=X)
     for i in range(len(X)):
-        cover_insert(tree, i)
+        _insert(tree, i)
     return tree
 
 

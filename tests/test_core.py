@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import annkit.core as core
 from annkit.core import (
     Collection,
     DistanceKind,
@@ -106,6 +107,141 @@ class TestBruteForce:
         q = SparseVector(indices=np.array([2]), values=np.array([1.0], dtype=np.float32), dim=4)
         res = brute_force_topk(X, q, 1, DistanceKind.NEG_JACCARD)
         assert res.ids.tolist() == [2]
+
+
+def odd_multiples_of_2_to_minus_75(rng, *shape):
+    """float32 values whose pairwise products are odd multiples of 2^-150,
+    so every float32 product sits on a rounding tie at the underflow
+    threshold and rounds by the full 2^-150 the screen's bound allows."""
+    return ((2 * rng.integers(-3, 3, size=shape) + 1) * 2.0 ** -75).astype(np.float32)
+
+
+@st.composite
+def screen_cases(draw):
+    """A dense collection and a query built to stress the float32 screen:
+    heavy integer ties, duplicate rows, near-ties under a large common
+    offset, norms near 1e15 or 1e-20, queries on, or one float32 or float64
+    ulp off, a row, and queries whose float32 rounding is coarse (float64
+    components in float32's subnormal range). Style "tie" puts every
+    float32 product on a rounding tie at the underflow threshold."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 30))
+    d = draw(st.sampled_from([1, 1, 2, 3, 5, 8]))
+    style = draw(st.sampled_from(["int", "dup", "offset", "gauss", "tie"]))
+    if style == "tie":
+        return (Collection(odd_multiples_of_2_to_minus_75(rng, m, d)),
+                odd_multiples_of_2_to_minus_75(rng, d))
+    if style == "int":
+        rows = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+    elif style == "dup":
+        base = rng.standard_normal((draw(st.integers(1, 4)), d))
+        rows = base[rng.integers(0, base.shape[0], size=m)]
+    elif style == "offset":
+        rows = 1000.0 + 1e-3 * rng.standard_normal((m, d))
+    else:
+        rows = rng.standard_normal((m, d))
+    scale = draw(st.sampled_from([1.0, 1e15, 1e-20]))
+    X32 = (rows * scale).astype(np.float32)
+    row = X32[rng.integers(m)]
+    how = draw(st.sampled_from(["row", "ulp32", "ulp64", "gauss64", "gauss32", "sub32"]))
+    if how == "row":
+        q = row.copy()
+    elif how == "ulp32":
+        q = np.nextafter(row, np.where(rng.random(d) < 0.5, -np.inf, np.inf).astype(np.float32))
+    elif how == "ulp64":
+        q64 = row.astype(np.float64)
+        q = np.nextafter(q64, np.where(rng.random(d) < 0.5, -np.inf, np.inf))
+    elif how == "sub32":
+        q = rng.standard_normal(d) * 2.0 ** -147
+    else:
+        q = (1000.0 + 1e-3 * rng.standard_normal(d) if style == "offset" else rng.standard_normal(d))
+        q = q * scale
+        q = q.astype(np.float32) if how == "gauss32" else q
+    return Collection(X32), q
+
+
+def assert_same_topk(got, want):
+    assert np.array_equal(got.ids, want.ids)
+    assert np.array_equal(got.scores.view(np.uint64), want.scores.view(np.uint64))
+
+
+class TestScreen:
+    """``brute_force_topk`` scans dense L2 and inner-product queries with a
+    certified float32 screen; its answers must equal selecting from the
+    full float64 scores, ids and scores bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(screen_cases())
+    def test_equals_full_scores_on_adversarial_data(self, case):
+        self.check_every_k(*case)
+
+    def test_rounding_ties_at_the_underflow_threshold(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            m, d = rng.integers(2, 12), rng.integers(1, 5)
+            self.check_every_k(Collection(odd_multiples_of_2_to_minus_75(rng, m, d)),
+                               odd_multiples_of_2_to_minus_75(rng, d))
+
+    def test_query_rounding_to_float32_subnormals(self):
+        # float64 query components in float32's subnormal range lose up to
+        # half their size when rounded; against rows near 1e15 that error
+        # is far above every other term of the bound
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            m, d = rng.integers(2, 12), rng.integers(1, 5)
+            X = Collection((rng.standard_normal((m, d)) * 1e15).astype(np.float32))
+            self.check_every_k(X, rng.standard_normal(d) * 2.0 ** -147)
+
+    @staticmethod
+    def check_every_k(X, q):
+        for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+            full = pairwise_scores(X, q, kind)
+            for k in range(1, len(X) + 3):
+                assert_same_topk(brute_force_topk(X, q, k, kind), top_k_from_scores(full, k))
+
+    @staticmethod
+    def full_path_calls(monkeypatch, X, q, k, kind):
+        """Brute force's answer, checked against the full scores, and how
+        often it fell back to :func:`pairwise_scores`."""
+        want = top_k_from_scores(pairwise_scores(X, q, kind), k)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return pairwise_scores(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "pairwise_scores", spy)
+            assert_same_topk(brute_force_topk(X, q, k, kind), want)
+        return len(calls)
+
+    def test_screen_serves_ordinary_queries(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X = Collection(rng.standard_normal((500, 16)).astype(np.float32))
+        q = rng.standard_normal(16)
+        for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+            assert self.full_path_calls(monkeypatch, X, q, 10, kind) == 0
+
+    def test_query_beyond_float32_range_falls_back(self, monkeypatch):
+        X = Collection(np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.0]], dtype=np.float32))
+        q = np.array([1e39, 0.0])
+        for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+            assert self.full_path_calls(monkeypatch, X, q, 1, kind) == 1
+
+    def test_float32_overflow_falls_back(self, monkeypatch):
+        X = Collection(np.array([[3e19, 0.0], [0.0, 1.0], [-3e19, 2e19]], dtype=np.float32))
+        q = np.array([2e19, 2e19], dtype=np.float32)
+        for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+            assert self.full_path_calls(monkeypatch, X, q, 2, kind) == 1
+
+    def test_k_at_least_m_falls_back(self, monkeypatch):
+        X = Collection(np.array([[0.0], [1.0]], dtype=np.float32))
+        assert self.full_path_calls(monkeypatch, X, vec(0.4), 2, DistanceKind.L2_SQUARED) == 1
+
+    def test_angular_rejects_zero_row(self):
+        X = Collection(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]], dtype=np.float32))
+        with pytest.raises(ValueError, match="zero vectors"):
+            brute_force_topk(X, vec(1, 1), 1, DistanceKind.ANGULAR)
 
 
 class TestTopKSelection:

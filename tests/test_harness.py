@@ -279,10 +279,10 @@ class TestContainerRoundTrips:
         assert struct.unpack_from("<H", containers[family], 6)[0] == FAMILIES[family][0]
 
 
-def _blob(version=1, tag=8, meta=b"{}", dtype=b"<f4", shape=(2,), data=b"\0" * 8):
-    """A hand-made container holding one array named "codewords"."""
-    return (b"AKIX" + struct.pack("<HHI", version, tag, len(meta)) + meta + struct.pack("<IH", 1, 9)
-            + b"codewords" + struct.pack("<H", len(dtype)) + dtype
+def _blob(version=1, tag=8, meta=b"{}", dtype=b"<f4", shape=(2,), data=b"\0" * 8, name=b"codewords"):
+    """A hand-made container holding one array, named "codewords" by default."""
+    return (b"AKIX" + struct.pack("<HHI", version, tag, len(meta)) + meta + struct.pack("<IH", 1, len(name))
+            + name + struct.pack("<H", len(dtype)) + dtype
             + struct.pack(f"<B{len(shape)}Q", len(shape), *shape) + data)
 
 
@@ -300,12 +300,16 @@ class TestContainerInputChecks:
         (_blob()[:30], "truncated"),
         (_blob()[:-1], "needs 8 bytes, 7 left"),
         (_blob(meta=b"{"), "corrupt meta block"),
+        (_blob(tag=12, meta=b"[1]"), "corrupt meta block: not a JSON object"),
         (_blob(dtype=b"zz!"), "array 'codewords' has unknown dtype b'zz!'"),
         (_blob() + b"junk", "4 trailing bytes"),
         (_blob(shape=(1000,)), "shape (1000,) needs 4000 bytes, 8 left"),
         (_blob(shape=(2**40, 2**40)), "needs"),
+        (_blob(meta=b'{"L":1,"C":1,"d_sub":2}', shape=(1, 1, 2), name=b"a"),
+         "malformed pq container: missing 'codewords'"),
+        (_blob(tag=12), "malformed jl container: missing 'out_dim'"),
     ], ids=["magic", "version", "tag", "short_header", "short_array_header", "short_data",
-            "meta", "dtype", "trailing", "shape", "huge_shape"])
+            "meta", "meta_list", "dtype", "trailing", "shape", "huge_shape", "array_name", "meta_key"])
     def test_malformed_container_rejected(self, tmp_path, raw, message):
         path = tmp_path / "bad.akx"
         path.write_bytes(raw)

@@ -80,6 +80,41 @@ class TestBuildAndInvariants:
         with pytest.raises(DuplicatePointError):
             cover_insert(tree, 1)
 
+    @staticmethod
+    def insert_each(X):
+        tree = CoverTree(X=X)
+        for i in range(len(X)):
+            cover_insert(tree, i)
+        return tree
+
+    @pytest.mark.parametrize("m,d,seed", [(300, 4, 7), (200, 16, 8), (150, 2, 9)])
+    def test_build_equals_per_insert_insertion(self, m, d, seed):
+        X = rand_collection(m, d, seed)
+        built, inserted = cover_build(X), self.insert_each(X)
+        assert collect_nodes(built) == collect_nodes(inserted)
+        assert (built.root_level, built.size) == (inserted.root_level, inserted.size)
+
+    @pytest.mark.parametrize("copies,message", [
+        ({1: 0}, "point 1 duplicates point 0"),  # at the start
+        ({23: 17, 31: 2}, "point 23 duplicates point 17"),  # in the middle; the lower id raises
+        ({20: 5, 12: 5}, "point 12 duplicates point 5"),  # three equal rows
+        ({39: 0}, "point 39 duplicates point 0"),  # at the end
+        ({39: 38}, "point 39 duplicates point 38"),
+    ], ids=["start", "middle", "triple", "end_root", "end"])
+    def test_build_names_the_first_duplicate(self, copies, message):
+        rows = np.random.default_rng(10).standard_normal((40, 3)).astype(np.float32)
+        for dup, src in copies.items():
+            rows[dup] = rows[src]
+        for build in (cover_build, self.insert_each):
+            with pytest.raises(DuplicatePointError, match=f"^{message}$"):
+                build(Collection(rows))
+
+    def test_build_treats_negative_zero_as_zero(self):
+        rows = np.array([[1, 2], [0.0, 3], [4, 4], [-0.0, 3], [5, 1]], dtype=np.float32)
+        for build in (cover_build, self.insert_each):
+            with pytest.raises(DuplicatePointError, match="^point 3 duplicates point 1$"):
+                build(Collection(rows))
+
     def test_invariant_scan_uniform(self):
         X = Collection(np.random.default_rng(0).uniform(0, 1, size=(256, 8)).astype(np.float32))
         tree = cover_build(X)
