@@ -12,6 +12,7 @@ its index object, and an adjacent encode/decode pair.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import json
 import math
@@ -147,6 +148,40 @@ def unpack_pq_codes(packed: np.ndarray, n_codewords: int, n_subspaces: int) -> n
 # encoder, inverts it: (meta, arrays, X) -> object
 
 
+class _BadMeta(Exception):
+    """A meta value of the wrong type; :func:`load_index` names the file."""
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _meta(meta: dict, key: str, kind, optional: bool = False):
+    """The one typed reader of meta values: ``meta[key]`` when it is a JSON
+    ``kind`` (int, float, bool or str; ``[int]`` is a list of ints; float
+    admits ints, int rejects bools), or None when ``optional``. An Enum
+    ``kind`` reads a str and returns the member. A missing key raises
+    KeyError, a wrong type ``_BadMeta``."""
+    value = meta[key]
+    if optional and value is None:
+        return None
+    if isinstance(kind, type) and issubclass(kind, enum.Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            raise _BadMeta(f"meta {key!r} must name a {kind.__name__}, not {value!r}") from None
+    if not _fits(value, kind):
+        name = f"a list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+        raise _BadMeta(f"meta {key!r} must be {name}, not {value!r}")
+    return value
+
+
 def _pack_ragged(parts, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Variable-length parts -> (their concatenation as ``dtype``, int64
     offsets): part i is ``flat[offsets[i]:offsets[i + 1]]``."""
@@ -211,7 +246,8 @@ def _decode_kd(meta, arrays, X) -> KdTree:
     root = _rebuild_tree(arrays, lambda idx, ids: KdNode(ids=ids),
                          lambda idx: KdNode(axis=int(arrays["axis"][idx]),
                                             split_value=float(arrays["split"][idx])))
-    return KdTree(root=root, leaf_capacity=meta["leaf_capacity"], dim=meta["dim"], size=meta["size"])
+    return KdTree(root=root, leaf_capacity=_meta(meta, "leaf_capacity", int), dim=_meta(meta, "dim", int),
+                  size=_meta(meta, "size", int))
 
 
 def _flatten_proj_tree(root: ProjNode, prefix: str, arrays: dict) -> None:
@@ -246,9 +282,11 @@ def _encode_rp_forest(forest):
 
 
 def _decode_rp_forest(meta, arrays, X) -> list:
-    return [RpTree(root=_rebuild_proj_tree(f"t{i}_", arrays), leaf_capacity=meta["leaf_capacity"],
-                   dim=meta["dim"], seed=meta["seeds"][i])
-            for i in range(meta["n_trees"])]
+    leaf_capacity, dim = _meta(meta, "leaf_capacity", int), _meta(meta, "dim", int)
+    seeds = _meta(meta, "seeds", [int])
+    return [RpTree(root=_rebuild_proj_tree(f"t{i}_", arrays), leaf_capacity=leaf_capacity,
+                   dim=dim, seed=seeds[i])
+            for i in range(_meta(meta, "n_trees", int))]
 
 
 def _encode_spill_forest(forest):
@@ -259,7 +297,7 @@ def _encode_spill_forest(forest):
 
 def _decode_spill_forest(meta, arrays, X) -> list:
     return [SpillTree(root=t.root, leaf_capacity=t.leaf_capacity, dim=t.dim, seed=t.seed, alpha=alpha)
-            for t, alpha in zip(_decode_rp_forest(meta, arrays, X), meta["alphas"])]
+            for t, alpha in zip(_decode_rp_forest(meta, arrays, X), _meta(meta, "alphas", [float]))]
 
 
 def _encode_cover(tree: CoverTree):
@@ -293,8 +331,8 @@ def _decode_cover(meta, arrays, X) -> CoverTree:
         if parent >= 0:
             nodes[int(parent)].attach(nodes[i], nodes[i].level)
     tree.root = nodes[0] if nodes else None
-    tree.root_level = meta["root_level"]
-    tree.size = meta["size"]
+    tree.root_level = _meta(meta, "root_level", int, optional=True)
+    tree.size = _meta(meta, "size", int)
     return tree
 
 
@@ -315,10 +353,12 @@ def _encode_lsh(index: LshIndex):
 
 
 def _decode_lsh(meta, arrays, X) -> LshIndex:
-    fam = HashFamily(FamilyKind(meta["kind"]), seed=meta["seed"], d=meta["d"], r=meta["r"])
-    index = LshIndex(family=fam, ell=meta["ell"], big_l=meta["big_l"], tables=[], eps=meta["eps"])
+    fam = HashFamily(_meta(meta, "kind", FamilyKind), seed=_meta(meta, "seed", int), d=_meta(meta, "d", int),
+                     r=_meta(meta, "r", float))
+    index = LshIndex(family=fam, ell=_meta(meta, "ell", int), big_l=_meta(meta, "big_l", int), tables=[],
+                     eps=_meta(meta, "eps", float))
     buckets = zip(arrays["keys"].tolist(), _unpack_ragged(arrays["ids"], arrays["offsets"]))
-    for size in meta["table_sizes"]:
+    for size in _meta(meta, "table_sizes", [int]):
         index.tables.append({key: ids.tolist() for key, ids in itertools.islice(buckets, size)})
     return index
 
@@ -339,12 +379,12 @@ def _encode_graph(graph: NeighborGraph):
 def _decode_graph(meta, arrays, X) -> NeighborGraph:
     return NeighborGraph(
         adjacency=_unpack_ragged(arrays["ids"], arrays["offsets"]),
-        directed=meta["directed"],
-        entry=meta["entry"],
-        kind=DistanceKind(meta["kind"]),
-        alpha=meta["alpha"],
-        degree_cap=meta["degree_cap"],
-        construction=meta["construction"],
+        directed=_meta(meta, "directed", bool),
+        entry=_meta(meta, "entry", int),
+        kind=_meta(meta, "kind", DistanceKind),
+        alpha=_meta(meta, "alpha", float, optional=True),
+        degree_cap=_meta(meta, "degree_cap", int, optional=True),
+        construction=_meta(meta, "construction", str),
     )
 
 
@@ -364,12 +404,12 @@ def _decode_ivf(meta, arrays, X) -> IvfIndex:
     model = KMeansModel(
         centroids=arrays["centroids"],
         assignment=arrays["assignment"],
-        objective_trace=meta["objective_trace"],
-        kind=KMeansKind(meta["kmeans_kind"]),
+        objective_trace=_meta(meta, "objective_trace", [float]),
+        kind=_meta(meta, "kmeans_kind", KMeansKind),
     )
     lists = [np.flatnonzero(model.assignment == c).astype(np.int64)
              for c in range(model.centroids.shape[0])]
-    return IvfIndex(model=model, lists=lists, kind=DistanceKind(meta["kind"]))
+    return IvfIndex(model=model, lists=lists, kind=_meta(meta, "kind", DistanceKind))
 
 
 def _encode_pq(cb: PqCodebook):
@@ -399,7 +439,7 @@ def _encode_aq(cb: AqCodebook):
 
 
 def _decode_aq(meta, arrays, X) -> AqCodebook:
-    return AqCodebook(codewords=arrays["codewords"], beam_width=meta["beam"])
+    return AqCodebook(codewords=arrays["codewords"], beam_width=_meta(meta, "beam", int))
 
 
 def _encode_wedge(index: WedgeIndex):
@@ -422,7 +462,7 @@ def _decode_wedge(meta, arrays, X) -> WedgeIndex:
                                            _unpack_ragged(arrays["alias"], offsets),
                                            arrays["weight_sums"])]
     return WedgeIndex(dims=arrays["dims"], tables=tables,
-                      column_sums=arrays["column_sums"], dim=meta["dim"])
+                      column_sums=arrays["column_sums"], dim=_meta(meta, "dim", int))
 
 
 def _encode_jl(sketcher: JlSketcher):
@@ -430,7 +470,7 @@ def _encode_jl(sketcher: JlSketcher):
 
 
 def _decode_jl(meta, arrays, X) -> JlSketcher:
-    return JlSketcher(out_dim=meta["out_dim"], seed=meta["seed"])
+    return JlSketcher(out_dim=_meta(meta, "out_dim", int), seed=_meta(meta, "seed", int))
 
 
 def _encode_asym_set(sketches):
@@ -455,11 +495,13 @@ def _encode_asym_set(sketches):
 def _decode_asym_set(meta, arrays, X) -> list:
     sketches = []
     nzs = _unpack_ragged(arrays["nz"], arrays["nz_offsets"])
-    for i, dim in enumerate(meta["dims"]):
-        nz = nzs[i] if meta["has_nz"][i] else None
-        lower = arrays["lower"][i].copy() if meta["has_lower"][i] else None
+    h, seed = _meta(meta, "h", int), _meta(meta, "seed", int)
+    has_nz, has_lower = _meta(meta, "has_nz", [bool]), _meta(meta, "has_lower", [bool])
+    for i, dim in enumerate(_meta(meta, "dims", [int])):
+        nz = nzs[i] if has_nz[i] else None
+        lower = arrays["lower"][i].copy() if has_lower[i] else None
         sketches.append(AsymSketch(nz=nz, upper=arrays["upper"][i].copy(),
-                                   lower=lower, h=meta["h"], seed=meta["seed"], dim=dim))
+                                   lower=lower, h=h, seed=seed, dim=dim))
     return sketches
 
 
@@ -471,10 +513,11 @@ def _encode_threshold_set(sketches):
 
 
 def _decode_threshold_set(meta, arrays, X) -> list:
-    return [ThresholdSketch(indices=idx, values=vals, norm_sq=norm, out_dim=meta["out_dim"])
+    out_dim = _meta(meta, "out_dim", int)
+    return [ThresholdSketch(indices=idx, values=vals, norm_sq=norm, out_dim=out_dim)
             for idx, vals, norm in zip(_unpack_ragged(arrays["indices"], arrays["offsets"]),
                                        _unpack_ragged(arrays["values"], arrays["offsets"]),
-                                       meta["norms"])]
+                                       _meta(meta, "norms", [float]))]
 
 
 # ---------------------------------------------------------------------------
@@ -532,3 +575,5 @@ def load_index(path, X: Optional[Collection] = None):
         return _FAMILIES[family].decode(meta, arrays, X)
     except KeyError as err:  # a well-framed file whose meta or arrays do not fit its family
         raise ValueError(f"{path}: malformed {family} container: missing {err}") from None
+    except _BadMeta as err:
+        raise ValueError(f"{path}: malformed {family} container: {err}") from None

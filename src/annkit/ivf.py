@@ -84,6 +84,18 @@ def _objective(mat: np.ndarray, centroids: np.ndarray, assign: np.ndarray, kind:
     return float(-np.einsum("ij,ij->i", mat, centroids[assign]).sum())
 
 
+def _lloyd_means(mat: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """One Lloyd update: a copy of ``centroids`` in which every centroid
+    with members moves to their mean, ``mat[members].mean(axis=0)``; a
+    centroid without members keeps its place."""
+    out = centroids.copy()
+    for c in range(out.shape[0]):
+        members = np.flatnonzero(assign == c)
+        if members.size:
+            out[c] = mat[members].mean(axis=0)
+    return out
+
+
 def kmeans_train(
     X: Collection,
     C: int,
@@ -108,12 +120,7 @@ def kmeans_train(
     trace = [_objective(mat, centroids, assign, kind)]
 
     for _ in range(max_iters):
-        new_centroids = centroids.copy()
-        for c in range(C):
-            members = np.flatnonzero(assign == c)
-            if members.size:
-                mean = mat[members].mean(axis=0)
-                new_centroids[c] = mean
+        new_centroids = _lloyd_means(mat, assign, centroids)
         if kind is KMeansKind.SPHERICAL:
             new_centroids = _normalize_rows(new_centroids)
         # repair empty clusters before the next assignment

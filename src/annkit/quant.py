@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from annkit.core import Collection
-from annkit.ivf import KMeansKind, _assign, kmeans_train
+from annkit.ivf import KMeansKind, _assign, _lloyd_means, kmeans_train
 
 __all__ = [
     "VqModel",
@@ -197,13 +197,10 @@ def opq_train(X: Collection, L: int, C: int, iters: int, seed: int = 0,
         codes = pq_encode_all(codebook, Collection(rotated.astype(np.float32)))
         # codeword update: per-chunk means under the fixed assignment
         d_sub = d // L
-        new_books = codebook.codewords.astype(np.float64).copy()
+        new_books = codebook.codewords.astype(np.float64)
         for i in range(L):
             chunk = rotated[:, i * d_sub:(i + 1) * d_sub]
-            for c in range(C):
-                members = np.flatnonzero(codes[:, i] == c)
-                if members.size:
-                    new_books[i, c] = chunk[members].mean(axis=0)
+            new_books[i] = _lloyd_means(chunk, codes[:, i], new_books[i])
         codebook = PqCodebook(codewords=new_books.astype(np.float32))
         recon = _pq_reconstruct(codebook, codes)
         rotation = _procrustes_rotation(recon.T, mat.T)

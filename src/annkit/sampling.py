@@ -157,24 +157,36 @@ def boundedme_schedule(n_alive: int, k: int, eps_i: float, delta_i: float, d: in
     return min(d, max(1, math.ceil(sample_size_h(x, d))))
 
 
-def _contributions(X: Collection, q: np.ndarray) -> np.ndarray:
-    """Per-dimension contributions in [0, 1] whose sums over any shared
-    dimension set rank points exactly like the raw partial inner products.
+def _column_range(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column minimum and maximum of ``mat``, as float64.
 
-    Data coordinates map affinely into [0, 1]; the query is scaled by the
-    data span per coordinate (compensating the data scaling) then by its
-    max magnitude, and each contribution is (q'_t u'_t + 1) / 2. The (m, d)
-    matrix is built in place in one float64 buffer, one float64 operation
-    at a time in that order.
+    A reduction over axis 0 runs one d-long inner loop per row; folding 16
+    rows into one wide row first makes those loops 16 times longer, about
+    three times faster at d = 64. Min and max are exact, so the grouping
+    cannot change the result.
     """
-    lo = X.vectors.min(axis=0).astype(np.float64)
-    span = X.vectors.max(axis=0).astype(np.float64) - lo
-    q_scaled = np.asarray(q, dtype=np.float64) * span
-    q_max = np.abs(q_scaled).max()
-    if q_max > 0:
-        q_scaled = q_scaled / q_max
-    contrib = np.subtract(X.vectors, lo)
-    contrib /= np.where(span > 0, span, 1.0)
+    fold = 16
+    m, d = mat.shape
+    wide = mat[:m - m % fold].reshape(-1, fold * d)
+    tail = mat[m - m % fold:]
+    lo = np.concatenate((wide.min(axis=0, initial=np.inf).reshape(fold, d), tail)).min(axis=0)
+    hi = np.concatenate((wide.max(axis=0, initial=-np.inf).reshape(fold, d), tail)).max(axis=0)
+    return lo.astype(np.float64), hi.astype(np.float64)
+
+
+def _contribution_block(block: np.ndarray, lo: np.ndarray, span_safe: np.ndarray,
+                        q_scaled: np.ndarray) -> np.ndarray:
+    """Contributions in [0, 1] of float32 ``block`` (rows x sampled
+    dimensions), whose sums over any shared dimension set rank points
+    exactly like the raw partial inner products; ``lo``, ``span_safe`` and
+    ``q_scaled`` are the per-dimension arrays of those columns.
+
+    Each element is ``((x - lo) / span_safe * q' + 1) * 0.5`` in float64,
+    one correctly rounded operation at a time in that order, so it does
+    not depend on which block it was computed in.
+    """
+    contrib = np.subtract(block, lo)
+    contrib /= span_safe
     contrib *= q_scaled
     contrib += 1.0
     contrib *= 0.5  # the same correctly rounded halving as / 2
@@ -198,8 +210,16 @@ def boundedme_topk(
     delta for the next round. Survivors are rescored with exact inner
     products for the final ranking.
 
-    Returns the result plus diagnostics with the total coordinate-product
-    count and the per-round schedule.
+    Per-dimension contributions in [0, 1] stand in for the coordinate
+    products: data coordinates map affinely into [0, 1], the query is
+    scaled by the data span per coordinate (compensating the data scaling)
+    then by its max magnitude, and each contribution is
+    ``(q'_t u'_t + 1) / 2``. A round computes them only for its
+    ``alive x new dimensions`` block.
+
+    Returns the result plus diagnostics: ``products`` (the number of
+    contributions accumulated), ``schedule`` (the dimension budget of each
+    round) and ``rounds``.
     """
     m = len(X)
     if k < 1:
@@ -211,7 +231,14 @@ def boundedme_topk(
         result = rescore(X, np.arange(m), q, k, DistanceKind.NEG_INNER_PRODUCT)
         return result, {"products": 0, "schedule": [], "rounds": 0}
 
-    contrib = _contributions(X, q)  # (m, d), entries in [0, 1]
+    mat = X.vectors
+    lo, hi = _column_range(mat)
+    span = hi - lo
+    span_safe = np.where(span > 0, span, 1.0)
+    q_scaled = np.asarray(q, dtype=np.float64) * span
+    q_max = np.abs(q_scaled).max()
+    if q_max > 0:
+        q_scaled = q_scaled / q_max
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(d)
@@ -228,7 +255,10 @@ def boundedme_topk(
         schedule.append(t_i)
         new_dims = perm[t_prev:t_i]
         if new_dims.size:
-            acc[alive] += contrib[np.ix_(alive, new_dims)].sum(axis=1)
+            rows = mat if alive.size == m else mat[alive]
+            block = _contribution_block(np.take(rows, new_dims, axis=1), lo[new_dims],
+                                        span_safe[new_dims], q_scaled[new_dims])
+            acc[alive] += block.sum(axis=1)
             products += alive.size * new_dims.size
         t_prev = t_i
 
@@ -246,6 +276,4 @@ def boundedme_topk(
         delta_i /= 2.0
 
     result = rescore(X, alive, q, k, DistanceKind.NEG_INNER_PRODUCT)
-    diag = {"products": products, "schedule": schedule, "rounds": len(schedule),
-            "contrib_matrix": contrib}
-    return result, diag
+    return result, {"products": products, "schedule": schedule, "rounds": len(schedule)}

@@ -308,8 +308,14 @@ class TestContainerInputChecks:
         (_blob(meta=b'{"L":1,"C":1,"d_sub":2}', shape=(1, 1, 2), name=b"a"),
          "malformed pq container: missing 'codewords'"),
         (_blob(tag=12), "malformed jl container: missing 'out_dim'"),
+        (_blob(tag=12, meta=b'{"out_dim":"x","seed":1}'), "malformed jl container: meta 'out_dim' must be int, not 'x'"),
+        (_blob(tag=12, meta=b'{"out_dim":4,"seed":true}'), "malformed jl container: meta 'seed' must be int, not True"),
+        (_blob(tag=10, meta=b'{"L":1,"C":1,"beam":2.5}', shape=(1, 1, 2)),
+         "malformed aq container: meta 'beam' must be int, not 2.5"),
+        (_blob(tag=5, meta=b'{"kind":"nope"}'), "malformed lsh container: meta 'kind' must name a FamilyKind, not 'nope'"),
     ], ids=["magic", "version", "tag", "short_header", "short_array_header", "short_data",
-            "meta", "meta_list", "dtype", "trailing", "shape", "huge_shape", "array_name", "meta_key"])
+            "meta", "meta_list", "dtype", "trailing", "shape", "huge_shape", "array_name", "meta_key",
+            "meta_type", "meta_bool_as_int", "meta_float_as_int", "meta_enum"])
     def test_malformed_container_rejected(self, tmp_path, raw, message):
         path = tmp_path / "bad.akx"
         path.write_bytes(raw)

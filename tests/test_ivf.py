@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,15 @@ def rand_collection(m, d, seed):
 
 
 class TestKMeans:
+    def test_seeded_centroid_bits_pinned(self):
+        """Lloyd's mean step keeps its summation order: seeded Euclidean
+        and spherical centroids keep their bits."""
+        X = Collection(np.random.default_rng(61).standard_normal((400, 8)).astype(np.float32))
+        euclidean = kmeans_train(X, 6, KMeansKind.EUCLIDEAN, max_iters=20, seed=2)
+        spherical = kmeans_train(X, 6, KMeansKind.SPHERICAL, max_iters=20, seed=2)
+        digest = hashlib.sha256(euclidean.centroids.tobytes() + spherical.centroids.tobytes()).hexdigest()
+        assert digest == "067fe437aa91b162628358d5b78d4e661647e9c7a58fec5bd7926c98fcf76859"
+
     def test_repeated_locations_recovered(self):
         anchors = np.array([[0, 0], [10, 0], [0, 10]], dtype=np.float32)
         X = Collection(np.repeat(anchors, 5, axis=0))

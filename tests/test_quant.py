@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,14 @@ class TestPq:
 
 
 class TestOpq:
+    def test_seeded_model_bits_pinned(self):
+        """The codeword step's per-cluster means keep their summation
+        order: a seeded model's rotation and codewords keep their bits."""
+        X = Collection(np.random.default_rng(61).standard_normal((400, 8)).astype(np.float32))
+        model = opq_train(X, 2, 8, iters=3, seed=1)
+        digest = hashlib.sha256(model.rotation.tobytes() + model.codebook.codewords.tobytes()).hexdigest()
+        assert digest == "309f3cd8a478ad5a7f4c90780377a37988d96ed16498bbba3302d461069ce3d7"
+
     def test_zero_iterations_is_pq(self):
         X = rand_collection(100, 6, 17)
         model = opq_train(X, 2, 8, iters=0, seed=18)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from annkit.core import Collection, DistanceKind, brute_force_topk, recall
+from annkit.core import Collection, DistanceKind, brute_force_topk, recall, rescore
 from annkit.sampling import (
+    _column_range,
+    _contribution_block,
     alias_build,
     alias_sample,
     alias_sample_many,
@@ -19,6 +23,62 @@ from annkit.sampling import (
 
 def rand_collection(m, d, seed):
     return Collection(np.random.default_rng(seed).standard_normal((m, d)).astype(np.float32))
+
+
+def _contributions(X, q):
+    """Reference: the full (m, d) matrix of BoundedME's per-dimension
+    contributions in [0, 1], one float64 operation at a time in the order
+    ``boundedme_topk`` uses on its per-round blocks."""
+    lo = X.vectors.min(axis=0).astype(np.float64)
+    span = X.vectors.max(axis=0).astype(np.float64) - lo
+    q_scaled = np.asarray(q, dtype=np.float64) * span
+    q_max = np.abs(q_scaled).max()
+    if q_max > 0:
+        q_scaled = q_scaled / q_max
+    contrib = np.subtract(X.vectors, lo)
+    contrib /= np.where(span > 0, span, 1.0)
+    contrib *= q_scaled
+    contrib += 1.0
+    contrib *= 0.5
+    return contrib
+
+
+def boundedme_reference(X, q, k, eps, delta, seed=0):
+    """Reference BoundedME over the full contribution matrix, gathering
+    each round's ``alive x new dimensions`` block from it; returns the
+    result, the diagnostics and how many rounds took the refill branch."""
+    m, d = len(X), X.dim
+    if k >= m:
+        return rescore(X, np.arange(m), q, k, DistanceKind.NEG_INNER_PRODUCT), \
+            {"products": 0, "schedule": [], "rounds": 0}, 0
+    contrib = _contributions(X, q)
+    perm = np.random.default_rng(seed).permutation(d)
+    alive = np.arange(m, dtype=np.int64)
+    acc = np.zeros(m)
+    eps_i, delta_i = eps / 4.0, delta / 2.0
+    t_prev = products = refills = 0
+    schedule = []
+    while alive.size > k:
+        t_i = max(boundedme_schedule(alive.size, k, eps_i, delta_i, d), t_prev)
+        schedule.append(t_i)
+        new_dims = perm[t_prev:t_i]
+        if new_dims.size:
+            acc[alive] += contrib[np.ix_(alive, new_dims)].sum(axis=1)
+            products += alive.size * new_dims.size
+        t_prev = t_i
+        rank = math.ceil((alive.size - k) / 2)
+        alive_scores = acc[alive]
+        threshold = np.partition(alive_scores, rank - 1)[rank - 1]
+        survivors = alive[alive_scores > threshold]
+        if survivors.size < k:
+            refills += 1
+            order = np.lexsort((alive, -alive_scores))
+            survivors = np.sort(alive[order[:k]])
+        alive = survivors
+        eps_i *= 0.75
+        delta_i /= 2.0
+    result = rescore(X, alive, q, k, DistanceKind.NEG_INNER_PRODUCT)
+    return result, {"products": products, "schedule": schedule, "rounds": len(schedule)}, refills
 
 
 class TestAlias:
@@ -179,8 +239,82 @@ class TestBoundedMe:
             X = rand_collection(300, 64, 700 + s)
             q = np.random.default_rng(800 + s).standard_normal(64).astype(np.float32)
             res, diag = boundedme_topk(X, q, k=10, eps=0.2, delta=0.1, seed=s)
-            full = diag["contrib_matrix"].mean(axis=1)
+            full = _contributions(X, q).mean(axis=1)
             kth_exact = np.sort(full)[::-1][9]
             kth_got = np.sort(full[res.ids])[::-1][9]
             ok += (kth_exact - kth_got) <= 0.2
         assert ok / runs >= 0.85
+
+    def _assert_matches_reference(self, X, q, k, eps, delta, seed):
+        got, diag = boundedme_topk(X, q, k, eps=eps, delta=delta, seed=seed)
+        want, want_diag, refills = boundedme_reference(X, q, k, eps, delta, seed)
+        assert np.array_equal(got.ids, want.ids)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert diag == want_diag
+        return refills
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_blocks_equal_full_matrix_reference(self, data):
+        """Per-round blocks give the reference's ids, score bits, products,
+        schedule and rounds: integer ties and duplicate rows, constant
+        columns (span 0), zero queries (q_max = 0), k from 1 to m + 2."""
+        m = data.draw(st.integers(1, 60), label="m")
+        d = data.draw(st.integers(1, 12), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        span = data.draw(st.integers(0, 3), label="span")
+        mat = rng.integers(-span, span + 1, size=(m, d)).astype(np.float32)
+        if data.draw(st.booleans(), label="scaled"):
+            mat *= np.float32(rng.standard_normal())
+        constant = data.draw(st.lists(st.integers(0, d - 1), max_size=d), label="constant")
+        mat[:, constant] = mat[0, constant]
+        q = rng.integers(-2, 3, size=d).astype(np.float32)
+        if data.draw(st.booleans(), label="zero_query"):
+            q[:] = 0
+        k = data.draw(st.integers(1, m + 2), label="k")
+        eps = data.draw(st.sampled_from([0.05, 0.3, 0.9]), label="eps")
+        delta = data.draw(st.sampled_from([0.1, 0.9]), label="delta")
+        self._assert_matches_reference(Collection(mat), q, k, eps, delta, data.draw(st.integers(0, 5)))
+
+    def test_ties_reach_refill_and_match_reference(self):
+        rng = np.random.default_rng(17)
+        base = rng.integers(0, 2, size=(6, 16)).astype(np.float32)
+        X = Collection(base[rng.integers(0, 6, size=300)])  # 300 rows, 6 distinct
+        refills = 0
+        for seed in range(6):
+            q = rng.integers(-1, 2, size=16).astype(np.float32)
+            for k in (1, 7, 60):
+                refills += self._assert_matches_reference(X, q, k, 0.3, 0.2, seed)
+        assert refills > 0
+
+    def test_blocks_match_reference_on_gaussian_data(self):
+        rng = np.random.default_rng(18)
+        X = rand_collection(2000, 32, 19)
+        for seed in range(5):
+            q = rng.standard_normal(32).astype(np.float32)
+            self._assert_matches_reference(X, q, 10, 0.9, 0.9, seed)
+            self._assert_matches_reference(X, q, 2000, 0.9, 0.9, seed)
+            self._assert_matches_reference(X, q, 2001, 0.9, 0.9, seed)
+
+    def test_diagnostics_hold_no_matrix(self):
+        X = rand_collection(300, 16, 20)
+        q = np.random.default_rng(21).standard_normal(16).astype(np.float32)
+        _, diag = boundedme_topk(X, q, k=5, eps=0.3, delta=0.1, seed=0)
+        assert set(diag) == {"products", "schedule", "rounds"}
+
+    def test_contribution_block_bits_equal_reference_columns(self):
+        rng = np.random.default_rng(22)
+        for m, d in ((1, 3), (37, 5), (500, 64)):
+            X = Collection((rng.standard_normal((m, d)) * rng.uniform(0.01, 100, d)).astype(np.float32))
+            q = rng.standard_normal(d)
+            full = _contributions(X, q)
+            lo, hi = _column_range(X.vectors)
+            span = hi - lo
+            q_scaled = q * span
+            if np.abs(q_scaled).max() > 0:
+                q_scaled = q_scaled / np.abs(q_scaled).max()
+            rows = np.sort(rng.choice(m, size=max(1, m // 3), replace=False))
+            dims = rng.permutation(d)[:max(1, d // 2)]
+            block = _contribution_block(np.take(X.vectors[rows], dims, axis=1), lo[dims],
+                                        np.where(span > 0, span, 1.0)[dims], q_scaled[dims])
+            assert block.tobytes() == full[np.ix_(rows, dims)].tobytes()

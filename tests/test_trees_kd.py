@@ -1,8 +1,19 @@
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annkit.core import Collection, DistanceKind, brute_force_topk
+from annkit.harness.container import load_index, save_index
 from annkit.trees import kd_build, kd_search_exact
+
+
+# sha256 of the seeded container in test_kd_container_bytes_pinned
+KD_AKX_SHA256 = "346fad0786d7f06eb894d16059f90632061515476354c33aa84d90269b0a8937"
 
 
 def rand_collection(m, d, seed):
@@ -115,9 +126,68 @@ class TestSearchExact:
                     assert np.array_equal(got.ids, want.ids)
                     assert np.array_equal(got.scores, want.scores)
 
+    def test_non_finite_query_equals_brute_force(self):
+        X = rand_collection(200, 4, 0)
+        tree = kd_build(X, 8)
+        for q in ([np.nan, 0, 0, 0], [0, np.inf, 0, 0], [-np.inf, 0, np.nan, 1]):
+            q = np.array(q)
+            for k in (1, 3, 200):
+                got = kd_search_exact(tree, X, q, k)
+                want = brute_force_topk(X, q, k, DistanceKind.L2_SQUARED)
+                assert np.array_equal(got.ids, want.ids)
+                assert got.scores.tobytes() == want.scores.tobytes()
+        got = kd_search_exact(tree, X, np.array([np.nan, 0, 0, 0]), 3)
+        assert got.ids.tolist() == [0, 1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_brute_force_on_tied_grids(self, data):
+        """Ids and score bits equal brute force's on integer grids (many
+        ties, duplicate rows), for queries on a data row or a split value,
+        every k from 1 to m + 2, leaf capacities up to a single-leaf tree,
+        and for a tree reloaded from its container."""
+        m = data.draw(st.integers(1, 40), label="m")
+        d = data.draw(st.integers(1, 4), label="d")
+        span = data.draw(st.integers(0, 3), label="span")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        X = Collection(rng.integers(-span, span + 1, size=(m, d)).astype(np.float32))
+        tree = kd_build(X, data.draw(st.integers(1, m + 1), label="leaf_capacity"))
+        if data.draw(st.booleans(), label="reload"):
+            with tempfile.TemporaryDirectory() as tmp:
+                save_index(Path(tmp) / "kd.akx", tree)
+                tree = load_index(Path(tmp) / "kd.akx")
+        q = rng.integers(-span - 1, span + 2, size=d).astype(np.float64)
+        where = data.draw(st.sampled_from(["grid", "row", "split"]), label="query")
+        if where == "row":
+            q = X.vectors[rng.integers(m)].astype(np.float64)
+        elif where == "split" and tree.layout.splits.size:
+            axis = rng.integers(tree.layout.axes.size)
+            q[tree.layout.axes[axis]] = tree.layout.splits[axis]
+        q += data.draw(st.sampled_from([0.0, 0.5, 1e-9]), label="offset")
+        for k in range(1, m + 3):
+            got = kd_search_exact(tree, X, q, k)
+            want = brute_force_topk(X, q, k, DistanceKind.L2_SQUARED)
+            assert np.array_equal(got.ids, want.ids)
+            assert got.scores.tobytes() == want.scores.tobytes()
+
     def test_rejects_sparse(self):
         from annkit.core import SparseVector
 
         sv = SparseVector(indices=np.array([0]), values=np.array([1.0], dtype=np.float32), dim=3)
         with pytest.raises(ValueError):
             kd_build(Collection((sv,)), 1)
+
+
+class TestContainerBytes:
+    def test_kd_container_bytes_pinned(self, tmp_path):
+        """The search layout is derived on construction and never saved:
+        a seeded tree's container keeps the bytes it had before the layout
+        existed."""
+        rng = np.random.default_rng(11)
+        X = Collection(rng.integers(-3, 4, size=(300, 5)).astype(np.float32))
+        path = tmp_path / "kd.akx"
+        save_index(path, kd_build(X, 4))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == KD_AKX_SHA256
+        save_index(tmp_path / "again.akx", load_index(path))
+        assert (tmp_path / "again.akx").read_bytes() == path.read_bytes()
