@@ -136,7 +136,7 @@ class TopKResult:
             raise ValueError("ids and scores must be parallel 1-d arrays")
         if len(set(ids.tolist())) != ids.size:
             raise ValueError("result ids must be unique")
-        if ids.size > 1 and np.any(np.diff(scores) < 0):
+        if np.any(scores[1:] < scores[:-1]):
             raise ValueError("scores must be non-decreasing")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "scores", scores)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, score_rows, top_k_from_scores
+from annkit.core import Collection, DistanceKind, TopKResult, pairwise_scores, score_rows, top_k_from_scores
 
 __all__ = [
     "NeighborGraph",
@@ -53,13 +53,10 @@ class SearchTrace:
     best_history: list = field(default_factory=list)
 
 
-def medoid(X: Collection, kind: DistanceKind = DistanceKind.L2_SQUARED) -> int:
-    """Default entry point: the data point closest to the collection mean."""
-    mat = X.vectors.astype(np.float64)
-    center = mat.mean(axis=0)
-    diff = mat - center
-    scores = np.einsum("ij,ij->i", diff, diff)
-    return int(top_k_from_scores(scores, 1).ids[0])
+def medoid(X: Collection) -> int:
+    """Default entry point: the data point closest (in L2) to the collection mean."""
+    center = X.vectors.astype(np.float64).mean(axis=0)
+    return int(top_k_from_scores(pairwise_scores(X, center, DistanceKind.L2_SQUARED), 1).ids[0])
 
 
 def build_knn_graph(X: Collection, k: int, kind: DistanceKind = DistanceKind.L2_SQUARED) -> NeighborGraph:
@@ -72,7 +69,7 @@ def build_knn_graph(X: Collection, k: int, kind: DistanceKind = DistanceKind.L2_
         scores = score_rows(X, np.arange(m), X.vectors[i].astype(np.float64), kind)
         scores[i] = np.inf  # no self-loops
         adjacency.append(np.sort(top_k_from_scores(scores, k).ids))
-    return NeighborGraph(adjacency=adjacency, directed=True, entry=medoid(X, kind),
+    return NeighborGraph(adjacency=adjacency, directed=True, entry=medoid(X),
                          kind=kind, construction="knn")
 
 
@@ -228,7 +225,7 @@ def build_vamana(
         choices = rng.permutation(m - 1)[:cap]
         choices = np.where(choices >= u, choices + 1, choices)  # skip self
         adjacency.append(np.sort(choices).astype(np.int64))
-    start = medoid(X, kind)
+    start = medoid(X)
     G = NeighborGraph(adjacency=adjacency, directed=True, entry=start, kind=kind,
                       alpha=alpha, degree_cap=cap, construction="vamana")
 

@@ -3,8 +3,7 @@
 Layout: magic ``AKIX``, u16 version, u16 family tag, a compact JSON meta
 block, then named arrays (dtype string, shape, raw little-endian bytes).
 Writing is fully deterministic: meta keys are sorted and arrays are
-emitted in sorted name order. PQ codes are packed little-endian with
-ceil(log2 C) bits rounded up to whole bytes per subspace.
+emitted in sorted name order.
 
 Each family is one ``_FAMILIES`` entry: its pinned tag, the exact type of
 its index object, and an adjacent encode/decode pair.
@@ -32,7 +31,7 @@ from annkit.trees.cover import CoverNode, CoverTree
 from annkit.trees.kd import KdNode, KdTree
 from annkit.trees.rp import ProjNode, RpTree, SpillTree
 
-__all__ = ["family_of", "save_index", "load_index", "pack_pq_codes", "unpack_pq_codes"]
+__all__ = ["family_of", "save_index", "load_index"]
 
 _MAGIC = b"AKIX"
 _VERSION = 1
@@ -114,33 +113,6 @@ def _read_blob(path) -> tuple[str, dict, dict]:
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last array")
     return _NAME_OF_TAG[tag], meta, arrays
-
-
-# ---------------------------------------------------------------------------
-# PQ code packing
-
-
-def pack_pq_codes(codes: np.ndarray, n_codewords: int) -> np.ndarray:
-    """(m, L) int codes -> (m, L * bytes_per) uint8, little-endian per code."""
-    bits = max(1, math.ceil(math.log2(n_codewords)))
-    nbytes = (bits + 7) // 8
-    codes = np.asarray(codes, dtype=np.uint64)
-    m, L = codes.shape
-    out = np.empty((m, L * nbytes), dtype=np.uint8)
-    for b in range(nbytes):
-        out[:, b::nbytes] = ((codes >> np.uint64(8 * b)) & np.uint64(0xFF)).astype(np.uint8)
-    return out
-
-
-def unpack_pq_codes(packed: np.ndarray, n_codewords: int, n_subspaces: int) -> np.ndarray:
-    bits = max(1, math.ceil(math.log2(n_codewords)))
-    nbytes = (bits + 7) // 8
-    packed = np.asarray(packed, dtype=np.uint8)
-    m = packed.shape[0]
-    codes = np.zeros((m, n_subspaces), dtype=np.int64)
-    for b in range(nbytes):
-        codes |= packed[:, b::nbytes].astype(np.int64) << (8 * b)
-    return codes
 
 
 # ---------------------------------------------------------------------------

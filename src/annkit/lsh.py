@@ -345,29 +345,21 @@ class RadiusLadder:
         return best
 
 
-def build_radius_ladder(X: Collection, eps: float, seed: int = 0,
-                        pleb_eps: Optional[float] = None) -> RadiusLadder:
+def build_radius_ladder(X: Collection, eps: float, seed: int = 0) -> RadiusLadder:
     """Size the radius ladder from a sampled aspect ratio."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     step = math.sqrt(1.0 + eps) - 1.0
-    pe = step if pleb_eps is None else pleb_eps
     lo, hi = _sample_aspect_ratio(X, seed)
     n_levels = max(1, math.ceil(math.log(hi / lo) / math.log(1.0 + step)))
     levels = [lo * (1.0 + step) ** j for j in range(n_levels)]
-    return RadiusLadder(X=X, eps=eps, seed=seed, levels=levels, pleb_eps=pe)
+    return RadiusLadder(X=X, eps=eps, seed=seed, levels=levels, pleb_eps=step)
 
 
-def approx_nn(X: Collection, q: np.ndarray, eps: float, seed: int = 0,
-              pleb_eps: Optional[float] = None,
-              with_levels: bool = False):
+def approx_nn(X: Collection, q: np.ndarray, eps: float, seed: int = 0) -> PlebAnswer:
     """One-shot (1+eps)-approximate NN; see :class:`RadiusLadder` for the
     reusable build-once form."""
-    ladder = build_radius_ladder(X, eps, seed, pleb_eps)
-    best = ladder.query(q)
-    if with_levels:
-        return best, ladder.levels
-    return best
+    return build_radius_ladder(X, eps, seed).query(q)
 
 
 @dataclass

@@ -31,7 +31,6 @@ __all__ = [
     "adc_offsets",
     "pq_adc_scan",
     "opq_train",
-    "opq_encode",
     "aq_train",
     "aq_encode",
     "aq_decode",
@@ -214,11 +213,6 @@ def opq_train(X: Collection, L: int, C: int, iters: int, seed: int = 0,
 def _pq_reconstruct(cb: PqCodebook, codes: np.ndarray) -> np.ndarray:
     parts = [cb.codewords[i].astype(np.float64)[codes[:, i]] for i in range(cb.n_subspaces)]
     return np.concatenate(parts, axis=1)
-
-
-def opq_encode(model: OpqModel, u: np.ndarray) -> np.ndarray:
-    ru = model.rotation.astype(np.float64) @ np.asarray(u, dtype=np.float64)
-    return pq_encode(model.codebook, ru)
 
 
 # ---------------------------------------------------------------------------

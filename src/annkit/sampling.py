@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, rescore, top_k_from_scores
+from annkit.core import Collection, DistanceKind, TopKResult, _smallest, rescore, top_k_from_scores
 
 __all__ = [
     "AliasTable",
@@ -269,8 +269,7 @@ def boundedme_topk(
         survivors = alive[alive_scores > threshold]
         if survivors.size < k:
             # strict thresholding can over-kill on ties; refill by best scores
-            order = np.lexsort((alive, -alive_scores))
-            survivors = np.sort(alive[order[:k]])
+            survivors = np.sort(alive[_smallest(-alive_scores, k, alive)])
         alive = survivors
         eps_i *= 0.75
         delta_i /= 2.0

@@ -6,7 +6,9 @@ sketch (unbiased, symmetric), the asymmetric max/min envelope sketch
 sampling (unbiased, coordinate-exact values, shared hash between sketches).
 
 All randomness is realized as seeded integer hashing of coordinates, so
-no mapping tables are stored and sketches are reproducible across runs.
+sketches are reproducible across runs. Nothing is stored or cached: each
+sketch, bound or sign matrix hashes all its (mapping, coordinate) pairs
+in one broadcast call.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class JlSketcher:
     def signs(self, dim: int) -> np.ndarray:
         rows = np.arange(self.out_dim, dtype=np.uint64)[:, None]
         cols = np.arange(dim, dtype=np.uint64)[None, :]
-        bits = _hash_ints(np.full_like(rows, self.seed), rows + np.uint64(1), cols + np.uint64(1))
+        bits = _hash_ints(self.seed, rows + np.uint64(1), cols + np.uint64(1))
         return np.where((bits >> np.uint64(63)).astype(bool), 1.0, -1.0)
 
 
@@ -107,12 +109,21 @@ class AsymSketch:
         return self.upper.shape[0]
 
 
-def _bucket_of(seed: int, mapping: int, coords: np.ndarray, n_buckets: int) -> np.ndarray:
-    hashed = _hash_ints(
-        np.full(coords.shape, seed, dtype=np.uint64),
-        np.full(coords.shape, mapping + 1, dtype=np.uint64),
-        np.asarray(coords, dtype=np.uint64) + np.uint64(1),
-    )
+def _support(u: Union[np.ndarray, SparseVector], dense: bool = False) -> tuple:
+    """``(coords, values, dim)`` of a vector: its non-zero coordinates, or
+    every coordinate when ``dense``, with their values as float64."""
+    if isinstance(u, SparseVector):
+        return u.indices, u.values.astype(np.float64), u.dim
+    arr = np.asarray(u, dtype=np.float64)
+    coords = np.arange(arr.shape[0], dtype=np.int64) if dense else np.flatnonzero(arr).astype(np.int64)
+    return coords, arr[coords], arr.shape[0]
+
+
+def _bucket_of(seed: int, mapping: Union[int, np.ndarray], coords: np.ndarray, n_buckets: int) -> np.ndarray:
+    """Bucket of each coordinate under each mapping, broadcast: an ``(h, 1)``
+    column of mappings against n coordinates gives ``(h, n)`` buckets."""
+    hashed = _hash_ints(seed, np.asarray(mapping, dtype=np.uint64) + np.uint64(1),
+                        np.asarray(coords, dtype=np.uint64) + np.uint64(1))
     return (hashed % np.uint64(n_buckets)).astype(np.int64)
 
 
@@ -127,38 +138,32 @@ def asym_sketch(
     """Sketch one vector into sketch_dim/2 upper and lower buckets.
 
     Sparse mode envelopes the non-zero coordinates and records their ids;
-    dense mode envelopes every coordinate and records nothing.
+    dense mode envelopes every coordinate and records nothing. Buckets no
+    coordinate reaches hold 0. The envelopes equal a sequential max/min
+    over the coordinates, mapping by mapping, that keeps the first of equal
+    values (which only shows as the sign of a zero). A NaN value makes
+    every bucket it reaches NaN.
     """
     if sketch_dim % 2 != 0 or sketch_dim < 2:
         raise ValueError("sketch size must be even and positive")
     if h < 1:
         raise ValueError("need at least one mapping")
     n_buckets = sketch_dim // 2
-    if isinstance(u, SparseVector):
-        coords, values, dim = u.indices, u.values.astype(np.float64), u.dim
-    else:
-        arr = np.asarray(u, dtype=np.float64)
-        dim = arr.shape[0]
-        if dense:
-            coords = np.arange(dim, dtype=np.int64)
-            values = arr
-        else:
-            coords = np.flatnonzero(arr).astype(np.int64)
-            values = arr[coords]
-
-    upper = np.zeros(n_buckets)
-    lower = np.zeros(n_buckets)
-    touched = np.zeros(n_buckets, dtype=bool)
-    for o in range(h):
-        buckets = _bucket_of(seed, o, coords, n_buckets)
-        for b, v in zip(buckets, values):
-            if not touched[b]:
-                upper[b] = v
-                lower[b] = v
-                touched[b] = True
-            else:
-                upper[b] = max(upper[b], v)
-                lower[b] = min(lower[b], v)
+    coords, values, dim = _support(u, dense)
+    buckets = _bucket_of(seed, np.arange(h)[:, None], coords, n_buckets).ravel()  # mapping-major
+    values = np.tile(values, h)
+    upper = np.full(n_buckets, -np.inf)
+    lower = np.full(n_buckets, np.inf)
+    np.maximum.at(upper, buckets, values)
+    np.minimum.at(lower, buckets, values)
+    # numpy's max/min may keep either of two equal values, a sequential one
+    # keeps the first; only a zero's sign can differ, so the first zero sets it
+    zeros = np.flatnonzero(values == 0)
+    hit, first = np.unique(buckets[zeros], return_index=True)
+    for env in (upper, lower):
+        env[hit] = np.where(env[hit] == 0, values[zeros[first]], env[hit])
+    untouched = np.bincount(buckets, minlength=n_buckets) == 0
+    upper[untouched] = lower[untouched] = 0.0
     return AsymSketch(
         nz=None if dense else coords,
         upper=upper,
@@ -175,34 +180,26 @@ def asym_upper_bound(q: Union[np.ndarray, SparseVector], sketch: AsymSketch) -> 
     A positive query coordinate multiplies the least upper bound over its h
     buckets; a negative one multiplies the greatest lower bound.
     """
-    if isinstance(q, SparseVector):
-        q_coords, q_values = q.indices, q.values.astype(np.float64)
-    else:
-        arr = np.asarray(q, dtype=np.float64)
-        q_coords = np.flatnonzero(arr).astype(np.int64)
-        q_values = arr[q_coords]
-
+    q_coords, q_values, q_dim = _support(q)
+    if q_dim != sketch.dim:
+        raise ValueError(f"query dimension {q_dim} does not match the sketch's {sketch.dim}")
     if sketch.nz is not None:
-        keep = np.isin(q_coords, sketch.nz)
+        support = np.zeros(sketch.dim, dtype=bool)
+        support[sketch.nz] = True
+        keep = support[q_coords]
         q_coords, q_values = q_coords[keep], q_values[keep]
     if q_coords.size == 0:
         return 0.0
 
-    n_buckets = sketch.buckets
-    ups = np.empty((sketch.h, q_coords.size))
-    lows = np.empty((sketch.h, q_coords.size)) if sketch.lower is not None else None
-    for o in range(sketch.h):
-        buckets = _bucket_of(sketch.seed, o, q_coords, n_buckets)
-        ups[o] = sketch.upper[buckets]
-        if lows is not None:
-            lows[o] = sketch.lower[buckets]
-    least_upper = ups.min(axis=0)
-    total = float(q_values[q_values > 0] @ least_upper[q_values > 0])
+    buckets = _bucket_of(sketch.seed, np.arange(sketch.h)[:, None], q_coords, sketch.buckets)
+    least_upper = sketch.upper[buckets].min(axis=0)
+    pos = q_values > 0
+    total = float(q_values[pos] @ least_upper[pos])
     neg = q_values < 0
     if np.any(neg):
-        if lows is None:
+        if sketch.lower is None:
             raise ValueError("negative query coordinates need a lower-bound sketch")
-        greatest_lower = lows.max(axis=0)
+        greatest_lower = sketch.lower[buckets].max(axis=0)
         total += float(q_values[neg] @ greatest_lower[neg])
     return total
 
@@ -220,20 +217,11 @@ class ThresholdSketcher:
     seed: int
 
     def uniforms(self, coords: np.ndarray) -> np.ndarray:
-        bits = _hash_ints(
-            np.full(coords.shape, self.seed, dtype=np.uint64),
-            np.asarray(coords, dtype=np.uint64) + np.uint64(1),
-        )
+        bits = _hash_ints(self.seed, np.asarray(coords, dtype=np.uint64) + np.uint64(1))
         return (bits >> np.uint64(11)).astype(np.float64) / float(1 << 53)
 
     def sketch(self, u: Union[np.ndarray, SparseVector]) -> "ThresholdSketch":
-        if isinstance(u, SparseVector):
-            coords = u.indices
-            values = u.values.astype(np.float64)
-        else:
-            arr = np.asarray(u, dtype=np.float64)
-            coords = np.flatnonzero(arr).astype(np.int64)
-            values = arr[coords]
+        coords, values, _ = _support(u)
         norm_sq = float(values @ values)
         if norm_sq == 0.0:
             raise ValueError("cannot sketch a zero vector")

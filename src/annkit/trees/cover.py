@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, score_rows
+from annkit.core import Collection, DistanceKind, TopKResult, _smallest, score_rows
 
 __all__ = [
     "CoverNode",
@@ -126,7 +126,7 @@ def _insert_rec(tree: CoverTree, q64, point_id: int, q_nodes: list, level: int) 
     valid = np.flatnonzero(parent_dists <= radius)
     if valid.size == 0:
         return False
-    best = valid[np.lexsort((parent_ids[valid], parent_dists[valid]))[0]]
+    best = valid[_smallest(parent_dists[valid], 1, parent_ids[valid])[0]]
     q_nodes[best].attach(CoverNode(point_id=point_id, level=level - 1), level - 1)
     return True
 
@@ -210,10 +210,9 @@ def cover_nn(tree: CoverTree, q: np.ndarray, k: int = 1) -> TopKResult:
         return [pid for pid, d in zip(candidates, dists) if d <= bound]
 
     frontier, sq_cache = _descend(tree, q64, keep_rule)
-    ids = np.array(sorted(frontier), dtype=np.int64)
-    sq = np.array([sq_cache[int(pid)] for pid in ids])
-    k_eff = min(k, ids.size)
-    order = np.lexsort((ids, sq))[:k_eff]
+    ids = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
+    sq = np.array([sq_cache[pid] for pid in frontier])
+    order = _smallest(sq, k, ids)
     return TopKResult(ids=ids[order], scores=sq[order], k=k)
 
 

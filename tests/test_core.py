@@ -366,3 +366,14 @@ class TestTypes:
     def test_topk_rejects_decreasing_scores(self):
         with pytest.raises(ValueError):
             TopKResult(ids=np.array([1, 2]), scores=np.array([1.0, 0.0]), k=2)
+
+    def test_topk_order_check_is_silent_on_infinite_scores(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = TopKResult(ids=np.array([4, 2, 7, 1]),
+                             scores=np.array([-np.inf, -np.inf, np.inf, np.inf]), k=4)
+            assert res.ids.tolist() == [4, 2, 7, 1]
+            with pytest.raises(ValueError):
+                TopKResult(ids=np.array([1, 2, 3]), scores=np.array([np.inf, np.inf, 0.0]), k=3)

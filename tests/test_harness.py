@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from annkit.core import Collection, DistanceKind, brute_force_topk
 from annkit.graph import build_knn_graph, build_vamana, greedy_search
-from annkit.harness.container import load_index, pack_pq_codes, save_index, unpack_pq_codes
+from annkit.harness.container import load_index, save_index
 from annkit.harness import cli, experiments
 from annkit.harness.experiments import benchmark, experiment_coincidence, experiment_instability, self_coincidence_fraction
 from annkit.harness.io import load_vecs, save_vecs
@@ -332,20 +332,6 @@ class TestContainerInputChecks:
         path.write_bytes(blob + tail if tail else blob[:cut % len(blob)])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_index(path, X=FAMILY_X)
-
-
-class TestPqCodePacking:
-    def test_round_trip(self):
-        rng = np.random.default_rng(33)
-        for C in (2, 16, 255, 256, 4096):
-            codes = rng.integers(0, C, size=(20, 4))
-            packed = pack_pq_codes(codes, C)
-            assert np.array_equal(unpack_pq_codes(packed, C, 4), codes)
-
-    def test_byte_width(self):
-        codes = np.zeros((3, 2), dtype=np.int64)
-        assert pack_pq_codes(codes, 16).shape == (3, 2)  # 4 bits -> 1 byte each
-        assert pack_pq_codes(codes, 4096).shape == (3, 4)  # 12 bits -> 2 bytes each
 
 
 class TestExperiments:

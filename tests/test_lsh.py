@@ -310,9 +310,12 @@ class TestApproxNn:
             approx_nn(X, np.zeros(4, dtype=np.float32), eps=0.5)
 
     def test_huge_eps_single_level(self):
+        from annkit.lsh import build_radius_ladder
+
         X = rand_collection(60, 6, 30)
         q = np.random.default_rng(31).standard_normal(6).astype(np.float32)
-        ans, levels = approx_nn(X, q, eps=1000.0, seed=3, with_levels=True)
+        ladder = build_radius_ladder(X, eps=1000.0, seed=3)
+        ans, levels = ladder.query(q), ladder.levels
         assert len(levels) == 1
         # any indexed point within (1+eps) * r_min qualifies, so the bound
         # is vacuous and whatever point came back is a valid witness

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annkit.core import Collection, DistanceKind, brute_force_topk, recall
-from annkit.harness.container import pack_pq_codes, unpack_pq_codes
 from annkit.sampling import alias_build
 from annkit.transforms import mips_to_mcs
 
@@ -44,15 +43,6 @@ def test_mcs_transform_norms(seed, m, d):
     tx = pair.transform_collection(X)
     norms = np.linalg.norm(tx.vectors.astype(np.float64), axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-6
-
-
-@settings(max_examples=30, deadline=None)
-@given(seeds, st.integers(1, 5), st.integers(2, 5000))
-def test_pq_code_packing_round_trips(seed, n_sub, n_codewords):
-    rng = np.random.default_rng(seed)
-    codes = rng.integers(0, n_codewords, size=(7, n_sub))
-    packed = pack_pq_codes(codes, n_codewords)
-    assert np.array_equal(unpack_pq_codes(packed, n_codewords, n_sub), codes)
 
 
 @settings(max_examples=30, deadline=None)

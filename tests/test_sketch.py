@@ -1,11 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annkit.core import SparseVector, brute_force_topk, DistanceKind, recall
+from annkit.harness.container import save_index
 from annkit.harness.synth import generate_sparse
 from annkit.sketch import (
+    AsymSketch,
     JlSketcher,
     ThresholdSketcher,
+    _bucket_of,
     asym_sketch,
     asym_upper_bound,
     jl_ip_estimate,
@@ -19,6 +26,176 @@ def sparse_vec(rng, d, nnz, signed=True):
     if signed:
         vals *= rng.choice([-1.0, 1.0], size=nnz)
     return SparseVector(indices=idx, values=vals.astype(np.float32), dim=d)
+
+
+def reference_support(u, dense=False):
+    if isinstance(u, SparseVector):
+        return u.indices, u.values.astype(np.float64), u.dim
+    arr = np.asarray(u, dtype=np.float64)
+    coords = np.arange(arr.shape[0], dtype=np.int64) if dense else np.flatnonzero(arr).astype(np.int64)
+    return coords, arr[coords], arr.shape[0]
+
+
+def reference_asym_sketch(u, sketch_dim, h, seed, non_negative=False, dense=False):
+    """The envelope sketch as one sequential max/min per coordinate,
+    mapping by mapping, where the first value to reach a bucket sets it."""
+    n_buckets = sketch_dim // 2
+    coords, values, dim = reference_support(u, dense)
+    upper = np.zeros(n_buckets)
+    lower = np.zeros(n_buckets)
+    touched = np.zeros(n_buckets, dtype=bool)
+    for o in range(h):
+        for b, v in zip(_bucket_of(seed, o, coords, n_buckets), values):
+            if not touched[b]:
+                upper[b] = lower[b] = v
+                touched[b] = True
+            else:
+                upper[b] = max(upper[b], v)
+                lower[b] = min(lower[b], v)
+    return AsymSketch(nz=None if dense else coords, upper=upper,
+                      lower=None if non_negative else lower, h=h, seed=seed, dim=dim)
+
+
+def reference_upper_bound(q, sketch):
+    """The upper bound with one hash call and one gather per mapping."""
+    q_coords, q_values, _ = reference_support(q)
+    if sketch.nz is not None:
+        keep = np.isin(q_coords, sketch.nz)
+        q_coords, q_values = q_coords[keep], q_values[keep]
+    if q_coords.size == 0:
+        return 0.0
+    ups = np.empty((sketch.h, q_coords.size))
+    lows = np.empty((sketch.h, q_coords.size)) if sketch.lower is not None else None
+    for o in range(sketch.h):
+        buckets = _bucket_of(sketch.seed, o, q_coords, sketch.buckets)
+        ups[o] = sketch.upper[buckets]
+        if lows is not None:
+            lows[o] = sketch.lower[buckets]
+    least_upper = ups.min(axis=0)
+    total = float(q_values[q_values > 0] @ least_upper[q_values > 0])
+    neg = q_values < 0
+    if np.any(neg):
+        if lows is None:
+            raise ValueError("negative query coordinates need a lower-bound sketch")
+        total += float(q_values[neg] @ lows.max(axis=0)[neg])
+    return total
+
+
+def same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def sha256_of_container(obj, tmp_path) -> str:
+    path = tmp_path / "obj.akx"
+    save_index(path, obj)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# values with ties and both signed zeros next to arbitrary finite floats
+_values = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]),
+                    st.floats(-1e6, 1e6, width=32))
+
+
+def _vector(values, sparse):
+    arr = np.array(values, dtype=np.float32)
+    if not sparse:
+        return arr
+    nz = np.flatnonzero(arr)
+    return SparseVector(indices=nz, values=arr[nz], dim=arr.size)
+
+
+@st.composite
+def sketch_cases(draw):
+    d = draw(st.integers(1, 24))
+    non_negative = draw(st.booleans())
+    u_values = draw(st.lists(_values, min_size=d, max_size=d))
+    q_values = draw(st.lists(_values, min_size=d, max_size=d))
+    if non_negative:
+        u_values, q_values = np.abs(u_values), np.abs(q_values)
+    u = _vector(u_values, sparse=draw(st.booleans()))
+    q = _vector(q_values, sparse=draw(st.booleans()))
+    sketch_dim = 2 * draw(st.integers(1, d + 1))  # one bucket makes every coordinate collide
+    params = dict(sketch_dim=sketch_dim, h=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**40)),
+                  non_negative=non_negative, dense=draw(st.booleans()))
+    return u, q, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(sketch_cases())
+def test_asym_sketch_and_bound_equal_the_sequential_reference(case):
+    u, q, params = case
+    sk, ref = asym_sketch(u, **params), reference_asym_sketch(u, **params)
+    assert same_bits(sk.nz, ref.nz)
+    assert same_bits(sk.upper, ref.upper)
+    assert same_bits(sk.lower, ref.lower)
+    try:
+        expected = reference_upper_bound(q, ref)
+    except ValueError:
+        with pytest.raises(ValueError):
+            asym_upper_bound(q, sk)
+        return
+    assert same_bits(asym_upper_bound(q, sk), expected)
+
+
+def test_asym_sketch_signed_zero_ties_keep_the_first():
+    # one bucket: the envelope is zero and its sign is the first zero's
+    for values in ([0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [-1.0, -0.0, 0.0, 2.0]):
+        u = np.array(values, dtype=np.float32)
+        for h in (1, 3):
+            sk = asym_sketch(u, sketch_dim=2, h=h, seed=5, dense=True)
+            ref = reference_asym_sketch(u, sketch_dim=2, h=h, seed=5, dense=True)
+            assert same_bits(sk.upper, ref.upper) and same_bits(sk.lower, ref.lower)
+
+
+def test_asym_sketch_nan_value_makes_its_buckets_nan():
+    u = np.array([1.0, np.nan, -2.0, 0.5])
+    with np.errstate(invalid="ignore"):
+        sk = asym_sketch(u, sketch_dim=2, h=2, seed=3, dense=True)
+    assert np.isnan(sk.upper[0]) and np.isnan(sk.lower[0])
+
+
+def test_pinned_asym_set_container(tmp_path):
+    rng = np.random.default_rng(2024)
+    sketches = []
+    for i in range(60):
+        d = 48
+        if i % 3 == 0:
+            u = rng.integers(-2, 3, size=d).astype(np.float32)  # ties and zeros
+            sketches.append(asym_sketch(u, sketch_dim=24, h=3, seed=17, dense=True))
+        else:
+            idx = np.sort(rng.choice(d, size=int(rng.integers(1, 12)), replace=False))
+            vals = (rng.exponential(1.0, size=idx.size) + 1e-3).astype(np.float32)
+            if i % 3 == 1:
+                vals *= rng.choice([-1.0, 1.0], size=idx.size).astype(np.float32)
+            sketches.append(asym_sketch(SparseVector(indices=idx, values=vals, dim=d), sketch_dim=24,
+                                        h=3, seed=17, non_negative=i % 3 == 2))
+    assert sha256_of_container(sketches, tmp_path) == ASYM_SET_SHA256
+
+
+def test_pinned_jl_signs():
+    digest = hashlib.sha256()
+    for out_dim, seed, dim in ((4, 0, 6), (64, 5, 32), (16, 123456789, 100), (3, 2**40, 7)):
+        digest.update(JlSketcher(out_dim, seed).signs(dim).tobytes())
+    assert digest.hexdigest() == JL_SIGNS_SHA256
+
+
+def test_pinned_threshold_sketches(tmp_path):
+    rng = np.random.default_rng(2025)
+    sketches = []
+    for s in range(40):
+        u = rng.standard_normal(64)
+        u[rng.random(64) < 0.3] = 0.0
+        sketches.append(ThresholdSketcher(out_dim=12, seed=s).sketch(u))
+    assert sha256_of_container(sketches, tmp_path) == THRESHOLD_SET_SHA256
+
+
+# sha256 digests pinned from the per-mapping loop implementation
+ASYM_SET_SHA256 = "1fed0cc575c7520ec253859ef8a9f09ed5607904483f8eb4ea5a2bf194db77ac"
+JL_SIGNS_SHA256 = "ce28766d00638d54872631b802518d577eed0e1c8e4b6989b83eb6aa5716ecbc"
+THRESHOLD_SET_SHA256 = "0190c308b046c2996f37ea11e2ba0cdfe542a0c596f266c4fb036c960ce764fa"
 
 
 class TestJl:
@@ -143,6 +320,13 @@ class TestAsym:
         q[u.indices[0]] = -1.0
         with pytest.raises(ValueError):
             asym_upper_bound(q, sk)
+
+    def test_query_dimension_must_match(self):
+        u = SparseVector(indices=np.array([1, 7]), values=np.array([1.0, -2.0], dtype=np.float32), dim=8)
+        for dense in (False, True):
+            sk = asym_sketch(u, sketch_dim=4, h=2, seed=1, dense=dense)
+            with pytest.raises(ValueError, match="dimension"):
+                asym_upper_bound(np.ones(12, dtype=np.float32), sk)
 
     def test_dense_mode_skips_nz_and_bounds(self):
         rng = np.random.default_rng(8)

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from annkit.core import Collection, DistanceKind, brute_force_topk, epsilon_valid
+from annkit.harness.container import save_index
 from annkit.trees import (
     CoverTree,
     DuplicatePointError,
@@ -123,6 +126,22 @@ class TestBuildAndInvariants:
     def test_invariant_scan_gaussian(self):
         tree = cover_build(rand_collection(200, 4, 1))
         scan_invariants(tree)
+
+    def test_pinned_container_and_answers(self, tmp_path):
+        # sha256 digests pinned from the lexsort-based parent and answer selection
+        X = rand_collection(2000, 64, 2026)
+        tree = cover_build(X)
+        save_index(tmp_path / "cover.akx", tree)
+        assert hashlib.sha256((tmp_path / "cover.akx").read_bytes()).hexdigest() == COVER_SHA256
+        answers = hashlib.sha256()
+        for q in np.random.default_rng(2027).standard_normal((20, 64)).astype(np.float32):
+            res = cover_nn(tree, q, 10)
+            answers.update(res.ids.tobytes() + res.scores.tobytes())
+        assert answers.hexdigest() == COVER_ANSWERS_SHA256
+
+
+COVER_SHA256 = "47c8677230d839551a1ce5b141c1108b44cd8d8857008913313f87a2c60c1d90"
+COVER_ANSWERS_SHA256 = "d11ab26e5807e4b8aae1bf8d67dcd5076058b8b8f1e9a3168d499d14ac8f120a"
 
 
 class TestSearch:
