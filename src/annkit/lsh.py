@@ -296,6 +296,11 @@ def _sample_aspect_ratio(X: Collection, seed: int, pairs: int = 1000) -> tuple[f
     return lo, hi
 
 
+def _ladder_step(eps: float) -> float:
+    """sqrt(1+eps)-1: ladder spacing and PLEB factor compound to 1+eps."""
+    return math.sqrt(1.0 + eps) - 1.0
+
+
 @dataclass
 class RadiusLadder:
     """Reusable stack of PLEB indexes at geometrically spaced radii.
@@ -311,8 +316,13 @@ class RadiusLadder:
     eps: float
     seed: int
     levels: list
-    pleb_eps: float
     _indexes: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def pleb_eps(self) -> float:
+        """The factor each PLEB query and the ladder spacing run at, derived
+        from ``eps`` so that the two cannot disagree."""
+        return _ladder_step(self.eps)
 
     def _index_for(self, j: int) -> LshIndex:
         if j not in self._indexes:
@@ -349,11 +359,11 @@ def build_radius_ladder(X: Collection, eps: float, seed: int = 0) -> RadiusLadde
     """Size the radius ladder from a sampled aspect ratio."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    step = math.sqrt(1.0 + eps) - 1.0
+    step = _ladder_step(eps)
     lo, hi = _sample_aspect_ratio(X, seed)
     n_levels = max(1, math.ceil(math.log(hi / lo) / math.log(1.0 + step)))
     levels = [lo * (1.0 + step) ** j for j in range(n_levels)]
-    return RadiusLadder(X=X, eps=eps, seed=seed, levels=levels, pleb_eps=step)
+    return RadiusLadder(X=X, eps=eps, seed=seed, levels=levels)
 
 
 def approx_nn(X: Collection, q: np.ndarray, eps: float, seed: int = 0) -> PlebAnswer:

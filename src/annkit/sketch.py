@@ -6,13 +6,15 @@ sketch (unbiased, symmetric), the asymmetric max/min envelope sketch
 sampling (unbiased, coordinate-exact values, shared hash between sketches).
 
 All randomness is realized as seeded integer hashing of coordinates, so
-sketches are reproducible across runs. Nothing is stored or cached: each
-sketch, bound or sign matrix hashes all its (mapping, coordinate) pairs
-in one broadcast call.
+sketches are reproducible across runs. Each sign matrix or threshold
+sample hashes all its (mapping, coordinate) pairs in one broadcast call;
+the envelope sketch gathers bucket positions from a small cache of
+read-only tables, one per (seed, mappings, buckets, dimension).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -127,6 +129,17 @@ def _bucket_of(seed: int, mapping: Union[int, np.ndarray], coords: np.ndarray, n
     return (hashed % np.uint64(n_buckets)).astype(np.int64)
 
 
+@functools.lru_cache(maxsize=16)
+def _bucket_table(seed: int, h: int, n_buckets: int, dim: int) -> np.ndarray:
+    """Read-only ``(h, dim)`` table: the bucket of every coordinate under
+    every mapping. It depends on these four values alone, so it is cached
+    by them and built at most once per sketch shape; int32 halves what a
+    large ``dim`` keeps alive."""
+    table = _bucket_of(seed, np.arange(h)[:, None], np.arange(dim), n_buckets).astype(np.int32)
+    table.setflags(write=False)
+    return table
+
+
 def asym_sketch(
     u: Union[np.ndarray, SparseVector],
     sketch_dim: int,
@@ -150,7 +163,7 @@ def asym_sketch(
         raise ValueError("need at least one mapping")
     n_buckets = sketch_dim // 2
     coords, values, dim = _support(u, dense)
-    buckets = _bucket_of(seed, np.arange(h)[:, None], coords, n_buckets).ravel()  # mapping-major
+    buckets = _bucket_table(seed, h, n_buckets, dim)[:, coords].ravel()  # mapping-major
     values = np.tile(values, h)
     upper = np.full(n_buckets, -np.inf)
     lower = np.full(n_buckets, np.inf)
@@ -191,7 +204,7 @@ def asym_upper_bound(q: Union[np.ndarray, SparseVector], sketch: AsymSketch) -> 
     if q_coords.size == 0:
         return 0.0
 
-    buckets = _bucket_of(sketch.seed, np.arange(sketch.h)[:, None], q_coords, sketch.buckets)
+    buckets = _bucket_table(sketch.seed, sketch.h, sketch.buckets, sketch.dim)[:, q_coords]
     least_upper = sketch.upper[buckets].min(axis=0)
     pos = q_values > 0
     total = float(q_values[pos] @ least_upper[pos])

@@ -58,10 +58,6 @@ class CoverTree:
         return np.sqrt(self._sq_dist_many(q64, ids))
 
 
-def _children_at(node: CoverNode, level: int) -> list:
-    return node.children.get(level, [])
-
-
 def cover_insert(tree: CoverTree, point_id: int) -> None:
     """Insert one point by the recursive candidate-descent procedure.
 
@@ -70,65 +66,80 @@ def cover_insert(tree: CoverTree, point_id: int) -> None:
     convention (any candidate within the cover radius would satisfy the
     invariants).
     """
-    if tree.root is not None:
-        # candidate pruning during descent can skip a deep duplicate, so the
-        # presence check must be an exact search
-        nearest = cover_nn(tree, tree.X.vectors[point_id], 1)
-        if nearest.scores[0] == 0.0:
-            raise DuplicatePointError(
-                f"point {point_id} duplicates point {int(nearest.ids[0])}")
-    _insert(tree, point_id)
-
-
-def _insert(tree: CoverTree, point_id: int) -> None:
-    """:func:`cover_insert` for a point known to duplicate no indexed point."""
-    q64 = tree.X.vectors[point_id].astype(np.float64)
-
     if tree.root is None:
         tree.root = CoverNode(point_id=point_id, level=0)
         tree.root_level = None  # pinned once a second point arrives
         tree.size = 1
         return
-
-    root_dist = float(tree._dist_many(q64, np.array([tree.root.point_id]))[0])
-    if tree.root_level is None:
-        tree.root_level = max(int(math.ceil(math.log2(root_dist))), -60)
-        tree.root.level = tree.root_level
-    while root_dist > 2.0 ** tree.root_level:
-        tree.root_level += 1
-        tree.root.level = tree.root_level
-
-    inserted = _insert_rec(tree, q64, point_id, [tree.root], tree.root_level)
-    if not inserted:  # cannot happen once the root radius covers the point
-        raise AssertionError("cover tree insertion failed to find a parent")
+    # candidate pruning during descent can skip a deep duplicate, so the
+    # presence check must be an exact search
+    nearest = cover_nn(tree, tree.X.vectors[point_id], 1)
+    if nearest.scores[0] == 0.0:
+        raise DuplicatePointError(
+            f"point {point_id} duplicates point {int(nearest.ids[0])}")
+    nodes, parents = [], []
+    stack = [(tree.root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        nodes.append(node)
+        parents.append(parent)
+        stack.extend((kid, node.point_id) for kids in node.children.values() for kid in kids)
+    ids = np.array([node.point_id for node in nodes], dtype=np.int64)
+    levels = np.array([node.level for node in nodes], dtype=np.int64)
+    parent, level = _find_parent(tree, point_id, ids, np.array(parents, dtype=np.int64), levels)
+    tree.root.level = tree.root_level
+    nodes[int(np.flatnonzero(ids == parent)[0])].attach(CoverNode(point_id, level), level)
     tree.size += 1
 
 
-def _insert_rec(tree: CoverTree, q64, point_id: int, q_nodes: list, level: int) -> bool:
-    # candidate set for the next level: current nodes (self-children) plus
-    # their explicitly attached children at level - 1
-    candidates = list(q_nodes)
-    for node in q_nodes:
-        candidates.extend(_children_at(node, level - 1))
-    ids = np.array([n.point_id for n in candidates], dtype=np.int64)
-    dists = tree._dist_many(q64, ids)
-    if np.any(dists == 0.0):
-        raise DuplicatePointError(f"point {point_id} duplicates an indexed point")
-    radius = 2.0 ** level
-    if float(dists.min()) > radius:
-        return False  # no parent found anywhere below
-    keep = [candidates[i] for i in np.flatnonzero(dists <= radius)]
-    if _insert_rec(tree, q64, point_id, keep, level - 1):
-        return True
-    # the deeper call failed: attach here if some current-level node covers p
-    parent_ids = np.array([n.point_id for n in q_nodes], dtype=np.int64)
-    parent_dists = tree._dist_many(q64, parent_ids)
-    valid = np.flatnonzero(parent_dists <= radius)
-    if valid.size == 0:
-        return False
-    best = valid[_smallest(parent_dists[valid], 1, parent_ids[valid])[0]]
-    q_nodes[best].attach(CoverNode(point_id=point_id, level=level - 1), level - 1)
-    return True
+def _find_parent(tree: CoverTree, point_id: int, ids: np.ndarray, parents: np.ndarray,
+                 levels: np.ndarray) -> tuple[int, int]:
+    """``(parent id, attach level)`` of a new point, for a non-empty tree
+    given flat: node ``i`` holds point ``ids[i]``, hangs below point
+    ``parents[i]`` (-1 for the root, ``ids[0]``) and entered at
+    ``levels[i]``. Pins or raises ``tree.root_level`` as the point needs.
+
+    The descent keeps, level by level, the frame's nodes and their
+    distances; the children of a frame come from one pass of a membership
+    mask over ``parents``. When the descent bottoms out, the frames are
+    unwound from the deepest, each reusing its distances: the first with
+    a node within its radius takes the point, under its closest node.
+    """
+    q64 = tree.X.vectors[point_id].astype(np.float64)
+    q_ids = ids[:1]
+    q_dists = tree._dist_many(q64, q_ids)
+    root_dist = float(q_dists[0])
+    if tree.root_level is None:
+        tree.root_level = max(int(math.ceil(math.log2(root_dist))), -60)
+    while root_dist > 2.0 ** tree.root_level:
+        tree.root_level += 1
+
+    member = np.zeros(len(tree.X) + 1, dtype=bool)  # slot -1 (no parent) stays False
+    frames = []
+    level = tree.root_level
+    while True:
+        member[q_ids] = True
+        at_level = np.flatnonzero(levels == level - 1)
+        kids = ids[at_level[member[parents[at_level]]]]
+        member[q_ids] = False
+        cand_ids = np.concatenate((q_ids, kids))
+        cand_dists = np.concatenate((q_dists, tree._dist_many(q64, kids)))
+        if np.any(cand_dists == 0.0):
+            raise DuplicatePointError(f"point {point_id} duplicates an indexed point")
+        radius = 2.0 ** level
+        if float(cand_dists.min()) > radius:
+            break  # no parent below this level
+        frames.append((level, q_ids, q_dists))
+        keep = cand_dists <= radius
+        q_ids, q_dists = cand_ids[keep], cand_dists[keep]
+        level -= 1
+    for level, q_ids, q_dists in reversed(frames):
+        valid = np.flatnonzero(q_dists <= 2.0 ** level)
+        if valid.size:
+            best = valid[_smallest(q_dists[valid], 1, q_ids[valid])[0]]
+            return int(q_ids[best]), level - 1
+    # cannot happen once the root radius covers the point
+    raise AssertionError("cover tree insertion failed to find a parent")
 
 
 def cover_build(X: Collection) -> CoverTree:
@@ -139,6 +150,9 @@ def cover_build(X: Collection) -> CoverTree:
     to an earlier one, naming that earlier point. Over finite float32 rows,
     distance 0 means equal element for element, so one pass over the row
     bytes (``+ 0.0`` turns -0.0 into 0.0) replaces a search per insert.
+    Inserts run against flat parent and level arrays; the nodes are made
+    at the end, each child attached in insertion order as
+    :func:`cover_insert` attaches it.
     """
     rows = np.ascontiguousarray(X.vectors + 0.0)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -148,9 +162,20 @@ def cover_build(X: Collection) -> CoverTree:
     if dups.size:
         i = int(dups[0])
         raise DuplicatePointError(f"point {i} duplicates point {int(earlier[i])}")
+    m = len(X)
     tree = CoverTree(X=X)
-    for i in range(len(X)):
-        _insert(tree, i)
+    ids = np.arange(m, dtype=np.int64)
+    parents = np.full(m, -1, dtype=np.int64)
+    levels = np.zeros(m, dtype=np.int64)
+    for i in range(1, m):
+        parents[i], levels[i] = _find_parent(tree, i, ids[:i], parents[:i], levels[:i])
+    nodes = [CoverNode(point_id=i, level=level) for i, level in enumerate(levels.tolist())]
+    for i, parent in enumerate(parents.tolist()):
+        if parent >= 0:
+            nodes[parent].attach(nodes[i], nodes[i].level)
+    tree.root, tree.size = nodes[0], m
+    if tree.root_level is not None:
+        tree.root.level = tree.root_level
     return tree
 
 
@@ -179,7 +204,7 @@ def _descend(tree: CoverTree, q64: np.ndarray, keep_rule, stop_rule=None):
         candidates = dict(frontier)
         new_nodes = []
         for node in frontier.values():
-            for child in _children_at(node, level - 1):
+            for child in node.children.get(level - 1, ()):
                 if child.point_id not in candidates:
                     candidates[child.point_id] = child
                     new_nodes.append(child)

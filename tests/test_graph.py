@@ -1,7 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import annkit.graph as graph
 from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk, recall, score_rows
+from annkit.harness.container import save_index
 from annkit.graph import (
     alpha_shortcut_violations,
     build_alpha_sng_exact,
@@ -52,6 +58,64 @@ def greedy_search_reference(G, X, q, k, entry):
         scores=np.array([score(u) for u in ordered]),
         k=k,
     )
+
+
+def robust_prune_reference(u, candidates, alpha, cap, X):
+    """Row-by-row prune: after keeping each candidate, in (distance, id)
+    order, rescan its distance to every candidate with one diff-einsum
+    pass. The oracle for ``robust_prune``."""
+    cand = np.unique(np.asarray(candidates, dtype=np.int64))
+    cand = cand[cand != u]
+    if cand.size == 0:
+        return cand
+    d_u = np.sqrt(score_rows(X, cand, X.vectors[u].astype(np.float64), DistanceKind.L2_SQUARED))
+    order = np.lexsort((cand, d_u))
+    cand, d_u = cand[order], d_u[order]
+    cmat = X.vectors[cand].astype(np.float64)
+    kept = []
+    alive = np.ones(cand.size, dtype=bool)
+    for pos in range(cand.size):
+        if not alive[pos]:
+            continue
+        kept.append(int(cand[pos]))
+        if len(kept) >= cap:
+            break
+        diff = cmat - cmat[pos]
+        d_v = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        alive[d_u > alpha * d_v] = False
+        alive[pos] = False
+    return np.sort(np.array(kept, dtype=np.int64))
+
+
+@st.composite
+def prune_cases(draw):
+    """Prune inputs built to sit on or near the alpha thresholds: integer
+    rows (exact ties at alpha 1 and 2), duplicate rows, rows scaled over
+    2^-60..2^60 or down to float32 subnormals, rows whose Gram block
+    cancels, and Gaussian rows; any candidate multiset, u among the
+    candidates or not, and any cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, d = draw(st.integers(2, 24)), draw(st.integers(1, 5))
+    style = draw(st.sampled_from(["int", "dup", "scaled", "tiny", "offset", "gauss"]))
+    if style == "int":
+        rows = rng.integers(-3, 4, size=(m, d)).astype(np.float64)
+    elif style == "dup":
+        rows = rng.standard_normal((m, d))[rng.integers(0, max(1, m // 3), size=m)]
+    elif style == "scaled":
+        rows = rng.standard_normal((m, d)) * 2.0 ** rng.integers(-60, 61, size=(m, 1))
+    elif style == "tiny":
+        rows = rng.integers(-4, 5, size=(m, d)) * 2.0 ** -146
+    elif style == "offset":  # integer geometry far from the origin: the Gram block cancels
+        rows = rng.integers(-3, 4, size=(m, d + 1)) * 2.0 ** -20
+        rows[:, 0] = 2.0 ** 20
+    else:
+        rows = rng.standard_normal((m, d))
+    X = Collection(rows.astype(np.float32))
+    u = int(rng.integers(m))
+    candidates = rng.integers(0, m, size=draw(st.integers(1, 2 * m)))
+    alpha = draw(st.sampled_from([1.0, 2.0, 1.2, 3.0]))
+    cap = draw(st.integers(1, m + 2))
+    return u, candidates, alpha, cap, X
 
 
 class TestKnnGraph:
@@ -138,6 +202,62 @@ class TestRobustPrune:
         kept = robust_prune(0, np.arange(1, 40), 2.0, 5, X)
         assert kept.size <= 5
 
+    @settings(max_examples=400, deadline=None)
+    @given(prune_cases())
+    def test_equals_reference_on_adversarial_data(self, case):
+        u, candidates, alpha, cap, X = case
+        assert np.array_equal(robust_prune(u, candidates, alpha, cap, X),
+                              robust_prune_reference(u, candidates, alpha, cap, X))
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_exact_ties_are_left_to_the_diff_einsum(self, alpha):
+        # on a line from u = 0, d(u, w) = w ties alpha * d(v, w) = alpha |w - v|
+        # at v = 2w (alpha 1) and w = 2v (alpha 2); the Gram bounds must
+        # leave every tie open and settle the rest as the exact test does
+        X = Collection(np.arange(9, dtype=np.float32)[:, None])
+        cmat = X.vectors[1:].astype(np.float64)
+        d_u = np.arange(1.0, 9.0)
+        n, thresholds = graph._cover_thresholds(cmat, d_u, alpha)
+        packed = np.frombuffer(graph._cover_rows(slice(0, 8), cmat, cmat.T.copy(), n, thresholds),
+                               dtype=np.uint8)  # one byte per row: 8 candidates
+        covers, maybe = np.unpackbits(packed, bitorder="little").reshape(2, 8, 8).astype(bool)
+        exact = alpha * np.abs(d_u[None, :] - d_u[:, None])
+        ties = d_u == exact
+        assert ties.any()
+        assert np.all(maybe[ties] & ~covers[ties])
+        assert np.array_equal(covers[~ties], (d_u > exact)[~ties])
+        assert np.array_equal(maybe[~ties], (d_u > exact)[~ties])
+        for u in range(9):
+            assert np.array_equal(robust_prune(u, np.arange(9), alpha, 9, X),
+                                  robust_prune_reference(u, np.arange(9), alpha, 9, X))
+
+    @pytest.mark.parametrize("style", ["int", "gauss"])
+    def test_equals_reference_past_the_first_block(self, style):
+        # with 300 candidates the cover masks are worked out a few rows at a
+        # time, the later blocks from the candidates still alive
+        rng = np.random.default_rng(40)
+        if style == "int":
+            rows = rng.integers(-6, 7, size=(301, 2)).astype(np.float32)
+        else:
+            rows = rng.standard_normal((301, 8)).astype(np.float32)
+        X = Collection(rows)
+        for u in range(0, 301, 60):
+            for alpha, cap in ((1.0, 301), (1.2, 301), (1.2, 40)):
+                assert np.array_equal(robust_prune(u, np.arange(301), alpha, cap, X),
+                                      robust_prune_reference(u, np.arange(301), alpha, cap, X))
+
+    def test_orders_candidates_with_smallest(self, monkeypatch):
+        calls = []
+
+        def spy(scores, k, ids=None):
+            calls.append(k)
+            return smallest(scores, k, ids)
+
+        smallest = graph._smallest
+        monkeypatch.setattr(graph, "_smallest", spy)
+        robust_prune(0, np.arange(1, 20), 1.2, 4, rand_collection(20, 3, 14))
+        assert calls == [19]
+
 
 class TestAlphaSng:
     def test_two_points_mutual_edge(self):
@@ -176,6 +296,19 @@ class TestAlphaSng:
                 assert res.ids[0] == j
 
 
+# (m, d, data seed, alpha, cap, beam, seed) -> sha256 of the sized rows and
+# of the .akx file, pinned from the list-of-arrays build with the row-by-row
+# prune
+VAMANA_SHA256 = {
+    (1000, 16, 31, 1.2, 8, 16, 32): (
+        "143e8740f60ed66dfc8b3e59bfc5facf54307719bf2bb72264b9170d469d96db",
+        "4d96e4d9538bc873b9195983a4d3769c275e1507d09ee4b015147bfff2ea6b14"),
+    (600, 8, 33, 2.0, 12, 24, 34): (
+        "a3c349c382ae65a6e402ea175ecd3eb1947ce7c8746a7534b89a88a6d883fa80",
+        "810376116e65296146e2852f6bd36ac94896561a9b5c9a162290548e8809170b"),
+}
+
+
 class TestVamana:
     def test_degree_cap(self):
         X = rand_collection(400, 8, 18)
@@ -195,6 +328,19 @@ class TestVamana:
         res, _ = greedy_search(G, X, q, k=5, beam=20)
         want = brute_force_topk(X, q, 5, DistanceKind.L2_SQUARED)
         assert res.ids.tolist() == want.ids.tolist()
+
+    @pytest.mark.parametrize("shape", sorted(VAMANA_SHA256))
+    def test_pinned_adjacency_and_container(self, shape, tmp_path):
+        # at 1000x16 with cap 8, reverse edges overflow rows and re-prune them
+        m, d, data_seed, alpha, cap, beam, seed = shape
+        G = build_vamana(rand_collection(m, d, data_seed), alpha=alpha, cap=cap, beam=beam, seed=seed)
+        digest = hashlib.sha256()
+        for row in G.adjacency:
+            assert row.dtype == np.int64 and np.all(np.diff(row) > 0)
+            digest.update(np.int64(row.size).tobytes() + row.tobytes())
+        save_index(tmp_path / "graph.akx", G)
+        assert (digest.hexdigest(), hashlib.sha256((tmp_path / "graph.akx").read_bytes()).hexdigest()) \
+            == VAMANA_SHA256[shape]
 
     def test_recall_smoke(self):
         X = rand_collection(1000, 16, 25)

@@ -304,6 +304,18 @@ class TestApproxNn:
                 valid += 1
         assert valid / trials >= 0.85
 
+    def test_pleb_eps_follows_eps(self):
+        from annkit.lsh import RadiusLadder, build_radius_ladder
+
+        X = rand_collection(50, 4, 52)
+        assert build_radius_ladder(X, eps=0.44, seed=1).pleb_eps == np.sqrt(1.0 + 0.44) - 1.0
+        ladder = RadiusLadder(X=X, eps=3.0, seed=0, levels=[1.0])
+        assert ladder.pleb_eps == 1.0
+        with pytest.raises(AttributeError):
+            ladder.pleb_eps = 0.5
+        with pytest.raises(TypeError):
+            RadiusLadder(X=X, eps=3.0, seed=0, levels=[1.0], pleb_eps=0.5)
+
     def test_degenerate_collection_rejected(self):
         X = Collection(np.ones((20, 4), dtype=np.float32))
         with pytest.raises(ValueError):

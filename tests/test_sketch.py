@@ -13,6 +13,7 @@ from annkit.sketch import (
     JlSketcher,
     ThresholdSketcher,
     _bucket_of,
+    _bucket_table,
     asym_sketch,
     asym_upper_bound,
     jl_ip_estimate,
@@ -190,6 +191,14 @@ def test_pinned_threshold_sketches(tmp_path):
         u[rng.random(64) < 0.3] = 0.0
         sketches.append(ThresholdSketcher(out_dim=12, seed=s).sketch(u))
     assert sha256_of_container(sketches, tmp_path) == THRESHOLD_SET_SHA256
+
+
+def test_bucket_table_is_read_only_and_keyed_by_value():
+    table = _bucket_table(7, 3, 16, 40)
+    assert not table.flags.writeable
+    assert np.array_equal(table, _bucket_of(7, np.arange(3)[:, None], np.arange(40), 16))
+    assert _bucket_table(np.int64(7), np.int64(3), 16, 40) is table
+    assert not np.array_equal(_bucket_table(8, 3, 16, 40), table)
 
 
 # sha256 digests pinned from the per-mapping loop implementation

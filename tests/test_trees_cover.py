@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from annkit.core import Collection, DistanceKind, brute_force_topk, epsilon_valid
-from annkit.harness.container import save_index
+from annkit.harness.container import load_index, save_index
 from annkit.trees import (
     CoverTree,
     DuplicatePointError,
@@ -97,6 +97,23 @@ class TestBuildAndInvariants:
         assert collect_nodes(built) == collect_nodes(inserted)
         assert (built.root_level, built.size) == (inserted.root_level, inserted.size)
 
+    def test_insert_into_a_loaded_tree(self, tmp_path):
+        # a decoded tree lists its nodes in container order; inserting into
+        # it gives the tree that inserting into the built one gives
+        X = rand_collection(120, 2, 11)
+        tree = CoverTree(X=X)
+        for i in range(80):
+            cover_insert(tree, i)
+        save_index(tmp_path / "cover.akx", tree)
+        loaded = load_index(tmp_path / "cover.akx", X)
+        for i in range(80, 120):
+            cover_insert(tree, i)
+            cover_insert(loaded, i)
+        for name, grown in (("inserted", tree), ("loaded", loaded), ("built", cover_build(X))):
+            save_index(tmp_path / f"{name}.akx", grown)
+        inserted = (tmp_path / "inserted.akx").read_bytes()
+        assert (tmp_path / "loaded.akx").read_bytes() == inserted == (tmp_path / "built.akx").read_bytes()
+
     @pytest.mark.parametrize("copies,message", [
         ({1: 0}, "point 1 duplicates point 0"),  # at the start
         ({23: 17, 31: 2}, "point 23 duplicates point 17"),  # in the middle; the lower id raises
@@ -139,9 +156,26 @@ class TestBuildAndInvariants:
             answers.update(res.ids.tobytes() + res.scores.tobytes())
         assert answers.hexdigest() == COVER_ANSWERS_SHA256
 
+    def test_pinned_deep_tree(self, tmp_path):
+        # in 3 dimensions the tree spans 11 levels, so inserts descend and
+        # unwind through many frames
+        X = rand_collection(2000, 3, 35)
+        tree = cover_build(X)
+        assert len({level for _, level, _ in collect_nodes(tree)}) == 11
+        save_index(tmp_path / "cover.akx", tree)
+        assert hashlib.sha256((tmp_path / "cover.akx").read_bytes()).hexdigest() == DEEP_COVER_SHA256
+        answers = hashlib.sha256()
+        for q in np.random.default_rng(36).standard_normal((50, 3)).astype(np.float32):
+            res = cover_nn(tree, q, 10)
+            answers.update(res.ids.tobytes() + res.scores.tobytes())
+        assert answers.hexdigest() == DEEP_COVER_ANSWERS_SHA256
+
 
 COVER_SHA256 = "47c8677230d839551a1ce5b141c1108b44cd8d8857008913313f87a2c60c1d90"
 COVER_ANSWERS_SHA256 = "d11ab26e5807e4b8aae1bf8d67dcd5076058b8b8f1e9a3168d499d14ac8f120a"
+# pinned from the build over CoverNode children dicts
+DEEP_COVER_SHA256 = "e21d6cde39add964400eb16b443a2ed014f2247fbdae9a9d25d3631b5bfc8049"
+DEEP_COVER_ANSWERS_SHA256 = "24a049eb5aaa551a55883decdc6b16ac23212c617ad5ac701fd73d6117e4dc6b"
 
 
 class TestSearch:
