@@ -7,9 +7,12 @@ sampling (unbiased, coordinate-exact values, shared hash between sketches).
 
 All randomness is realized as seeded integer hashing of coordinates, so
 sketches are reproducible across runs. Each sign matrix or threshold
-sample hashes all its (mapping, coordinate) pairs in one broadcast call;
-the envelope sketch gathers bucket positions from a small cache of
-read-only tables, one per (seed, mappings, buckets, dimension).
+sample hashes all its (mapping, coordinate) pairs in one broadcast call.
+The envelope sketch gathers bucket positions from a small cache of
+read-only tables, one per (seed, mappings, buckets, dimension), while the
+table stays small; past that (a hashed sparse vocabulary, say) it hashes
+only the coordinates it is given, so its cost follows the non-zeros and
+not the dimension.
 """
 
 from __future__ import annotations
@@ -129,15 +132,28 @@ def _bucket_of(seed: int, mapping: Union[int, np.ndarray], coords: np.ndarray, n
     return (hashed % np.uint64(n_buckets)).astype(np.int64)
 
 
+# largest bucket table kept, in (mapping, coordinate) entries: 256 KiB of
+# int32, so the 16 cached tables hold at most 4 MiB
+_TABLE_ENTRIES = 1 << 16
+
+
 @functools.lru_cache(maxsize=16)
 def _bucket_table(seed: int, h: int, n_buckets: int, dim: int) -> np.ndarray:
     """Read-only ``(h, dim)`` table: the bucket of every coordinate under
     every mapping. It depends on these four values alone, so it is cached
-    by them and built at most once per sketch shape; int32 halves what a
-    large ``dim`` keeps alive."""
+    by them and built at most once per sketch shape."""
     table = _bucket_of(seed, np.arange(h)[:, None], np.arange(dim), n_buckets).astype(np.int32)
     table.setflags(write=False)
     return table
+
+
+def _buckets(seed: int, h: int, n_buckets: int, dim: int, coords: np.ndarray) -> np.ndarray:
+    """``(h, n)`` buckets of n coordinates under every mapping: gathered
+    from the cached table when it has at most ``_TABLE_ENTRIES`` entries,
+    else hashed for these coordinates alone. Both give the same values."""
+    if h * dim <= _TABLE_ENTRIES:
+        return _bucket_table(seed, h, n_buckets, dim)[:, coords]
+    return _bucket_of(seed, np.arange(h)[:, None], coords, n_buckets)
 
 
 def asym_sketch(
@@ -163,7 +179,7 @@ def asym_sketch(
         raise ValueError("need at least one mapping")
     n_buckets = sketch_dim // 2
     coords, values, dim = _support(u, dense)
-    buckets = _bucket_table(seed, h, n_buckets, dim)[:, coords].ravel()  # mapping-major
+    buckets = _buckets(seed, h, n_buckets, dim, coords).ravel()  # mapping-major
     values = np.tile(values, h)
     upper = np.full(n_buckets, -np.inf)
     lower = np.full(n_buckets, np.inf)
@@ -197,14 +213,17 @@ def asym_upper_bound(q: Union[np.ndarray, SparseVector], sketch: AsymSketch) -> 
     if q_dim != sketch.dim:
         raise ValueError(f"query dimension {q_dim} does not match the sketch's {sketch.dim}")
     if sketch.nz is not None:
-        support = np.zeros(sketch.dim, dtype=bool)
-        support[sketch.nz] = True
-        keep = support[q_coords]
+        if sketch.dim <= _TABLE_ENTRIES:
+            support = np.zeros(sketch.dim, dtype=bool)
+            support[sketch.nz] = True
+            keep = support[q_coords]
+        else:
+            keep = np.isin(q_coords, sketch.nz)
         q_coords, q_values = q_coords[keep], q_values[keep]
     if q_coords.size == 0:
         return 0.0
 
-    buckets = _bucket_table(sketch.seed, sketch.h, sketch.buckets, sketch.dim)[:, q_coords]
+    buckets = _buckets(sketch.seed, sketch.h, sketch.buckets, sketch.dim, q_coords)
     least_upper = sketch.upper[buckets].min(axis=0)
     pos = q_values > 0
     total = float(q_values[pos] @ least_upper[pos])

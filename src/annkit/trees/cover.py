@@ -50,12 +50,71 @@ class CoverTree:
     root: Optional[CoverNode] = None
     root_level: Optional[int] = None
     size: int = 0
+    # parent links grouped by attach level, kept for insertion
+    _links: Optional["_Links"] = field(default=None, init=False, repr=False, compare=False)
 
     def _sq_dist_many(self, q64: np.ndarray, ids: np.ndarray) -> np.ndarray:
         return score_rows(self.X, ids, q64, DistanceKind.L2_SQUARED)
 
     def _dist_many(self, q64: np.ndarray, ids: np.ndarray) -> np.ndarray:
         return np.sqrt(self._sq_dist_many(q64, ids))
+
+
+class _Links:
+    """A cover tree's parent links grouped by attach level: for each level,
+    the points attached there over the points they hang below, in a
+    ``(2, room)`` array grown by appending. The children of a descent
+    frame are one membership-mask pass over its level's links alone."""
+
+    def __init__(self, tree: CoverTree):
+        self.root, self.size = tree.root, tree.size
+        self.member = np.zeros(len(tree.X), dtype=bool)
+        self.by_level: dict = {}  # attach level -> [links, used]
+        self.nodes = {tree.root.point_id: tree.root}
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            for level, kids in node.children.items():
+                for kid in kids:
+                    self._link(kid, node.point_id, level)
+                stack.extend(kids)
+
+    @staticmethod
+    def of(tree: CoverTree) -> "_Links":
+        """The tree's links, rebuilt by one walk of its nodes if the tree
+        was made or changed other than by :func:`cover_insert` and
+        :func:`cover_build`."""
+        links = tree._links
+        if links is None or links.root is not tree.root or links.size != tree.size \
+                or links.member.size != len(tree.X):
+            links = tree._links = _Links(tree)
+        return links
+
+    def _link(self, node: CoverNode, parent: int, level: int) -> None:
+        self.nodes[node.point_id] = node
+        entry = self.by_level.setdefault(level, [np.empty((2, 16), dtype=np.int64), 0])
+        links, used = entry
+        if used == links.shape[1]:
+            links = entry[0] = np.concatenate((links, np.empty_like(links)), axis=1)
+        links[:, used] = node.point_id, parent
+        entry[1] = used + 1
+
+    def attach(self, point_id: int, parent: int, level: int) -> None:
+        node = CoverNode(point_id, level)
+        self.nodes[parent].attach(node, level)
+        self._link(node, parent, level)
+        self.size += 1
+
+    def children(self, q_ids: np.ndarray, level: int) -> np.ndarray:
+        """Points attached at ``level`` below any point of ``q_ids``."""
+        entry = self.by_level.get(level)
+        if entry is None:
+            return q_ids[:0]
+        links, used = entry
+        self.member[q_ids] = True
+        kids = links[0, :used][self.member[links[1, :used]]]
+        self.member[q_ids] = False
+        return kids
 
 
 def cover_insert(tree: CoverTree, point_id: int) -> None:
@@ -66,62 +125,44 @@ def cover_insert(tree: CoverTree, point_id: int) -> None:
     convention (any candidate within the cover radius would satisfy the
     invariants).
     """
+    if tree.root is not None:
+        # candidate pruning during descent can skip a deep duplicate, so the
+        # presence check must be an exact search
+        nearest = cover_nn(tree, tree.X.vectors[point_id], 1)
+        if nearest.scores[0] == 0.0:
+            raise DuplicatePointError(
+                f"point {point_id} duplicates point {int(nearest.ids[0])}")
+    _insert(tree, point_id)
+
+
+def _insert(tree: CoverTree, point_id: int) -> None:
+    """:func:`cover_insert` for a point known to duplicate no indexed point.
+
+    The descent keeps, level by level, the frame's nodes and their
+    distances. When it bottoms out, the frames are unwound from the
+    deepest, each reusing its distances: the first with a node within its
+    radius takes the point, under its closest node.
+    """
     if tree.root is None:
         tree.root = CoverNode(point_id=point_id, level=0)
         tree.root_level = None  # pinned once a second point arrives
         tree.size = 1
         return
-    # candidate pruning during descent can skip a deep duplicate, so the
-    # presence check must be an exact search
-    nearest = cover_nn(tree, tree.X.vectors[point_id], 1)
-    if nearest.scores[0] == 0.0:
-        raise DuplicatePointError(
-            f"point {point_id} duplicates point {int(nearest.ids[0])}")
-    nodes, parents = [], []
-    stack = [(tree.root, -1)]
-    while stack:
-        node, parent = stack.pop()
-        nodes.append(node)
-        parents.append(parent)
-        stack.extend((kid, node.point_id) for kids in node.children.values() for kid in kids)
-    ids = np.array([node.point_id for node in nodes], dtype=np.int64)
-    levels = np.array([node.level for node in nodes], dtype=np.int64)
-    parent, level = _find_parent(tree, point_id, ids, np.array(parents, dtype=np.int64), levels)
-    tree.root.level = tree.root_level
-    nodes[int(np.flatnonzero(ids == parent)[0])].attach(CoverNode(point_id, level), level)
-    tree.size += 1
-
-
-def _find_parent(tree: CoverTree, point_id: int, ids: np.ndarray, parents: np.ndarray,
-                 levels: np.ndarray) -> tuple[int, int]:
-    """``(parent id, attach level)`` of a new point, for a non-empty tree
-    given flat: node ``i`` holds point ``ids[i]``, hangs below point
-    ``parents[i]`` (-1 for the root, ``ids[0]``) and entered at
-    ``levels[i]``. Pins or raises ``tree.root_level`` as the point needs.
-
-    The descent keeps, level by level, the frame's nodes and their
-    distances; the children of a frame come from one pass of a membership
-    mask over ``parents``. When the descent bottoms out, the frames are
-    unwound from the deepest, each reusing its distances: the first with
-    a node within its radius takes the point, under its closest node.
-    """
+    links = _Links.of(tree)
     q64 = tree.X.vectors[point_id].astype(np.float64)
-    q_ids = ids[:1]
+    q_ids = np.array([tree.root.point_id], dtype=np.int64)
     q_dists = tree._dist_many(q64, q_ids)
     root_dist = float(q_dists[0])
     if tree.root_level is None:
         tree.root_level = max(int(math.ceil(math.log2(root_dist))), -60)
     while root_dist > 2.0 ** tree.root_level:
         tree.root_level += 1
+    tree.root.level = tree.root_level
 
-    member = np.zeros(len(tree.X) + 1, dtype=bool)  # slot -1 (no parent) stays False
     frames = []
     level = tree.root_level
     while True:
-        member[q_ids] = True
-        at_level = np.flatnonzero(levels == level - 1)
-        kids = ids[at_level[member[parents[at_level]]]]
-        member[q_ids] = False
+        kids = links.children(q_ids, level - 1)
         cand_ids = np.concatenate((q_ids, kids))
         cand_dists = np.concatenate((q_dists, tree._dist_many(q64, kids)))
         if np.any(cand_dists == 0.0):
@@ -137,7 +178,9 @@ def _find_parent(tree: CoverTree, point_id: int, ids: np.ndarray, parents: np.nd
         valid = np.flatnonzero(q_dists <= 2.0 ** level)
         if valid.size:
             best = valid[_smallest(q_dists[valid], 1, q_ids[valid])[0]]
-            return int(q_ids[best]), level - 1
+            links.attach(point_id, int(q_ids[best]), level - 1)
+            tree.size += 1
+            return
     # cannot happen once the root radius covers the point
     raise AssertionError("cover tree insertion failed to find a parent")
 
@@ -150,9 +193,6 @@ def cover_build(X: Collection) -> CoverTree:
     to an earlier one, naming that earlier point. Over finite float32 rows,
     distance 0 means equal element for element, so one pass over the row
     bytes (``+ 0.0`` turns -0.0 into 0.0) replaces a search per insert.
-    Inserts run against flat parent and level arrays; the nodes are made
-    at the end, each child attached in insertion order as
-    :func:`cover_insert` attaches it.
     """
     rows = np.ascontiguousarray(X.vectors + 0.0)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -162,20 +202,9 @@ def cover_build(X: Collection) -> CoverTree:
     if dups.size:
         i = int(dups[0])
         raise DuplicatePointError(f"point {i} duplicates point {int(earlier[i])}")
-    m = len(X)
     tree = CoverTree(X=X)
-    ids = np.arange(m, dtype=np.int64)
-    parents = np.full(m, -1, dtype=np.int64)
-    levels = np.zeros(m, dtype=np.int64)
-    for i in range(1, m):
-        parents[i], levels[i] = _find_parent(tree, i, ids[:i], parents[:i], levels[:i])
-    nodes = [CoverNode(point_id=i, level=level) for i, level in enumerate(levels.tolist())]
-    for i, parent in enumerate(parents.tolist()):
-        if parent >= 0:
-            nodes[parent].attach(nodes[i], nodes[i].level)
-    tree.root, tree.size = nodes[0], m
-    if tree.root_level is not None:
-        tree.root.level = tree.root_level
+    for i in range(len(X)):
+        _insert(tree, i)
     return tree
 
 

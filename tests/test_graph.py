@@ -218,7 +218,7 @@ class TestRobustPrune:
         cmat = X.vectors[1:].astype(np.float64)
         d_u = np.arange(1.0, 9.0)
         n, thresholds = graph._cover_thresholds(cmat, d_u, alpha)
-        packed = np.frombuffer(graph._cover_rows(slice(0, 8), cmat, cmat.T.copy(), n, thresholds),
+        packed = np.frombuffer(graph._cover_rows(list(range(8)), cmat, cmat.T.copy(), n, thresholds),
                                dtype=np.uint8)  # one byte per row: 8 candidates
         covers, maybe = np.unpackbits(packed, bitorder="little").reshape(2, 8, 8).astype(bool)
         exact = alpha * np.abs(d_u[None, :] - d_u[:, None])

@@ -201,6 +201,22 @@ def test_bucket_table_is_read_only_and_keyed_by_value():
     assert not np.array_equal(_bucket_table(8, 3, 16, 40), table)
 
 
+@pytest.mark.parametrize("h", [1, 5])
+def test_huge_sparse_dimension_hashes_only_the_non_zeros(h):
+    # a hashed-feature dimension far past any table: sketching and bounding
+    # must cost what the non-zeros cost, and equal the reference
+    dim = 2**40
+    u = SparseVector(indices=np.array([3, 2**20, 2**33 + 7, dim - 1]),
+                     values=np.array([1.5, -2.0, 0.25, 4.0], dtype=np.float32), dim=dim)
+    q = SparseVector(indices=np.array([3, 99, 2**33 + 7, dim - 1]),
+                     values=np.array([-1.0, 2.0, 3.0, 0.5], dtype=np.float32), dim=dim)
+    sk = asym_sketch(u, sketch_dim=16, h=h, seed=11)
+    ref = reference_asym_sketch(u, sketch_dim=16, h=h, seed=11)
+    assert all(same_bits(getattr(sk, f), getattr(ref, f)) for f in ("nz", "upper", "lower"))
+    assert asym_upper_bound(q, sk) == reference_upper_bound(q, ref)
+    assert asym_upper_bound(u, sk) >= float(u.values.astype(np.float64) @ u.values) - 1e-9
+
+
 # sha256 digests pinned from the per-mapping loop implementation
 ASYM_SET_SHA256 = "1fed0cc575c7520ec253859ef8a9f09ed5607904483f8eb4ea5a2bf194db77ac"
 JL_SIGNS_SHA256 = "ce28766d00638d54872631b802518d577eed0e1c8e4b6989b83eb6aa5716ecbc"

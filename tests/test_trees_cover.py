@@ -13,6 +13,7 @@ from annkit.trees import (
     cover_nn,
     cover_nn_approx,
 )
+from annkit.trees.cover import _Links
 
 
 def rand_collection(m, d, seed):
@@ -113,6 +114,24 @@ class TestBuildAndInvariants:
             save_index(tmp_path / f"{name}.akx", grown)
         inserted = (tmp_path / "inserted.akx").read_bytes()
         assert (tmp_path / "loaded.akx").read_bytes() == inserted == (tmp_path / "built.akx").read_bytes()
+
+    def test_inserts_keep_the_level_links_of_the_nodes(self):
+        # each insert appends to the links it descends by; they must stay
+        # the links a fresh walk of the nodes finds, and not be rebuilt
+        X = rand_collection(300, 3, 12)
+        tree = cover_build(Collection(X.vectors[:200]))
+        tree.X = X
+        cover_insert(tree, 200)
+        links = tree._links
+        for i in range(201, 300):
+            cover_insert(tree, i)
+        assert tree._links is links and links.size == tree.size == 300
+
+        def pairs(by_level):
+            return {level: sorted(map(tuple, arr[:, :used].T.tolist()))
+                    for level, (arr, used) in by_level.items()}
+
+        assert pairs(links.by_level) == pairs(_Links(tree).by_level)
 
     @pytest.mark.parametrize("copies,message", [
         ({1: 0}, "point 1 duplicates point 0"),  # at the start
