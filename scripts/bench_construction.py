@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Time graph and cover-tree construction and check their pinned outputs.
+"""Time graph, cover-tree and k-means construction and check their pinned
+outputs.
 
-Three builds, each repeated:
+Seven builds, each repeated:
 
 * ``vamana-build-gaussian``: ``build_vamana`` at the build-gaussian
   benchmark's shape (5000 x 64 iid Gaussian rows, alpha 1.2, degree cap 16,
@@ -9,11 +10,20 @@ Three builds, each repeated:
 * ``vamana-criterion-07``: ``build_vamana`` at acceptance criterion 07's
   shape (5000 x 32, alpha 1.2, cap 32, beam 64, its first seed);
 * ``cover-2000x64``: ``cover_build`` over the first 2000 rows of the
-  build-gaussian data.
+  build-gaussian data;
+* ``pq-cli-files``, ``opq-cli-files`` and ``ivf-cli-files``: ``pq_train``,
+  ``opq_train`` and ``build_ivf`` with the cli-files benchmark's build flags
+  (10000 x 64 rows of ``annkit generate --dist gaussian --seed 0``, 32
+  subspaces of 16 codewords, 10 OPQ iterations, ``--clusters auto`` with 10
+  Lloyd iterations, build seed 0);
+* ``ivf-query-clustered``: ``build_ivf`` at the query-clustered benchmark's
+  shape (20000 x 64 rows of its Gaussian mixture, data seed 1, C = 142, 20
+  Lloyd iterations, build seed 1).
 
 Every build's output is hashed (the sized adjacency rows and the ``.akx``
-bytes for graphs, the ``.akx`` bytes for the cover tree) and compared with
-digests pinned from the row-by-row construction; a mismatch fails the run.
+bytes for graphs, the ``.akx`` bytes for the rest) and compared with digests
+pinned from the row-by-row graph construction and the per-cluster Lloyd
+loop; a mismatch fails the run.
 Results are merged into ``BENCH_construction.json`` at the repository root
 under ``--label`` and the build's name, so that runs of two source trees on
 one machine sit side by side, and builds of the two can be run in turn:
@@ -44,10 +54,12 @@ import numpy as np  # noqa: E402
 from annkit.core import Collection  # noqa: E402
 from annkit.graph import build_vamana  # noqa: E402
 from annkit.harness.container import save_index  # noqa: E402
+from annkit.ivf import build_ivf  # noqa: E402
+from annkit.quant import opq_train, pq_train  # noqa: E402
 from annkit.trees import cover_build  # noqa: E402
 
 # build -> (sha256 of the sized adjacency rows, sha256 of the .akx file);
-# the cover tree has no adjacency digest
+# only graphs have an adjacency digest
 PINNED = {
     "vamana-build-gaussian": (
         "2be7f04e60b9b0427464db1e20d045e2054c52f66586f935c689c40d2bfd45c1",
@@ -58,11 +70,33 @@ PINNED = {
     "cover-2000x64": (
         None,
         "466ece105a9d74f5e04477e68de75c7ae653b535ce085a9972fe2529ce794021"),
+    "pq-cli-files": (
+        None,
+        "59e57501e877fa3f20701f97341142a716ca58164a17774f6f33fb9e1597cfa9"),
+    "opq-cli-files": (
+        None,
+        "6c167d50b77f9b6d82b68f8d1e099f56973a1f3695695bcd57e9f6f8a38cd46b"),
+    "ivf-cli-files": (
+        None,
+        "39d277a365842b193fb3ce40104665a214c70a0272672a4e2b7f9d6ea1a0f336"),
+    "ivf-query-clustered": (
+        None,
+        "3f17f631c355f799f97585302c6b19ba2d2296ff833ed37aa9eb0607fa873983"),
 }
 
 
 def gaussian_rows(seed, m: int, d: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((m, d)).astype(np.float32)
+
+
+def mixture_rows(seed: int, m: int) -> np.ndarray:
+    """The query-clustered benchmark's data: 50 unit-variance Gaussian
+    components in 64 dimensions, centres N(0, 1.5^2 I), Dirichlet(2) weights."""
+    rng = np.random.default_rng([seed, 0x51C])
+    centres = rng.standard_normal((50, 64)) * 1.5
+    weights = rng.dirichlet(np.full(50, 2.0))
+    comp = rng.choice(50, size=m, p=weights)
+    return (centres[comp] + rng.standard_normal((m, 64))).astype(np.float32)
 
 
 def adjacency_sha256(G) -> str:
@@ -84,12 +118,18 @@ def builds():
     """name -> (zero-argument build, whether it makes a graph)."""
     bg = gaussian_rows([1, 0xB6], 5000, 64)
     c07 = Collection(gaussian_rows(700, 5000, 32))
+    cf = Collection(gaussian_rows(0, 10000, 64))
+    qc = Collection(mixture_rows(1, 20000))
     return {
         "vamana-build-gaussian": (
             lambda: build_vamana(Collection(bg), alpha=1.2, cap=16, beam=32, seed=5, passes=2), True),
         "vamana-criterion-07": (
             lambda: build_vamana(c07, alpha=1.2, cap=32, beam=64, seed=0), True),
         "cover-2000x64": (lambda: cover_build(Collection(bg[:2000])), False),
+        "pq-cli-files": (lambda: pq_train(cf, 32, 16, seed=0), False),
+        "opq-cli-files": (lambda: opq_train(cf, 32, 16, iters=10, seed=0), False),
+        "ivf-cli-files": (lambda: build_ivf(cf, 0, max_iters=10, seed=0), False),
+        "ivf-query-clustered": (lambda: build_ivf(qc, 0, max_iters=20, seed=1), False),
     }
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from annkit.core import Collection, DistanceKind
 from annkit.graph import NeighborGraph
-from annkit.ivf import IvfIndex, KMeansKind, KMeansModel
+from annkit.ivf import IvfIndex, KMeansKind, KMeansModel, inverted_lists
 from annkit.lsh import FamilyKind, HashFamily, LshIndex
 from annkit.quant import AqCodebook, OpqModel, PqCodebook
 from annkit.sampling import AliasTable, WedgeIndex
@@ -121,7 +121,8 @@ def _read_blob(path) -> tuple[str, dict, dict]:
 
 
 class _BadMeta(Exception):
-    """A meta value of the wrong type; :func:`load_index` names the file."""
+    """A meta value of the wrong type, or array values that do not fit the
+    family; :func:`load_index` names the file."""
 
 
 def _fits(value, kind) -> bool:
@@ -379,9 +380,10 @@ def _decode_ivf(meta, arrays, X) -> IvfIndex:
         objective_trace=_meta(meta, "objective_trace", [float]),
         kind=_meta(meta, "kmeans_kind", KMeansKind),
     )
-    lists = [np.flatnonzero(model.assignment == c).astype(np.int64)
-             for c in range(model.centroids.shape[0])]
-    return IvfIndex(model=model, lists=lists, kind=_meta(meta, "kind", DistanceKind))
+    C, ids = model.centroids.shape[0], model.assignment
+    if ids.dtype.kind not in "iu" or (ids.size and not 0 <= ids.min() <= ids.max() < C):
+        raise _BadMeta(f"assignment must hold cluster ids in [0, {C})")
+    return IvfIndex(model=model, lists=inverted_lists(ids, C), kind=_meta(meta, "kind", DistanceKind))
 
 
 def _encode_pq(cb: PqCodebook):

@@ -16,7 +16,8 @@ import numpy as np
 
 from annkit.core import Collection, DistanceKind, TopKResult, pairwise_scores, rescore, top_k_from_scores
 
-__all__ = ["KMeansKind", "KMeansModel", "IvfIndex", "kmeans_train", "build_ivf", "route", "ivf_search"]
+__all__ = ["KMeansKind", "KMeansModel", "IvfIndex", "kmeans_train", "build_ivf", "inverted_lists", "route",
+           "ivf_search"]
 
 
 class KMeansKind(enum.Enum):
@@ -43,20 +44,41 @@ class IvfIndex:
     kind: DistanceKind  # query-time routing/scoring kind
 
 
+# Rows per block of the seeding and objective passes: their float64
+# differences go through one reused (rows, d) buffer of at most 512 KiB.
+_BLOCK_ELEMS = 1 << 16
+
+
+def _sq_dists_rowwise(mat: np.ndarray, centroids: np.ndarray, assign, out: np.ndarray) -> np.ndarray:
+    """``out[i] = |mat[i] - centroids[assign[i]]|^2``, or against the one
+    row ``centroids[assign]`` when ``assign`` is an int. The differences
+    are taken block by block in one reused buffer; each value equals the
+    full-size difference einsum's bit for bit."""
+    m, d = mat.shape
+    step = max(1, _BLOCK_ELEMS // d)
+    buf = np.empty((min(step, m), d))
+    for s in range(0, m, step):
+        e = min(s + step, m)
+        target = centroids[assign] if isinstance(assign, int) else centroids[assign[s:e]]
+        diff = np.subtract(mat[s:e], target, out=buf[:e - s])
+        np.einsum("ij,ij->i", diff, diff, out=out[s:e])
+    return out
+
+
 def _plusplus_init(mat: np.ndarray, C: int, rng: np.random.Generator) -> np.ndarray:
     """Distance-weighted seeding."""
     m = mat.shape[0]
     centroids = np.empty((C, mat.shape[1]))
     centroids[0] = mat[rng.integers(m)]
-    d2 = np.einsum("ij,ij->i", mat - centroids[0], mat - centroids[0])
+    d2, latest = _sq_dists_rowwise(mat, centroids, 0, np.empty(m)), np.empty(m)
     for c in range(1, C):
         total = d2.sum()
         if total <= 0:
             centroids[c] = mat[rng.integers(m)]
         else:
             centroids[c] = mat[rng.choice(m, p=d2 / total)]
-        diff = mat - centroids[c]
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+        if c + 1 < C:  # the last centroid's distances would go unused
+            np.minimum(d2, _sq_dists_rowwise(mat, centroids, c, latest), out=d2)
     return centroids
 
 
@@ -66,34 +88,66 @@ def _normalize_rows(mat: np.ndarray) -> np.ndarray:
     return mat / norms
 
 
-def _assign(mat: np.ndarray, centroids: np.ndarray, kind: KMeansKind) -> np.ndarray:
+def _sq_norms(mat: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", mat, mat)
+
+
+def _sq_dists(mat: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(m, C) squared distances ``(|x|^2 - 2 x.c) + |c|^2``, built in place
+    on one GEMM's output. Scaling by -2 is exact and ``a + (-b)`` is
+    ``a - b`` in IEEE arithmetic, so the bits equal the three-temporary
+    expression. The GEMM is not split by rows: smaller row blocks can
+    change its float64 products."""
+    d2 = mat @ centroids.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += _sq_norms(centroids)
+    return d2
+
+
+def _assign(mat: np.ndarray, centroids: np.ndarray, kind: KMeansKind,
+            sq_norms: np.ndarray | None = None) -> np.ndarray:
+    """Nearest centroid per row. ``sq_norms`` are ``mat``'s squared row
+    norms, computed here when not given (Euclidean only)."""
     if kind is KMeansKind.EUCLIDEAN:
-        d2 = (
-            np.einsum("ij,ij->i", mat, mat)[:, None]
-            - 2.0 * (mat @ centroids.T)
-            + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-        )
-        return np.argmin(d2, axis=1)
+        if sq_norms is None:
+            sq_norms = _sq_norms(mat)
+        return np.argmin(_sq_dists(mat, sq_norms, centroids), axis=1)
     return np.argmax(mat @ centroids.T, axis=1)
 
 
 def _objective(mat: np.ndarray, centroids: np.ndarray, assign: np.ndarray, kind: KMeansKind) -> float:
     if kind is KMeansKind.EUCLIDEAN:
-        diff = mat - centroids[assign]
-        return float(np.einsum("ij,ij->i", diff, diff).sum())
+        return float(_sq_dists_rowwise(mat, centroids, assign, np.empty(mat.shape[0])).sum())
     return float(-np.einsum("ij,ij->i", mat, centroids[assign]).sum())
 
 
-def _lloyd_means(mat: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """One Lloyd update: a copy of ``centroids`` in which every centroid
-    with members moves to their mean, ``mat[members].mean(axis=0)``; a
-    centroid without members keeps its place."""
+def _lloyd_means(mat: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Lloyd update of float64 ``mat``'s rows under ``assign``.
+
+    Returns a copy of ``centroids`` in which every centroid with members
+    moves to their mean, and the member counts; a centroid without members
+    keeps its place. Each (cluster, column) bin of the one weighted
+    ``bincount`` adds its members in row order from +0.0, as
+    ``mat[members].mean(axis=0)`` does, and the division is the same, so
+    the means are that reduce's bit for bit. A single column is the
+    exception: numpy sums it pairwise, so there each cluster's mean is taken
+    by that same reduce over its slice of the rows sorted by cluster.
+    """
+    C, d = centroids.shape
+    counts = np.bincount(assign, minlength=C)
     out = centroids.copy()
-    for c in range(out.shape[0]):
-        members = np.flatnonzero(assign == c)
-        if members.size:
-            out[c] = mat[members].mean(axis=0)
-    return out
+    if d == 1:
+        rows = mat[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        for c in np.flatnonzero(counts):
+            out[c] = rows[ends[c] - counts[c]:ends[c]].mean(axis=0)
+        return out, counts
+    bins = (assign * d)[:, None] + np.arange(d)
+    sums = np.bincount(bins.ravel(), weights=mat.ravel(), minlength=C * d).reshape(C, d)
+    filled = counts > 0
+    out[filled] = sums[filled] / counts[filled, None]
+    return out, counts
 
 
 def kmeans_train(
@@ -108,23 +162,38 @@ def kmeans_train(
     Empty clusters are repaired by re-seeding them at the costliest point of
     the largest cluster, which never increases the Euclidean objective.
     """
-    m = len(X)
+    trace = []
+    centroids, assign = _lloyd(X.vectors.astype(np.float64), C, kind, max_iters, seed, trace)
+    return KMeansModel(
+        centroids=centroids.astype(np.float32),
+        assignment=assign.astype(np.int64),
+        objective_trace=trace,
+        kind=kind,
+    )
+
+
+def _lloyd(mat: np.ndarray, C: int, kind: KMeansKind, max_iters: int, seed: int,
+           trace: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`kmeans_train` on float64 rows: returns the float64 centroids
+    and the assignment, and appends the objective after every assignment to
+    ``trace`` when one is given (PQ keeps none)."""
+    m = mat.shape[0]
     if not 1 <= C <= m:
         raise ValueError("need 1 <= C <= m")
     rng = np.random.default_rng(seed)
-    mat = X.vectors.astype(np.float64)
+    sq_norms = _sq_norms(mat) if kind is KMeansKind.EUCLIDEAN else None
     centroids = _plusplus_init(mat, C, rng)
     if kind is KMeansKind.SPHERICAL:
         centroids = _normalize_rows(centroids)
-    assign = _assign(mat, centroids, kind)
-    trace = [_objective(mat, centroids, assign, kind)]
+    assign = _assign(mat, centroids, kind, sq_norms)
+    if trace is not None:
+        trace.append(_objective(mat, centroids, assign, kind))
 
     for _ in range(max_iters):
-        new_centroids = _lloyd_means(mat, assign, centroids)
+        new_centroids, counts = _lloyd_means(mat, assign, centroids)
         if kind is KMeansKind.SPHERICAL:
             new_centroids = _normalize_rows(new_centroids)
         # repair empty clusters before the next assignment
-        counts = np.bincount(assign, minlength=C)
         for c in np.flatnonzero(counts == 0):
             largest = int(np.argmax(counts))
             members = np.flatnonzero(assign == largest)
@@ -136,19 +205,14 @@ def kmeans_train(
             assign[worst] = c
             counts = np.bincount(assign, minlength=C)
         centroids = new_centroids
-        new_assign = _assign(mat, centroids, kind)
-        trace.append(_objective(mat, centroids, new_assign, kind))
+        new_assign = _assign(mat, centroids, kind, sq_norms)
+        if trace is not None:
+            trace.append(_objective(mat, centroids, new_assign, kind))
         if np.array_equal(new_assign, assign):
             assign = new_assign
             break
         assign = new_assign
-
-    return KMeansModel(
-        centroids=centroids.astype(np.float32),
-        assignment=assign.astype(np.int64),
-        objective_trace=trace,
-        kind=kind,
-    )
+    return centroids, assign
 
 
 def build_ivf(X: Collection, C: int, kind: DistanceKind = DistanceKind.L2_SQUARED,
@@ -162,8 +226,14 @@ def build_ivf(X: Collection, C: int, kind: DistanceKind = DistanceKind.L2_SQUARE
         C = int(np.ceil(np.sqrt(len(X))))
     km_kind = KMeansKind.SPHERICAL if kind is DistanceKind.NEG_INNER_PRODUCT else KMeansKind.EUCLIDEAN
     model = kmeans_train(X, C, km_kind, max_iters, seed)
-    lists = [np.flatnonzero(model.assignment == c).astype(np.int64) for c in range(model.n_clusters)]
-    return IvfIndex(model=model, lists=lists, kind=kind)
+    return IvfIndex(model=model, lists=inverted_lists(model.assignment, model.n_clusters), kind=kind)
+
+
+def inverted_lists(assignment: np.ndarray, C: int) -> list:
+    """Cluster id -> sorted int64 ids of its members, from one stable sort
+    of the assignment split at the cluster sizes."""
+    order = np.argsort(assignment, kind="stable").astype(np.int64, copy=False)
+    return np.split(order, np.cumsum(np.bincount(assignment, minlength=C))[:-1])
 
 
 def route(index: IvfIndex, q: np.ndarray, ell: int) -> np.ndarray:

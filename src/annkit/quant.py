@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from annkit.core import Collection
-from annkit.ivf import KMeansKind, _assign, _lloyd_means, kmeans_train
+from annkit.ivf import KMeansKind, _assign, _lloyd, _lloyd_means, _sq_dists, _sq_norms, kmeans_train
 
 __all__ = [
     "VqModel",
@@ -96,10 +96,9 @@ def pq_train(X: Collection, L: int, C: int, seed: int = 0, max_iters: int = 50) 
     d_sub = d // L
     books = []
     for i in range(L):
-        chunk = Collection(np.ascontiguousarray(X.vectors[:, i * d_sub:(i + 1) * d_sub]))
-        model = kmeans_train(chunk, C, KMeansKind.EUCLIDEAN, max_iters=max_iters,
-                             seed=seed * 7919 + i)
-        books.append(model.centroids)
+        chunk = np.ascontiguousarray(X.vectors[:, i * d_sub:(i + 1) * d_sub]).astype(np.float64)
+        centroids, _ = _lloyd(chunk, C, KMeansKind.EUCLIDEAN, max_iters, seed * 7919 + i)
+        books.append(centroids.astype(np.float32))
     return PqCodebook(codewords=np.stack(books))
 
 
@@ -199,7 +198,7 @@ def opq_train(X: Collection, L: int, C: int, iters: int, seed: int = 0,
         new_books = codebook.codewords.astype(np.float64)
         for i in range(L):
             chunk = rotated[:, i * d_sub:(i + 1) * d_sub]
-            new_books[i] = _lloyd_means(chunk, codes[:, i], new_books[i])
+            new_books[i] = _lloyd_means(chunk, codes[:, i], new_books[i])[0]
         codebook = PqCodebook(codewords=new_books.astype(np.float32))
         recon = _pq_reconstruct(codebook, codes)
         rotation = _procrustes_rotation(recon.T, mat.T)
@@ -211,8 +210,8 @@ def opq_train(X: Collection, L: int, C: int, iters: int, seed: int = 0,
 
 
 def _pq_reconstruct(cb: PqCodebook, codes: np.ndarray) -> np.ndarray:
-    parts = [cb.codewords[i].astype(np.float64)[codes[:, i]] for i in range(cb.n_subspaces)]
-    return np.concatenate(parts, axis=1)
+    words = cb.codewords.astype(np.float64)
+    return words[np.arange(cb.n_subspaces), codes].reshape(codes.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +418,14 @@ def score_aware_vq_train(X: Collection, C: int, theta: float, iters: int = 25,
     nz = norms > 0
     units[nz] = mat[nz] / norms[nz, None]
 
+    sq_norms = _sq_norms(mat)
+    along = np.einsum("ij,ij->i", mat, units)[:, None]  # <u, u_hat>
+
     def losses_to(centroids: np.ndarray) -> np.ndarray:
         # (m, C): anisotropic loss for active points, plain distance for the
         # zero-weight rest (their assignment never moves the objective)
-        diff_sq = (
-            np.einsum("ij,ij->i", mat, mat)[:, None]
-            - 2.0 * (mat @ centroids.T)
-            + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-        )
-        par = np.einsum("ij,ij->i", mat, units)[:, None] - units @ centroids.T  # <u - c, u_hat>
+        diff_sq = _sq_dists(mat, sq_norms, centroids)
+        par = along - units @ centroids.T  # <u - c, u_hat>
         out = diff_sq + (etas[:, None] - 1.0) * par**2
         out[~active] = diff_sq[~active]
         return out
@@ -437,8 +435,9 @@ def score_aware_vq_train(X: Collection, C: int, theta: float, iters: int = 25,
         return float(per_point[active].sum())
 
     centroids = mat[rng.choice(m, size=C, replace=False)]
-    assign = np.argmin(losses_to(centroids), axis=1)
-    trace = [tracked_objective(losses_to(centroids), assign)]
+    losses = losses_to(centroids)
+    assign = np.argmin(losses, axis=1)
+    trace = [tracked_objective(losses, assign)]
 
     for _ in range(iters):
         new_centroids = centroids.copy()

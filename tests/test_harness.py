@@ -322,6 +322,17 @@ class TestContainerInputChecks:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             load_index(path)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_ivf_assignment_out_of_range_rejected(self, tmp_path, bad):
+        index = build_ivf(Collection(np.random.default_rng(3).standard_normal((40, 3)).astype(np.float32)),
+                          4, seed=1)
+        index.model.assignment[7] = bad
+        path = tmp_path / "bad.akx"
+        save_index(path, index)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed ivf container: assignment must hold cluster ids in [0, 4)")):
+            load_index(path)
+
     @settings(max_examples=150, deadline=None)
     @given(family=st.sampled_from(sorted(FAMILIES)), cut=st.integers(0, 2**20),
            tail=st.binary(max_size=16))

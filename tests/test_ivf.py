@@ -2,13 +2,106 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annkit.core import Collection, DistanceKind, brute_force_topk, recall
-from annkit.ivf import KMeansKind, build_ivf, ivf_search, kmeans_train, route
+from annkit.harness.container import save_index
+from annkit.ivf import KMeansKind, _lloyd_means, build_ivf, ivf_search, kmeans_train, route
 
 
 def rand_collection(m, d, seed):
     return Collection(np.random.default_rng(seed).standard_normal((m, d)).astype(np.float32))
+
+
+def lloyd_means_reference(mat, assign, centroids):
+    """The per-cluster Lloyd update: every centroid with members moves to
+    ``mat[members].mean(axis=0)``, the rest keep their place."""
+    out = centroids.copy()
+    for c in range(out.shape[0]):
+        members = np.flatnonzero(assign == c)
+        if members.size:
+            out[c] = mat[members].mean(axis=0)
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLloydMeans:
+    """The one-call update against the per-cluster loop, bit for bit."""
+
+    @pytest.mark.parametrize("m,d,C,seed", [(1, 1, 1, 0), (50, 3, 7, 1), (2000, 2, 16, 2),
+                                            (3000, 64, 100, 3), (400, 5, 500, 4), (5000, 1, 3, 5),
+                                            (20000, 2, 1, 6), (700, 1, 40, 7)])
+    def test_equals_reference_on_gaussian_data(self, m, d, C, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((m, d)) * rng.uniform(0.1, 1e4, size=d)
+        assign = rng.integers(C, size=m)
+        centroids = rng.standard_normal((C, d))
+        got, counts = _lloyd_means(mat, assign, centroids)
+        assert_same_bits(got, lloyd_means_reference(mat, assign, centroids))
+        assert counts.tolist() == np.bincount(assign, minlength=C).tolist()
+
+    def test_empty_clusters_keep_their_place(self):
+        rng = np.random.default_rng(5)
+        mat = rng.standard_normal((30, 4))
+        assign = rng.choice([1, 4, 5], size=30)
+        centroids = rng.standard_normal((8, 4))
+        got, counts = _lloyd_means(mat, assign, centroids)
+        for c in (0, 2, 3, 6, 7):
+            assert counts[c] == 0
+            assert got[c].tobytes() == centroids[c].tobytes()
+        assert_same_bits(got, lloyd_means_reference(mat, assign, centroids))
+
+    def test_duplicate_and_integer_rows(self):
+        rng = np.random.default_rng(6)
+        mat = np.repeat(rng.integers(-5, 6, size=(9, 3)).astype(np.float64), 7, axis=0)
+        assign = rng.integers(4, size=mat.shape[0])
+        centroids = np.zeros((4, 3))
+        got, _ = _lloyd_means(mat, assign, centroids)
+        assert_same_bits(got, lloyd_means_reference(mat, assign, centroids))
+
+    def test_negative_zero_column_pinned_to_positive_zero(self):
+        """A column whose members are all -0.0: the loop's mean and the
+        update both return +0.0 there."""
+        mat = np.array([[-0.0, 1.0], [-0.0, 2.0], [3.0, -0.0], [5.0, 4.0]])
+        assign = np.array([0, 0, 1, 2])
+        centroids = np.full((3, 2), 7.0)
+        got, _ = _lloyd_means(mat, assign, centroids)
+        want = lloyd_means_reference(mat, assign, centroids)
+        assert_same_bits(got, want)
+        assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+        assert got[1, 1] == 0.0 and not np.signbit(got[1, 1])
+
+    def test_non_contiguous_chunk(self):
+        rng = np.random.default_rng(7)
+        full = rng.standard_normal((500, 12))
+        chunk = full[:, 4:6]
+        assign = rng.integers(16, size=500)
+        centroids = rng.standard_normal((16, 2))
+        got, _ = _lloyd_means(chunk, assign, centroids)
+        assert_same_bits(got, lloyd_means_reference(chunk, assign, centroids))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 5), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           st.sampled_from(["gaussian", "integers", "duplicates", "signed-zeros"]))
+    def test_equals_reference(self, m, d, C, seed, style):
+        rng = np.random.default_rng(seed)
+        if style == "gaussian":
+            mat = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 9)
+        elif style == "integers":
+            mat = rng.integers(-3, 4, size=(m, d)).astype(np.float64)
+        elif style == "duplicates":
+            mat = np.repeat(rng.standard_normal((1, d)), m, axis=0)
+        else:
+            mat = rng.choice([-0.0, 0.0, 1.0], size=(m, d))
+        assign = rng.integers(C, size=m)
+        centroids = rng.standard_normal((C, d))
+        got, _ = _lloyd_means(mat, assign, centroids)
+        assert_same_bits(got, lloyd_means_reference(mat, assign, centroids))
 
 
 class TestKMeans:
@@ -20,6 +113,16 @@ class TestKMeans:
         spherical = kmeans_train(X, 6, KMeansKind.SPHERICAL, max_iters=20, seed=2)
         digest = hashlib.sha256(euclidean.centroids.tobytes() + spherical.centroids.tobytes()).hexdigest()
         assert digest == "067fe437aa91b162628358d5b78d4e661647e9c7a58fec5bd7926c98fcf76859"
+
+    def test_seeded_empty_cluster_repair_pinned(self):
+        """Duplicate integer rows and more clusters than distinct rows: the
+        seeding falls back to uniform draws and Lloyd repairs empty
+        clusters; centroids, trace and assignment keep their bits."""
+        rows = np.random.default_rng(3).integers(-3, 4, (20, 4)).astype(np.float32)
+        model = kmeans_train(Collection(np.repeat(rows, 10, axis=0)), 25, max_iters=30, seed=1)
+        digest = hashlib.sha256(model.centroids.tobytes() + np.array(model.objective_trace).tobytes()
+                                + model.assignment.tobytes()).hexdigest()
+        assert digest == "e75c1b3a27758c09cacfde9274f4d74538dc05271827135dd5b8d57c3579749d"
 
     def test_repeated_locations_recovered(self):
         anchors = np.array([[0, 0], [10, 0], [0, 10]], dtype=np.float32)
@@ -54,6 +157,33 @@ class TestKMeans:
         X = rand_collection(100, 4, 8)
         model = kmeans_train(X, 4, max_iters=500, seed=9)
         assert len(model.objective_trace) < 100
+
+
+class TestBuild:
+    @pytest.mark.parametrize("kind,digest,lists_digest", [
+        (DistanceKind.L2_SQUARED,
+         "e3c1be80529c50d0e501c562190b28c9c6e897331648571001606bf26872e10a",
+         "8b4affa017e8a49358ebf5fc477f4778c97c4d3e7b37069b497f1bc954367898"),
+        (DistanceKind.NEG_INNER_PRODUCT,
+         "5d488b037238fd2d67b6b572d47626b68e4167bc9877d120352b88f39983b8c7",
+         "144024f74df1c13b331abf676c4e3d4302e9596f5847b154c58225a5219463a8"),
+    ])
+    def test_seeded_index_bytes_pinned(self, tmp_path, kind, digest, lists_digest):
+        """The .akx file holds the centroids, the assignment and the
+        objective trace; with the inverted lists it keeps its bits."""
+        X = Collection(np.random.default_rng(61).standard_normal((1000, 16)).astype(np.float32))
+        index = build_ivf(X, 0, kind, max_iters=20, seed=4)
+        save_index(tmp_path / "ivf.akx", index)
+        assert hashlib.sha256((tmp_path / "ivf.akx").read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(b"".join(ids.tobytes() for ids in index.lists)).hexdigest() == lists_digest
+
+    def test_lists_are_the_sorted_members(self):
+        X = rand_collection(300, 3, 30)
+        index = build_ivf(X, 40, seed=31)
+        assert len(index.lists) == 40
+        for c, ids in enumerate(index.lists):
+            assert ids.dtype == np.int64
+            assert ids.tolist() == np.flatnonzero(index.model.assignment == c).tolist()
 
 
 class TestRoute:

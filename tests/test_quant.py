@@ -38,6 +38,11 @@ def rand_collection(m, d, seed):
 
 
 class TestVq:
+    def test_seeded_centroid_bits_pinned(self):
+        X = Collection(np.random.default_rng(61).standard_normal((1000, 16)).astype(np.float32))
+        digest = hashlib.sha256(vq_train(X, 7, seed=2).centroids.tobytes()).hexdigest()
+        assert digest == "43e3f8500ce911a082ae0ce0d78fb536f184ecdcd93bee4b9f753be0b1a51d74"
+
     def test_c_equals_m_zero_error(self):
         X = rand_collection(12, 4, 0)
         model = vq_train(X, 12, seed=1)
@@ -64,6 +69,16 @@ class TestVq:
 
 
 class TestPq:
+    def test_seeded_codeword_and_code_bits_pinned(self):
+        """Lloyd's mean step and the assignment keep their arithmetic:
+        seeded codewords and the codes of the training rows keep their bits."""
+        X = Collection(np.random.default_rng(61).standard_normal((1000, 16)).astype(np.float32))
+        cb = pq_train(X, 4, 16, seed=3, max_iters=20)
+        assert (hashlib.sha256(cb.codewords.tobytes()).hexdigest()
+                == "3f5c1b276ed2dc484b2e9b4224bb81aa629f26e99c95951026396cb75f1a4583")
+        assert (hashlib.sha256(pq_encode_all(cb, X).tobytes()).hexdigest()
+                == "1d2457d13172e0486647ae35e35b35befe2d6d7ba54a5d5fef1a08207d0cf29f")
+
     def test_indivisible_d_rejected(self):
         with pytest.raises(ValueError):
             pq_train(rand_collection(20, 7, 5), 2, 4)
@@ -348,6 +363,14 @@ class TestScoreAware:
     def test_weight_diverges_rejected(self):
         with pytest.raises(ValueError):
             score_aware_weight(1.0, 1.0)
+
+    def test_seeded_model_bits_pinned(self):
+        """Centroids, assignment and objective trace keep their bits."""
+        X = Collection(np.random.default_rng(61).standard_normal((600, 16)).astype(np.float32))
+        model, assign, trace = score_aware_vq_train(X, 12, theta=0.8, iters=10, seed=5)
+        digest = hashlib.sha256(model.centroids.tobytes() + assign.tobytes()
+                                + np.array(trace).tobytes()).hexdigest()
+        assert digest == "218c39dd72dbda5b41253b1c13b4c8428adf0ecfa7b9101a0e9b9ee55c28ce1f"
 
     def test_objective_monotone(self):
         X = rand_collection(300, 8, 40)
