@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time graph, cover-tree and k-means construction and check their pinned
-outputs.
+"""Time graph, cover-tree and k-means construction, and cover-tree search,
+and check their pinned outputs.
 
-Seven builds, each repeated:
+Eight rows, each repeated:
 
 * ``vamana-build-gaussian``: ``build_vamana`` at the build-gaussian
   benchmark's shape (5000 x 64 iid Gaussian rows, alpha 1.2, degree cap 16,
@@ -11,6 +11,8 @@ Seven builds, each repeated:
   shape (5000 x 32, alpha 1.2, cap 32, beam 64, its first seed);
 * ``cover-2000x64``: ``cover_build`` over the first 2000 rows of the
   build-gaussian data;
+* ``cover-nn-2000x64``: ``cover_nn`` top-10 for the build-gaussian
+  benchmark's 300 cover queries over that tree, built once untimed;
 * ``pq-cli-files``, ``opq-cli-files`` and ``ivf-cli-files``: ``pq_train``,
   ``opq_train`` and ``build_ivf`` with the cli-files benchmark's build flags
   (10000 x 64 rows of ``annkit generate --dist gaussian --seed 0``, 32
@@ -20,10 +22,11 @@ Seven builds, each repeated:
   shape (20000 x 64 rows of its Gaussian mixture, data seed 1, C = 142, 20
   Lloyd iterations, build seed 1).
 
-Every build's output is hashed (the sized adjacency rows and the ``.akx``
-bytes for graphs, the ``.akx`` bytes for the rest) and compared with digests
-pinned from the row-by-row graph construction and the per-cluster Lloyd
-loop; a mismatch fails the run.
+Every row's output is hashed (the sized adjacency rows and the ``.akx``
+bytes for graphs, the ``(id, score)`` answers for the cover search, the
+``.akx`` bytes for the rest) and compared with digests pinned from the
+row-by-row graph construction, the per-cluster Lloyd loop and the cover
+search over node dicts; a mismatch fails the run.
 Results are merged into ``BENCH_construction.json`` at the repository root
 under ``--label`` and the build's name, so that runs of two source trees on
 one machine sit side by side, and builds of the two can be run in turn:
@@ -56,10 +59,11 @@ from annkit.graph import build_vamana  # noqa: E402
 from annkit.harness.container import save_index  # noqa: E402
 from annkit.ivf import build_ivf  # noqa: E402
 from annkit.quant import opq_train, pq_train  # noqa: E402
-from annkit.trees import cover_build  # noqa: E402
+from annkit.trees import cover_build, cover_nn  # noqa: E402
 
-# build -> (sha256 of the sized adjacency rows, sha256 of the .akx file);
-# only graphs have an adjacency digest
+# row -> the sha256 digests of its output: for builds, of the sized
+# adjacency rows (graphs only) and of the .akx file; for searches, of the
+# answers
 PINNED = {
     "vamana-build-gaussian": (
         "2be7f04e60b9b0427464db1e20d045e2054c52f66586f935c689c40d2bfd45c1",
@@ -70,6 +74,8 @@ PINNED = {
     "cover-2000x64": (
         None,
         "466ece105a9d74f5e04477e68de75c7ae653b535ce085a9972fe2529ce794021"),
+    "cover-nn-2000x64": (
+        "cf37af0f9ca18bdf6bf2c0454db396aa20a21eb277590287dd936100f31160fd",),
     "pq-cli-files": (
         None,
         "59e57501e877fa3f20701f97341142a716ca58164a17774f6f33fb9e1597cfa9"),
@@ -114,22 +120,44 @@ def akx_sha256(obj, workdir: Path) -> str:
     return digest
 
 
-def builds():
-    """name -> (zero-argument build, whether it makes a graph)."""
-    bg = gaussian_rows([1, 0xB6], 5000, 64)
+def graph_digests(G, workdir: Path) -> tuple:
+    return adjacency_sha256(G), akx_sha256(G, workdir)
+
+
+def index_digests(obj, workdir: Path) -> tuple:
+    return None, akx_sha256(obj, workdir)
+
+
+def answers_digests(answers, workdir: Path) -> tuple:
+    digest = hashlib.sha256()
+    for res in answers:
+        digest.update(res.ids.tobytes() + res.scores.tobytes())
+    return (digest.hexdigest(),)
+
+
+def rows():
+    """name -> (untimed set-up, the timed run over what it returns, the
+    digests of the run's output)."""
+    rng = np.random.default_rng([1, 0xB6])  # build-gaussian's rows, then its queries
+    bg = rng.standard_normal((5000, 64)).astype(np.float32)
+    bq = rng.standard_normal((2000, 64)).astype(np.float32)[:300]
     c07 = Collection(gaussian_rows(700, 5000, 32))
     cf = Collection(gaussian_rows(0, 10000, 64))
     qc = Collection(mixture_rows(1, 20000))
     return {
         "vamana-build-gaussian": (
-            lambda: build_vamana(Collection(bg), alpha=1.2, cap=16, beam=32, seed=5, passes=2), True),
+            lambda: Collection(bg),
+            lambda X: build_vamana(X, alpha=1.2, cap=16, beam=32, seed=5, passes=2), graph_digests),
         "vamana-criterion-07": (
-            lambda: build_vamana(c07, alpha=1.2, cap=32, beam=64, seed=0), True),
-        "cover-2000x64": (lambda: cover_build(Collection(bg[:2000])), False),
-        "pq-cli-files": (lambda: pq_train(cf, 32, 16, seed=0), False),
-        "opq-cli-files": (lambda: opq_train(cf, 32, 16, iters=10, seed=0), False),
-        "ivf-cli-files": (lambda: build_ivf(cf, 0, max_iters=10, seed=0), False),
-        "ivf-query-clustered": (lambda: build_ivf(qc, 0, max_iters=20, seed=1), False),
+            lambda: c07, lambda X: build_vamana(X, alpha=1.2, cap=32, beam=64, seed=0), graph_digests),
+        "cover-2000x64": (lambda: Collection(bg[:2000]), cover_build, index_digests),
+        "cover-nn-2000x64": (
+            lambda: cover_build(Collection(bg[:2000])),
+            lambda tree: [cover_nn(tree, q, 10) for q in bq], answers_digests),
+        "pq-cli-files": (lambda: cf, lambda X: pq_train(X, 32, 16, seed=0), index_digests),
+        "opq-cli-files": (lambda: cf, lambda X: opq_train(X, 32, 16, iters=10, seed=0), index_digests),
+        "ivf-cli-files": (lambda: cf, lambda X: build_ivf(X, 0, max_iters=10, seed=0), index_digests),
+        "ivf-query-clustered": (lambda: qc, lambda X: build_ivf(X, 0, max_iters=20, seed=1), index_digests),
     }
 
 
@@ -137,20 +165,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--only", action="append", help="run only the named build (repeatable)")
+    parser.add_argument("--only", action="append", help="run only the named row (repeatable)")
     args = parser.parse_args(argv)
 
     results, ok = {}, True
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (build, is_graph) in builds().items():
+        for name, (setup, run, digests) in rows().items():
             if args.only and name not in args.only:
                 continue
-            seconds = []
+            given, seconds = setup(), []
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
-                out = build()
+                out = run(given)
                 seconds.append(time.perf_counter() - t0)
-            got = (adjacency_sha256(out) if is_graph else None, akx_sha256(out, Path(tmp)))
+            got = digests(out, Path(tmp))
             match = got == PINNED[name]
             ok &= match
             results[name] = {"median_s": round(statistics.median(seconds), 3),

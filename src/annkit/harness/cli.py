@@ -22,7 +22,7 @@ from annkit.ivf import build_ivf, ivf_search, route
 from annkit.lsh import FamilyKind, HashFamily, build_index as lsh_build, lsh_topk
 from annkit.quant import (
     AqCodebook, OpqModel, PqCodebook, adc_offsets, aq_adc_scan, aq_encode, aq_train,
-    opq_train, pq_adc, pq_adc_distance, pq_adc_scan, pq_encode_all, pq_train,
+    opq_train, pq_adc, pq_adc_scan, pq_decode, pq_encode_all, pq_train,
 )
 from annkit.sampling import build_wedge_index, wedge_topk
 from annkit.trees import (
@@ -293,15 +293,16 @@ def _cmd_selftest(args) -> int:
     )
     check("cover search matches oracle", ok)
 
+    # the scan `annkit query` runs over every row against the decoded rows
     cb = pq_train(X, 2, 8, seed=1)
+    codes = pq_encode_all(cb, X)
+    offsets = adc_offsets(codes, cb.n_codewords)
+    decoded = np.stack([pq_decode(cb, code) for code in codes]).astype(np.float64)
     ok = True
     for q in queries[:5]:
-        code = pq_encode_all(cb, X)[0]
-        adc = pq_adc_distance(pq_adc(cb, q), code)
-        from annkit.quant import pq_decode
-
-        direct = float(np.sum((q.astype(np.float64) - pq_decode(cb, code)) ** 2))
-        ok = ok and abs(adc - direct) <= 1e-5 * max(direct, 1e-9)
+        adc = pq_adc_scan(pq_adc(cb, q), offsets)
+        direct = np.sum((q.astype(np.float64) - decoded) ** 2, axis=1)
+        ok = ok and bool(np.all(np.abs(adc - direct) <= 1e-5 * np.maximum(direct, 1e-9)))
     check("pq adc identity", ok)
 
     fam = HashFamily(FamilyKind.HYPERPLANE, seed=3, d=8)

@@ -27,7 +27,7 @@ from annkit.lsh import FamilyKind, HashFamily, LshIndex
 from annkit.quant import AqCodebook, OpqModel, PqCodebook
 from annkit.sampling import AliasTable, WedgeIndex
 from annkit.sketch import AsymSketch, JlSketcher, ThresholdSketch
-from annkit.trees.cover import CoverNode, CoverTree
+from annkit.trees.cover import CoverTree
 from annkit.trees.kd import KdNode, KdTree
 from annkit.trees.rp import ProjNode, RpTree, SpillTree
 
@@ -125,6 +125,11 @@ class _BadMeta(Exception):
     family; :func:`load_index` names the file."""
 
 
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise _BadMeta(message)
+
+
 def _fits(value, kind) -> bool:
     if isinstance(kind, list):
         return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
@@ -163,6 +168,9 @@ def _pack_ragged(parts, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unpack_ragged(flat: np.ndarray, offsets: np.ndarray) -> list:
+    _require(flat.ndim == offsets.ndim == 1 and offsets.dtype.kind in "iu" and offsets.size
+             and offsets[0] == 0 and offsets[-1] == flat.size and np.all(offsets[1:] >= offsets[:-1]),
+             f"offsets must run from 0 up to {flat.size} without decreasing")
     return [flat[offsets[i]:offsets[i + 1]].copy() for i in range(offsets.size - 1)]
 
 
@@ -274,19 +282,22 @@ def _decode_spill_forest(meta, arrays, X) -> list:
 
 
 def _encode_cover(tree: CoverTree):
+    """Pre-order (point, level, parent) arrays; a node's children come in
+    ascending attach level, each level's in the order they were attached."""
+    children: dict = {}  # parent -> [(point, level)]
+    for level in sorted(tree.by_level):
+        for point, parent in tree.links(level).T.tolist():
+            children.setdefault(parent, []).append((point, level))
     points, levels, parents = [], [], []
-
-    def walk(node: CoverNode, parent: int) -> None:
-        my = len(points)
-        points.append(node.point_id)
-        levels.append(node.level)
+    root_level = 0 if tree.root_level is None else tree.root_level
+    stack = [] if tree.root is None else [(tree.root, root_level, -1)]
+    while stack:
+        point, level, parent = stack.pop()
+        points.append(point)
+        levels.append(level)
         parents.append(parent)
-        for lvl in sorted(node.children):
-            for child in node.children[lvl]:
-                walk(child, my)
-
-    if tree.root is not None:
-        walk(tree.root, -1)
+        stack.extend((kid, kid_level, len(points) - 1)
+                     for kid, kid_level in reversed(children.get(point, ())))
     return {"root_level": tree.root_level, "size": tree.size}, {
         "point": np.array(points, dtype=np.int64),
         "level": np.array(levels, dtype=np.int64),
@@ -297,15 +308,22 @@ def _encode_cover(tree: CoverTree):
 def _decode_cover(meta, arrays, X) -> CoverTree:
     if X is None:
         raise ValueError("cover tree loading requires the collection")
-    tree = CoverTree(X=X)
-    nodes = [CoverNode(point_id=int(p), level=int(lv))
-             for p, lv in zip(arrays["point"], arrays["level"])]
-    for i, parent in enumerate(arrays["parent"]):
-        if parent >= 0:
-            nodes[int(parent)].attach(nodes[i], nodes[i].level)
-    tree.root = nodes[0] if nodes else None
-    tree.root_level = _meta(meta, "root_level", int, optional=True)
-    tree.size = _meta(meta, "size", int)
+    point, level, parent = arrays["point"], arrays["level"], arrays["parent"]
+    n, size, root_level = point.size, _meta(meta, "size", int), _meta(meta, "root_level", int, optional=True)
+    _require(all(a.ndim == 1 and a.size == n and a.dtype.kind in "iu" for a in (point, level, parent)),
+             "point, level and parent must be integer arrays of one length")
+    _require(size == n, f"size {size} differs from the {n} nodes")
+    _require(not n or (parent[0] == -1 and np.all((0 <= parent[1:]) & (parent[1:] < np.arange(1, n)))),
+             "parent[0] must be -1 and every other parent an earlier node")
+    _require(not n or (0 <= point.min() and point.max() < len(X) and np.unique(point).size == n),
+             f"points must be distinct ids in [0, {len(X)})")
+    _require(not n or (level[0] == (0 if root_level is None else root_level)
+                       and (n == 1 or root_level is not None)),
+             "the root's level must be root_level")
+    _require(np.all(level[1:] < level[parent[1:]]), "a node's level must be below its parent's")
+    tree = CoverTree(X=X, root=int(point[0]) if n else None, root_level=root_level, size=n)
+    for i in range(1, n):
+        tree.link(int(point[i]), int(point[parent[i]]), int(level[i]))
     return tree
 
 
@@ -350,10 +368,16 @@ def _encode_graph(graph: NeighborGraph):
 
 
 def _decode_graph(meta, arrays, X) -> NeighborGraph:
+    ids, entry = arrays["ids"], _meta(meta, "entry", int)
+    adjacency = _unpack_ragged(ids, arrays["offsets"])
+    n = len(adjacency)
+    _require(ids.dtype.kind in "iu" and (not ids.size or 0 <= ids.min() <= ids.max() < n),
+             f"neighbour ids must lie in [0, {n})")
+    _require(0 <= entry < n, f"entry {entry} must lie in [0, {n})")
     return NeighborGraph(
-        adjacency=_unpack_ragged(arrays["ids"], arrays["offsets"]),
+        adjacency=adjacency,
         directed=_meta(meta, "directed", bool),
-        entry=_meta(meta, "entry", int),
+        entry=entry,
         kind=_meta(meta, "kind", DistanceKind),
         alpha=_meta(meta, "alpha", float, optional=True),
         degree_cap=_meta(meta, "degree_cap", int, optional=True),
@@ -381,8 +405,8 @@ def _decode_ivf(meta, arrays, X) -> IvfIndex:
         kind=_meta(meta, "kmeans_kind", KMeansKind),
     )
     C, ids = model.centroids.shape[0], model.assignment
-    if ids.dtype.kind not in "iu" or (ids.size and not 0 <= ids.min() <= ids.max() < C):
-        raise _BadMeta(f"assignment must hold cluster ids in [0, {C})")
+    _require(ids.dtype.kind in "iu" and (not ids.size or 0 <= ids.min() <= ids.max() < C),
+             f"assignment must hold cluster ids in [0, {C})")
     return IvfIndex(model=model, lists=inverted_lists(ids, C), kind=_meta(meta, "kind", DistanceKind))
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from annkit.core import Collection, DistanceKind, TopKResult, _smallest, score_rows
 
 __all__ = [
-    "CoverNode",
     "CoverTree",
     "DuplicatePointError",
     "cover_build",
@@ -29,29 +28,40 @@ __all__ = [
     "cover_nn_approx",
 ]
 
+_NO_LINKS = np.empty((2, 0), dtype=np.int64)
+
 
 class DuplicatePointError(ValueError):
     """Raised when a point already present in the tree is inserted again."""
 
 
 @dataclass
-class CoverNode:
-    point_id: int
-    level: int  # level at which this node entered the tree
-    children: dict = field(default_factory=dict)  # attach level -> list[CoverNode]
-
-    def attach(self, child: "CoverNode", level: int) -> None:
-        self.children.setdefault(level, []).append(child)
-
-
-@dataclass
 class CoverTree:
+    """The tree as its parent links grouped by attach level; a point's
+    level is the level it is attached at, the root's is ``root_level``."""
+
     X: Collection
-    root: Optional[CoverNode] = None
+    root: Optional[int] = None  # point id
     root_level: Optional[int] = None
     size: int = 0
-    # parent links grouped by attach level, kept for insertion
-    _links: Optional["_Links"] = field(default=None, init=False, repr=False, compare=False)
+    # attach level -> [links, used]: links[:, :used] are the (point, parent)
+    # pairs attached at that level in insertion order, in a (2, room) array
+    # grown by doubling
+    by_level: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def link(self, point_id: int, parent: int, level: int) -> None:
+        """Attach ``point_id`` at ``level`` below ``parent``."""
+        entry = self.by_level.setdefault(level, [np.empty((2, 16), dtype=np.int64), 0])
+        links, used = entry
+        if used == links.shape[1]:
+            links = entry[0] = np.concatenate((links, np.empty_like(links)), axis=1)
+        links[:, used] = point_id, parent
+        entry[1] = used + 1
+
+    def links(self, level: int) -> np.ndarray:
+        """The ``(2, n)`` (point, parent) pairs attached at ``level``."""
+        entry = self.by_level.get(level)
+        return _NO_LINKS if entry is None else entry[0][:, :entry[1]]
 
     def _sq_dist_many(self, q64: np.ndarray, ids: np.ndarray) -> np.ndarray:
         return score_rows(self.X, ids, q64, DistanceKind.L2_SQUARED)
@@ -60,61 +70,16 @@ class CoverTree:
         return np.sqrt(self._sq_dist_many(q64, ids))
 
 
-class _Links:
-    """A cover tree's parent links grouped by attach level: for each level,
-    the points attached there over the points they hang below, in a
-    ``(2, room)`` array grown by appending. The children of a descent
-    frame are one membership-mask pass over its level's links alone."""
-
-    def __init__(self, tree: CoverTree):
-        self.root, self.size = tree.root, tree.size
-        self.member = np.zeros(len(tree.X), dtype=bool)
-        self.by_level: dict = {}  # attach level -> [links, used]
-        self.nodes = {tree.root.point_id: tree.root}
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            for level, kids in node.children.items():
-                for kid in kids:
-                    self._link(kid, node.point_id, level)
-                stack.extend(kids)
-
-    @staticmethod
-    def of(tree: CoverTree) -> "_Links":
-        """The tree's links, rebuilt by one walk of its nodes if the tree
-        was made or changed other than by :func:`cover_insert` and
-        :func:`cover_build`."""
-        links = tree._links
-        if links is None or links.root is not tree.root or links.size != tree.size \
-                or links.member.size != len(tree.X):
-            links = tree._links = _Links(tree)
-        return links
-
-    def _link(self, node: CoverNode, parent: int, level: int) -> None:
-        self.nodes[node.point_id] = node
-        entry = self.by_level.setdefault(level, [np.empty((2, 16), dtype=np.int64), 0])
-        links, used = entry
-        if used == links.shape[1]:
-            links = entry[0] = np.concatenate((links, np.empty_like(links)), axis=1)
-        links[:, used] = node.point_id, parent
-        entry[1] = used + 1
-
-    def attach(self, point_id: int, parent: int, level: int) -> None:
-        node = CoverNode(point_id, level)
-        self.nodes[parent].attach(node, level)
-        self._link(node, parent, level)
-        self.size += 1
-
-    def children(self, q_ids: np.ndarray, level: int) -> np.ndarray:
-        """Points attached at ``level`` below any point of ``q_ids``."""
-        entry = self.by_level.get(level)
-        if entry is None:
-            return q_ids[:0]
-        links, used = entry
-        self.member[q_ids] = True
-        kids = links[0, :used][self.member[links[1, :used]]]
-        self.member[q_ids] = False
-        return kids
+def _children(tree: CoverTree, member: np.ndarray, q_ids: np.ndarray, level: int) -> np.ndarray:
+    """Points attached at ``level`` below any point of ``q_ids``: one pass
+    of ``member``, an all-False mask over the collection made once per
+    descent, over that level's links alone. The one descent step of
+    insertion and both searches."""
+    point, parent = tree.links(level)
+    member[q_ids] = True
+    kids = point[member[parent]]
+    member[q_ids] = False
+    return kids
 
 
 def cover_insert(tree: CoverTree, point_id: int) -> None:
@@ -144,25 +109,24 @@ def _insert(tree: CoverTree, point_id: int) -> None:
     radius takes the point, under its closest node.
     """
     if tree.root is None:
-        tree.root = CoverNode(point_id=point_id, level=0)
+        tree.root = point_id
         tree.root_level = None  # pinned once a second point arrives
         tree.size = 1
         return
-    links = _Links.of(tree)
     q64 = tree.X.vectors[point_id].astype(np.float64)
-    q_ids = np.array([tree.root.point_id], dtype=np.int64)
+    q_ids = np.array([tree.root], dtype=np.int64)
     q_dists = tree._dist_many(q64, q_ids)
     root_dist = float(q_dists[0])
     if tree.root_level is None:
         tree.root_level = max(int(math.ceil(math.log2(root_dist))), -60)
     while root_dist > 2.0 ** tree.root_level:
         tree.root_level += 1
-    tree.root.level = tree.root_level
 
+    member = np.zeros(len(tree.X), dtype=bool)
     frames = []
     level = tree.root_level
     while True:
-        kids = links.children(q_ids, level - 1)
+        kids = _children(tree, member, q_ids, level - 1)
         cand_ids = np.concatenate((q_ids, kids))
         cand_dists = np.concatenate((q_dists, tree._dist_many(q64, kids)))
         if np.any(cand_dists == 0.0):
@@ -178,7 +142,7 @@ def _insert(tree: CoverTree, point_id: int) -> None:
         valid = np.flatnonzero(q_dists <= 2.0 ** level)
         if valid.size:
             best = valid[_smallest(q_dists[valid], 1, q_ids[valid])[0]]
-            links.attach(point_id, int(q_ids[best]), level - 1)
+            tree.link(point_id, int(q_ids[best]), level - 1)
             tree.size += 1
             return
     # cannot happen once the root radius covers the point
@@ -209,43 +173,31 @@ def cover_build(X: Collection) -> CoverTree:
 
 
 def _descend(tree: CoverTree, q64: np.ndarray, keep_rule, stop_rule=None):
-    """Shared level-by-level descent; returns the surviving candidate nodes.
+    """Shared level-by-level search descent; returns the surviving ids and
+    their squared distances.
 
-    The cache maps point id to *squared* distance; rules receive true
-    distances (sqrt applied) because the cover radii are metric statements.
+    Each level adds the frame's children and keeps the candidates for which
+    ``keep_rule(ids, dists, level)`` is True; rules see true distances,
+    because the cover radii are metric statements. The descent runs down to
+    the lowest attach level; below the point where no frame node has
+    children left it only prunes, which neither rule's answer can notice.
     """
-    root_sq = float(tree._sq_dist_many(q64, np.array([tree.root.point_id]))[0])
-    frontier = {tree.root.point_id: tree.root}
-    sq_cache = {tree.root.point_id: root_sq}
-    level = tree.root_level if tree.root_level is not None else tree.root.level
-
-    while True:
-        if stop_rule is not None:
-            best = math.sqrt(min(sq_cache[pid] for pid in frontier))
-            if stop_rule(best, level):
-                break
-        pending = any(
-            node.children and min(node.children) <= level - 1
-            for node in frontier.values()
-        )
-        if not pending:
+    ids = np.array([tree.root], dtype=np.int64)
+    sq = tree._sq_dist_many(q64, ids)
+    if not tree.by_level:
+        return ids, sq
+    member = np.zeros(len(tree.X), dtype=bool)
+    lowest, level = min(tree.by_level), tree.root_level
+    while level > lowest:
+        if stop_rule is not None and stop_rule(math.sqrt(sq.min()), level):
             break
-        candidates = dict(frontier)
-        new_nodes = []
-        for node in frontier.values():
-            for child in node.children.get(level - 1, ()):
-                if child.point_id not in candidates:
-                    candidates[child.point_id] = child
-                    new_nodes.append(child)
-        if new_nodes:
-            ids = np.array([n.point_id for n in new_nodes], dtype=np.int64)
-            for pid, sq in zip(ids, tree._sq_dist_many(q64, ids)):
-                sq_cache[int(pid)] = float(sq)
-        keep_ids = keep_rule(candidates, sq_cache, level)
-        frontier = {pid: candidates[pid] for pid in keep_ids}
+        kids = _children(tree, member, ids, level - 1)
+        ids = np.concatenate((ids, kids))
+        sq = np.concatenate((sq, tree._sq_dist_many(q64, kids)))
+        keep = keep_rule(ids, np.sqrt(sq), level)
+        ids, sq = ids[keep], sq[keep]
         level -= 1
-
-    return frontier, sq_cache
+    return ids, sq
 
 
 def cover_nn(tree: CoverTree, q: np.ndarray, k: int = 1) -> TopKResult:
@@ -255,17 +207,12 @@ def cover_nn(tree: CoverTree, q: np.ndarray, k: int = 1) -> TopKResult:
         raise ValueError("cover tree is empty")
     if k < 1:
         raise ValueError("k must be at least 1")
-    q64 = np.asarray(q, dtype=np.float64)
 
-    def keep_rule(candidates, sq_cache, level):
-        dists = np.sqrt(np.array([sq_cache[pid] for pid in candidates]))
+    def keep_rule(ids, dists, level):
         kth = np.partition(dists, min(k, dists.size) - 1)[min(k, dists.size) - 1]
-        bound = kth + 2.0 ** level
-        return [pid for pid, d in zip(candidates, dists) if d <= bound]
+        return dists <= kth + 2.0 ** level
 
-    frontier, sq_cache = _descend(tree, q64, keep_rule)
-    ids = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
-    sq = np.array([sq_cache[pid] for pid in frontier])
+    ids, sq = _descend(tree, np.asarray(q, dtype=np.float64), keep_rule)
     order = _smallest(sq, k, ids)
     return TopKResult(ids=ids[order], scores=sq[order], k=k)
 
@@ -280,16 +227,13 @@ def cover_nn_approx(tree: CoverTree, q: np.ndarray, eps: float) -> tuple:
         raise ValueError("cover tree is empty")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    q64 = np.asarray(q, dtype=np.float64)
 
-    def keep_rule(candidates, sq_cache, level):
-        dists = np.sqrt(np.array([sq_cache[pid] for pid in candidates]))
-        bound = dists.min() + 2.0 ** level
-        return [pid for pid, d in zip(candidates, dists) if d <= bound]
+    def keep_rule(ids, dists, level):
+        return dists <= dists.min() + 2.0 ** level
 
     def stop_rule(best_dist, level):
         return best_dist >= 2.0 ** (level + 1) * (1.0 + 1.0 / eps)
 
-    frontier, sq_cache = _descend(tree, q64, keep_rule, stop_rule)
-    best_pid = min(frontier, key=lambda pid: (sq_cache[pid], pid))
-    return best_pid, sq_cache[best_pid]
+    ids, sq = _descend(tree, np.asarray(q, dtype=np.float64), keep_rule, stop_rule)
+    best = _smallest(sq, 1, ids)[0]
+    return int(ids[best]), float(sq[best])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from annkit.core import Collection, DistanceKind, brute_force_topk
 from annkit.graph import build_knn_graph, build_vamana, greedy_search
 from annkit.harness.container import load_index, save_index
-from annkit.harness import cli, experiments
+from annkit.harness import cli, container, experiments
 from annkit.harness.experiments import benchmark, experiment_coincidence, experiment_instability, self_coincidence_fraction
 from annkit.harness.io import load_vecs, save_vecs
 from annkit.harness.synth import Distribution, SyntheticSpec, generate
@@ -286,6 +286,15 @@ def _blob(version=1, tag=8, meta=b"{}", dtype=b"<f4", shape=(2,), data=b"\0" * 8
             + struct.pack(f"<B{len(shape)}Q", len(shape), *shape) + data)
 
 
+def _save_mangled(path, family, obj, mangle) -> None:
+    """Save ``obj`` after ``mangle(meta, arrays)`` edits its encoded form."""
+    spec = container._FAMILIES[family]
+    meta, arrays = spec.encode(obj)
+    mangle(meta, arrays)
+    with open(path, "wb") as fh:
+        container._write_blob(fh, spec.tag, meta, arrays)
+
+
 class TestContainerInputChecks:
     def test_hand_made_blob_loads(self, tmp_path):
         path = tmp_path / "ok.akx"
@@ -331,6 +340,41 @@ class TestContainerInputChecks:
         save_index(path, index)
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: malformed ivf container: assignment must hold cluster ids in [0, 4)")):
+            load_index(path)
+
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda m, a: a.update(level=a["level"][:-1]), "point, level and parent must be integer arrays of one length"),
+        (lambda m, a: a["parent"].put(0, 0), "parent[0] must be -1 and every other parent an earlier node"),
+        (lambda m, a: a["parent"].put(3, 999), "parent[0] must be -1 and every other parent an earlier node"),
+        (lambda m, a: a["parent"].put(1, 2), "parent[0] must be -1 and every other parent an earlier node"),
+        (lambda m, a: a["point"].put(2, 60), "points must be distinct ids in [0, 60)"),
+        (lambda m, a: a["point"].put(2, -1), "points must be distinct ids in [0, 60)"),
+        (lambda m, a: a["point"].put(2, a["point"][1]), "points must be distinct ids in [0, 60)"),
+        (lambda m, a: m.update(size=3), "size 3 differs from the 60 nodes"),
+        (lambda m, a: a["level"].put(1, a["level"][0]), "a node's level must be below its parent's"),
+        (lambda m, a: a["level"].put(0, a["level"][0] + 1), "the root's level must be root_level"),
+    ], ids=["short_level", "root_parent", "parent_out_of_range", "later_parent", "point_out_of_range",
+            "negative_point", "repeated_point", "size", "child_level", "root_level"])
+    def test_malformed_cover_rejected(self, tmp_path, mangle, message):
+        path = tmp_path / "bad.akx"
+        _save_mangled(path, "cover", cover_build(FAMILY_X), mangle)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed cover container: {message}")):
+            load_index(path, X=FAMILY_X)
+
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda m, a: a["ids"].put(5, 999), "neighbour ids must lie in [0, 60)"),
+        (lambda m, a: a["ids"].put(5, -1), "neighbour ids must lie in [0, 60)"),
+        (lambda m, a: a["offsets"].put(0, 1), "offsets must run from 0 up to 240 without decreasing"),
+        (lambda m, a: a["offsets"].put(2, 3), "offsets must run from 0 up to 240 without decreasing"),
+        (lambda m, a: a["offsets"].put(-1, 239), "offsets must run from 0 up to 240 without decreasing"),
+        (lambda m, a: m.update(entry=60), "entry 60 must lie in [0, 60)"),
+        (lambda m, a: m.update(entry=-1), "entry -1 must lie in [0, 60)"),
+    ], ids=["id_999", "negative_id", "offsets_start", "offsets_decrease", "offsets_end", "entry_n",
+            "negative_entry"])
+    def test_malformed_graph_rejected(self, tmp_path, mangle, message):
+        path = tmp_path / "bad.akx"
+        _save_mangled(path, "graph", build_knn_graph(FAMILY_X, 4), mangle)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed graph container: {message}")):
             load_index(path)
 
     @settings(max_examples=150, deadline=None)

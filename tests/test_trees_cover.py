@@ -13,7 +13,6 @@ from annkit.trees import (
     cover_nn,
     cover_nn_approx,
 )
-from annkit.trees.cover import _Links
 
 
 def rand_collection(m, d, seed):
@@ -21,18 +20,13 @@ def rand_collection(m, d, seed):
 
 
 def collect_nodes(tree):
-    """(point_id, level, parent_id, attach_level) for every explicit node."""
-    out = []
-
-    def walk(node, parent):
-        out.append((node.point_id, node.level, parent))
-        for lvl, kids in node.children.items():
-            for kid in kids:
-                assert kid.level == lvl
-                walk(kid, node.point_id)
-
-    if tree.root is not None:
-        walk(tree.root, None)
+    """(point_id, level, parent_id) for every node: the root, then the
+    level links from the top level down, each level in insertion order."""
+    if tree.root is None:
+        return []
+    out = [(tree.root, tree.root_level, None)]
+    for lvl in sorted(tree.by_level, reverse=True):
+        out.extend((kid, lvl, parent) for kid, parent in tree.links(lvl).T.tolist())
     return out
 
 
@@ -49,13 +43,8 @@ def scan_invariants(tree: CoverTree):
     assert ids == sorted(set(ids))
 
     # covering: a node attached at level l sits within 2^(l+1) of its parent
-    def walk(node):
-        for lvl, kids in node.children.items():
-            for kid in kids:
-                assert dist(node.point_id, kid.point_id) <= 2.0 ** (lvl + 1) + 1e-12
-                walk(kid)
-
-    walk(tree.root)
+    for kid, lvl, parent in nodes[1:]:
+        assert dist(parent, kid) <= 2.0 ** (lvl + 1) + 1e-12
 
     # separation: for each level, points present at that level are > 2^level apart
     levels = sorted({lvl for _, lvl, _ in nodes})
@@ -72,7 +61,7 @@ class TestBuildAndInvariants:
         X = Collection(np.array([[0, 0], [3, 0]], dtype=np.float32))
         tree = CoverTree(X=X)
         cover_insert(tree, 0)
-        assert tree.root.point_id == 0
+        assert tree.root == 0
         cover_insert(tree, 1)
         assert tree.root_level == int(np.ceil(np.log2(3.0)))
         assert tree.size == 2
@@ -99,8 +88,8 @@ class TestBuildAndInvariants:
         assert (built.root_level, built.size) == (inserted.root_level, inserted.size)
 
     def test_insert_into_a_loaded_tree(self, tmp_path):
-        # a decoded tree lists its nodes in container order; inserting into
-        # it gives the tree that inserting into the built one gives
+        # a decoded tree appends its links in container order; inserting
+        # into it gives the tree that inserting into the built one gives
         X = rand_collection(120, 2, 11)
         tree = CoverTree(X=X)
         for i in range(80):
@@ -115,23 +104,15 @@ class TestBuildAndInvariants:
         inserted = (tmp_path / "inserted.akx").read_bytes()
         assert (tmp_path / "loaded.akx").read_bytes() == inserted == (tmp_path / "built.akx").read_bytes()
 
-    def test_inserts_keep_the_level_links_of_the_nodes(self):
-        # each insert appends to the links it descends by; they must stay
-        # the links a fresh walk of the nodes finds, and not be rebuilt
+    def test_insert_after_the_collection_grows(self, tmp_path):
         X = rand_collection(300, 3, 12)
         tree = cover_build(Collection(X.vectors[:200]))
         tree.X = X
-        cover_insert(tree, 200)
-        links = tree._links
-        for i in range(201, 300):
+        for i in range(200, 300):
             cover_insert(tree, i)
-        assert tree._links is links and links.size == tree.size == 300
-
-        def pairs(by_level):
-            return {level: sorted(map(tuple, arr[:, :used].T.tolist()))
-                    for level, (arr, used) in by_level.items()}
-
-        assert pairs(links.by_level) == pairs(_Links(tree).by_level)
+        save_index(tmp_path / "grown.akx", tree)
+        save_index(tmp_path / "built.akx", cover_build(X))
+        assert (tmp_path / "grown.akx").read_bytes() == (tmp_path / "built.akx").read_bytes()
 
     @pytest.mark.parametrize("copies,message", [
         ({1: 0}, "point 1 duplicates point 0"),  # at the start
@@ -195,6 +176,8 @@ COVER_ANSWERS_SHA256 = "d11ab26e5807e4b8aae1bf8d67dcd5076058b8b8f1e9a3168d499d14
 # pinned from the build over CoverNode children dicts
 DEEP_COVER_SHA256 = "e21d6cde39add964400eb16b443a2ed014f2247fbdae9a9d25d3631b5bfc8049"
 DEEP_COVER_ANSWERS_SHA256 = "24a049eb5aaa551a55883decdc6b16ac23212c617ad5ac701fd73d6117e4dc6b"
+# eps 0.25 and 0.5 on the deep 2000x3 tree, then on the 2000x64 tree
+APPROX_ANSWERS_SHA256 = "4fcce93be10030ac4de0ea697440c2d94d30a2bcac6ff1652afeaeb0dc7d5d2f"
 
 
 class TestSearch:
@@ -235,16 +218,27 @@ class TestSearch:
             want = set(brute_force_topk(X, q, k, DistanceKind.L2_SQUARED).ids.tolist())
             survivors = set()
 
-            def keep_rule(candidates, sq_cache, level):
-                dists = np.sqrt(np.array([sq_cache[p] for p in candidates]))
+            def keep_rule(ids, dists, level):
                 kth = np.partition(dists, min(k, dists.size) - 1)[min(k, dists.size) - 1]
-                keep = [p for p, d in zip(candidates, dists) if d <= kth + 2.0 ** level]
+                keep = dists <= kth + 2.0 ** level
                 survivors.clear()
-                survivors.update(keep)
+                survivors.update(ids[keep].tolist())
                 return keep
 
             _descend(tree, q64, keep_rule)
             assert want <= survivors
+
+    def test_pinned_approx_answers(self):
+        # digest pinned from the descent over node dicts
+        answers = hashlib.sha256()
+        for m, d, seed, q_seed, n_q in ((2000, 3, 35, 36, 50), (2000, 64, 2026, 2027, 20)):
+            tree = cover_build(rand_collection(m, d, seed))
+            queries = np.random.default_rng(q_seed).standard_normal((n_q, d)).astype(np.float32)
+            for eps in (0.25, 0.5):
+                for q in queries:
+                    pid, score = cover_nn_approx(tree, q, eps)
+                    answers.update(np.int64(pid).tobytes() + np.float64(score).tobytes())
+        assert answers.hexdigest() == APPROX_ANSWERS_SHA256
 
     def test_approx_epsilon_valid(self):
         X = rand_collection(400, 8, 7)
