@@ -102,6 +102,8 @@ def _read_blob(path) -> tuple[str, dict, dict]:
             dtype = np.dtype(dtype_b.decode())
         except (TypeError, ValueError):  # ValueError covers UnicodeDecodeError
             raise ValueError(f"{path}: array {name!r} has unknown dtype {dtype_b!r}") from None
+        if dtype.hasobject or not dtype.itemsize:
+            raise ValueError(f"{path}: array {name!r} has dtype {dtype_b!r}, which cannot be read from bytes")
         (ndim,) = unpack("<B")
         shape = unpack(f"<{ndim}Q")
         count = math.prod(shape)
@@ -174,83 +176,85 @@ def _unpack_ragged(flat: np.ndarray, offsets: np.ndarray) -> list:
     return [flat[offsets[i]:offsets[i + 1]].copy() for i in range(offsets.size - 1)]
 
 
-def _tree_arrays(root) -> tuple[list, dict]:
-    """A binary tree's nodes in pre-order, plus its shape: each node's child
-    indexes (-1 at leaves) and each leaf's ``[leaf_start, leaf_end)`` slice
-    of the flat ``leaf_ids`` (-1 at inner nodes)."""
-    nodes, left, right = [], [], []
-
-    def recurse(node) -> int:
-        idx = len(nodes)
-        nodes.append(node)
-        left.append(-1)
-        right.append(-1)
-        if not node.is_leaf:
-            left[idx] = recurse(node.left)
-            right[idx] = recurse(node.right)
-        return idx
-
-    recurse(root)
-    is_leaf = np.array([n.is_leaf for n in nodes])
-    leaf_ids, offsets = _pack_ragged([n.ids if n.is_leaf else () for n in nodes], np.int64)
-    return nodes, {
-        "left": np.array(left, dtype=np.int64),
-        "right": np.array(right, dtype=np.int64),
-        "leaf_start": np.where(is_leaf, offsets[:-1], -1),
-        "leaf_end": np.where(is_leaf, offsets[1:], -1),
-        "leaf_ids": leaf_ids,
-    }
+def _preorder(root) -> tuple[list, dict]:
+    """A binary tree's inner nodes in pre-order, plus its shape: per node in
+    pre-order, the leaf's size or -1 for an inner node, and the leaves' ids
+    in that order. Children are implicit: an inner node is followed by its
+    left subtree, then its right."""
+    inner, leaf_size, parts = [], [], []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaf_size.append(node.ids.size)
+            parts.append(node.ids)
+        else:
+            leaf_size.append(-1)
+            inner.append(node)
+            stack += (node.right, node.left)
+    return inner, {"leaf_size": np.array(leaf_size, dtype=np.int64), "leaf_ids": np.concatenate(parts)}
 
 
-def _rebuild_tree(arrays: dict, leaf: Callable, inner: Callable):
-    """Invert :func:`_tree_arrays`; ``leaf(idx, ids)`` and ``inner(idx)``
-    make the nodes, children are attached here."""
-    def build(idx: int):
-        if arrays["leaf_start"][idx] >= 0:
-            return leaf(idx, arrays["leaf_ids"][arrays["leaf_start"][idx]:arrays["leaf_end"][idx]].copy())
-        node = inner(idx)
-        node.left = build(int(arrays["left"][idx]))
-        node.right = build(int(arrays["right"][idx]))
-        return node
+def _require_arrays(arrays: dict, names: set) -> None:
+    extra, missing = sorted(set(arrays) - names), sorted(names - set(arrays))
+    _require(not extra and not missing,
+             f"arrays differ from the pre-order tree layout: unexpected {extra}, missing {missing}")
 
-    return build(0)
+
+def _rebuild_tree(arrays: dict, prefix: str, rows: dict, leaf: Callable, inner: Callable):
+    """Invert the pre-order layout: ``leaf(ids)`` and ``inner(j)`` make the
+    nodes, ``j`` counting inner nodes in pre-order; children are attached
+    here. ``rows`` maps each array with one row per inner node to its
+    (dtype kinds, ndim)."""
+    leaf_size, leaf_ids = arrays[prefix + "leaf_size"], arrays[prefix + "leaf_ids"]
+    _require(leaf_size.ndim == leaf_ids.ndim == 1 and leaf_size.dtype.kind == "i"
+             and leaf_ids.dtype.kind in "iu", f"{prefix}leaf_size and {prefix}leaf_ids must be 1-D integer arrays")
+    is_inner = leaf_size == -1
+    open_slots = 1 + np.cumsum(np.where(is_inner, 1, -1))  # child slots still unfilled after each node
+    _require(leaf_size.size and open_slots[-1] == 0 and np.all(open_slots[:-1] > 0),
+             f"the pre-order shape must close on exactly the {leaf_size.size} stored nodes")
+    sizes = leaf_size[~is_inner]
+    _require(np.all((0 < sizes) & (sizes <= leaf_ids.size)) and sizes.sum() == leaf_ids.size,
+             f"leaf sizes must be positive and sum to the {leaf_ids.size} leaf ids")
+    n_inner = leaf_size.size - sizes.size
+    for name, (kinds, ndim) in rows.items():
+        a = arrays[prefix + name]
+        _require(a.ndim == ndim and a.dtype.kind in kinds and a.shape[0] == n_inner,
+                 f"{prefix}{name} must be a {ndim}-D {'float' if kinds == 'f' else 'integer'} array "
+                 f"with one row per inner node ({n_inner})")
+    # in reverse pre-order each inner node finds its left, then its right
+    # subtree on top of the stack
+    parts, stack = np.split(leaf_ids, np.cumsum(sizes)[:-1]), []
+    for node_is_inner in reversed(is_inner.tolist()):
+        if node_is_inner:
+            n_inner -= 1
+            node = inner(n_inner)
+            node.left, node.right = stack.pop(), stack.pop()
+        else:
+            node = leaf(parts.pop().copy())
+        stack.append(node)
+    return stack.pop()
 
 
 def _encode_kd(tree: KdTree):
-    nodes, arrays = _tree_arrays(tree.root)
-    arrays["axis"] = np.array([n.axis for n in nodes], dtype=np.int64)
-    arrays["split"] = np.array([n.split_value for n in nodes], dtype=np.float64)
-    return {"leaf_capacity": tree.leaf_capacity, "dim": tree.dim, "size": tree.size}, arrays
+    layout = tree.layout
+    return {"leaf_capacity": tree.leaf_capacity, "dim": tree.dim, "size": tree.size}, {
+        "leaf_size": layout.leaf_size, "leaf_ids": layout.leaf_ids, "axis": layout.axes, "split": layout.splits}
 
 
 def _decode_kd(meta, arrays, X) -> KdTree:
-    root = _rebuild_tree(arrays, lambda idx, ids: KdNode(ids=ids),
-                         lambda idx: KdNode(axis=int(arrays["axis"][idx]),
-                                            split_value=float(arrays["split"][idx])))
-    return KdTree(root=root, leaf_capacity=_meta(meta, "leaf_capacity", int), dim=_meta(meta, "dim", int),
-                  size=_meta(meta, "size", int))
+    dim, size = _meta(meta, "dim", int), _meta(meta, "size", int)
+    _require_arrays(arrays, {"leaf_size", "leaf_ids", "axis", "split"})
+    axis, split = arrays["axis"], arrays["split"]
+    root = _rebuild_tree(arrays, "", {"axis": ("iu", 1), "split": ("f", 1)}, lambda ids: KdNode(ids=ids),
+                         lambda j: KdNode(axis=int(axis[j]), split_value=float(split[j])))
+    _require(np.array_equal(np.sort(arrays["leaf_ids"]), np.arange(size)),
+             f"leaf_ids must be a permutation of [0, {size})")
+    _require(np.all((0 <= axis) & (axis < dim)), f"axis values must lie in [0, {dim})")
+    return KdTree(root=root, leaf_capacity=_meta(meta, "leaf_capacity", int), dim=dim, size=size)
 
 
-def _flatten_proj_tree(root: ProjNode, prefix: str, arrays: dict) -> None:
-    nodes, cols = _tree_arrays(root)
-    inner = [i for i, n in enumerate(nodes) if not n.is_leaf]
-    cols["dir"] = np.zeros((len(nodes), max((nodes[i].direction.size for i in inner), default=0)))
-    for i in inner:
-        cols["dir"][i] = nodes[i].direction
-    cols["threshold"] = np.array([n.threshold for n in nodes], dtype=np.float64)
-    for name in ("size", "left_count", "right_count"):
-        cols[name] = np.array([getattr(n, name) for n in nodes], dtype=np.int64)
-    arrays.update({prefix + name: a for name, a in cols.items()})
-
-
-def _rebuild_proj_tree(prefix: str, arrays: dict) -> ProjNode:
-    tree = {name[len(prefix):]: a for name, a in arrays.items() if name.startswith(prefix)}
-    return _rebuild_tree(
-        tree,
-        lambda idx, ids: ProjNode(ids=ids, size=int(tree["size"][idx])),
-        lambda idx: ProjNode(direction=tree["dir"][idx].copy(), threshold=float(tree["threshold"][idx]),
-                             size=int(tree["size"][idx]), left_count=int(tree["left_count"][idx]),
-                             right_count=int(tree["right_count"][idx])))
+_PROJ_ROWS = {"dir": ("f", 2), "threshold": ("f", 1), "size": ("iu", 1)}
 
 
 def _encode_rp_forest(forest):
@@ -258,16 +262,38 @@ def _encode_rp_forest(forest):
             "leaf_capacity": forest[0].leaf_capacity, "seeds": [t.seed for t in forest]}
     arrays: dict = {}
     for i, tree in enumerate(forest):
-        _flatten_proj_tree(tree.root, f"t{i}_", arrays)
+        inner, cols = _preorder(tree.root)
+        cols["dir"] = np.array([n.direction for n in inner], dtype=np.float64).reshape(len(inner), tree.dim)
+        cols["threshold"] = np.array([n.threshold for n in inner], dtype=np.float64)
+        cols["size"] = np.array([n.size for n in inner], dtype=np.int64)
+        arrays.update({f"t{i}_{name}": a for name, a in cols.items()})
     return meta, arrays
 
 
-def _decode_rp_forest(meta, arrays, X) -> list:
+def _rebuild_proj_tree(arrays: dict, prefix: str, dim: int, spill: bool) -> ProjNode:
+    dirs, threshold, size = (arrays[prefix + name] for name in _PROJ_ROWS)
+    root = _rebuild_tree(arrays, prefix, _PROJ_ROWS, lambda ids: ProjNode(ids=ids, size=ids.size),
+                         lambda j: ProjNode(direction=dirs[j].copy(), threshold=float(threshold[j]),
+                                            size=int(size[j])))
+    _require(dirs.shape[1] == dim, f"{prefix}dir must have {dim} columns")
+    ids = arrays[prefix + "leaf_ids"]
+    if spill:
+        _require(0 <= ids.min() and ids.max() < root.size, f"{prefix}leaf_ids must lie in [0, {root.size})")
+    else:
+        _require(np.array_equal(np.sort(ids), np.arange(root.size)),
+                 f"{prefix}leaf_ids must be a permutation of [0, {root.size})")
+    return root
+
+
+def _decode_rp_forest(meta, arrays, X, spill: bool = False) -> list:
     leaf_capacity, dim = _meta(meta, "leaf_capacity", int), _meta(meta, "dim", int)
-    seeds = _meta(meta, "seeds", [int])
-    return [RpTree(root=_rebuild_proj_tree(f"t{i}_", arrays), leaf_capacity=leaf_capacity,
-                   dim=dim, seed=seeds[i])
-            for i in range(_meta(meta, "n_trees", int))]
+    n_trees, seeds = _meta(meta, "n_trees", int), _meta(meta, "seeds", [int])
+    _require(len(seeds) == n_trees, f"seeds must hold one seed per tree ({n_trees})")
+    _require_arrays(arrays, {f"t{i}_{name}" for i in range(n_trees)
+                             for name in ("leaf_size", "leaf_ids", *_PROJ_ROWS)})
+    return [RpTree(root=_rebuild_proj_tree(arrays, f"t{i}_", dim, spill), leaf_capacity=leaf_capacity,
+                   dim=dim, seed=seed)
+            for i, seed in enumerate(seeds)]
 
 
 def _encode_spill_forest(forest):
@@ -277,8 +303,11 @@ def _encode_spill_forest(forest):
 
 
 def _decode_spill_forest(meta, arrays, X) -> list:
+    alphas = _meta(meta, "alphas", [float])
+    forest = _decode_rp_forest(meta, arrays, X, spill=True)
+    _require(len(alphas) == len(forest), f"alphas must hold one alpha per tree ({len(forest)})")
     return [SpillTree(root=t.root, leaf_capacity=t.leaf_capacity, dim=t.dim, seed=t.seed, alpha=alpha)
-            for t, alpha in zip(_decode_rp_forest(meta, arrays, X), _meta(meta, "alphas", [float]))]
+            for t, alpha in zip(forest, alphas)]
 
 
 def _encode_cover(tree: CoverTree):
@@ -306,8 +335,6 @@ def _encode_cover(tree: CoverTree):
 
 
 def _decode_cover(meta, arrays, X) -> CoverTree:
-    if X is None:
-        raise ValueError("cover tree loading requires the collection")
     point, level, parent = arrays["point"], arrays["level"], arrays["parent"]
     n, size, root_level = point.size, _meta(meta, "size", int), _meta(meta, "root_level", int, optional=True)
     _require(all(a.ndim == 1 and a.size == n and a.dtype.kind in "iu" for a in (point, level, parent)),
@@ -321,6 +348,7 @@ def _decode_cover(meta, arrays, X) -> CoverTree:
                        and (n == 1 or root_level is not None)),
              "the root's level must be root_level")
     _require(np.all(level[1:] < level[parent[1:]]), "a node's level must be below its parent's")
+    _require(not n or level.max() <= 1022, "levels must not exceed 1022, where the radius 2^(level + 1) overflows")
     tree = CoverTree(X=X, root=int(point[0]) if n else None, root_level=root_level, size=n)
     for i in range(1, n):
         tree.link(int(point[i]), int(point[parent[i]]), int(level[i]))
@@ -569,6 +597,8 @@ def load_index(path, X: Optional[Collection] = None):
     """Load an index; tree families that keep the collection inside
     (cover trees) need ``X`` supplied."""
     family, meta, arrays = _read_blob(path)
+    if family == "cover" and X is None:
+        raise ValueError(f"{path}: cover tree loading requires the collection")
     try:
         return _FAMILIES[family].decode(meta, arrays, X)
     except KeyError as err:  # a well-framed file whose meta or arrays do not fit its family

@@ -80,7 +80,7 @@ def _cross_polytope(mat: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return (2 * i + neg).astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HashFamily:
     """A seeded family; function ``f`` of the family is fully determined by
     (kind, seed, d, f), so rebuilding with the same seed is bit-identical."""
@@ -301,7 +301,7 @@ def _ladder_step(eps: float) -> float:
     return math.sqrt(1.0 + eps) - 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadiusLadder:
     """Reusable stack of PLEB indexes at geometrically spaced radii.
 
@@ -315,7 +315,7 @@ class RadiusLadder:
     X: Collection
     eps: float
     seed: int
-    levels: list
+    levels: tuple
     _indexes: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -362,7 +362,7 @@ def build_radius_ladder(X: Collection, eps: float, seed: int = 0) -> RadiusLadde
     step = _ladder_step(eps)
     lo, hi = _sample_aspect_ratio(X, seed)
     n_levels = max(1, math.ceil(math.log(hi / lo) / math.log(1.0 + step)))
-    levels = [lo * (1.0 + step) ** j for j in range(n_levels)]
+    levels = tuple(lo * (1.0 + step) ** j for j in range(n_levels))
     return RadiusLadder(X=X, eps=eps, seed=seed, levels=levels)
 
 

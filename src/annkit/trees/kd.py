@@ -41,8 +41,10 @@ class KdNode:
 
 
 class _Layout(NamedTuple):
-    """Flat arrays derived from the nodes, for search; never saved."""
+    """Flat arrays derived from the nodes, for search. ``leaf_size``,
+    ``axes``, ``splits`` and ``leaf_ids`` are also the tree's saved form."""
 
+    leaf_size: np.ndarray  # (n_nodes,) pre-order: a leaf's size, -1 for an inner node
     axes: np.ndarray  # (n_inner,) split axis per inner node, pre-order
     splits: np.ndarray  # (n_inner,) split value per inner node
     paths: np.ndarray  # (n_leaves, depth) ancestor slots per leaf, 2 * n_inner pads
@@ -54,14 +56,16 @@ def _layout(root: KdNode) -> _Layout:
     """Number inner nodes and leaves in pre-order. Each ancestor of a leaf
     is recorded as the slot ``2 * node + side``, side 1 when the leaf lies
     right of that node's split, 0 when left."""
-    axes, splits, paths, parts = [], [], [], []
+    leaf_size, axes, splits, paths, parts = [], [], [], [], []
     stack = [(root, ())]
     while stack:
         node, path = stack.pop()
         if node.is_leaf:
+            leaf_size.append(node.ids.size)
             paths.append(path)
             parts.append(node.ids)
             continue
+        leaf_size.append(-1)
         j = len(axes)
         axes.append(node.axis)
         splits.append(node.split_value)
@@ -71,8 +75,8 @@ def _layout(root: KdNode) -> _Layout:
     for row, path in zip(pad, paths):
         row[:len(path)] = path
     offsets = np.cumsum([0] + [ids.size for ids in parts], dtype=np.intp)
-    return _Layout(np.array(axes, dtype=np.intp), np.array(splits, dtype=np.float64), pad,
-                   offsets, np.concatenate(parts))
+    return _Layout(np.array(leaf_size, dtype=np.int64), np.array(axes, dtype=np.int64),
+                   np.array(splits, dtype=np.float64), pad, offsets, np.concatenate(parts))
 
 
 @dataclass

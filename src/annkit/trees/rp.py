@@ -34,10 +34,7 @@ class ProjNode:
     left: Optional["ProjNode"] = None
     right: Optional["ProjNode"] = None
     ids: Optional[np.ndarray] = None
-    # node and per-child sizes, kept for structural invariant checks
-    size: int = 0
-    left_count: int = 0
-    right_count: int = 0
+    size: int = 0  # points under the node; the children of a spill node overlap
 
     @property
     def is_leaf(self) -> bool:
@@ -81,8 +78,7 @@ def _build_rp(X, ids, m0, rng) -> ProjNode:
     j = max(int(np.ceil(n / 4)), min(j, n - int(np.ceil(n / 4))))
     j = max(1, min(j, n - 1))
     threshold = 0.5 * (proj[j - 1] + proj[j])
-    node = ProjNode(direction=direction, threshold=float(threshold),
-                    size=n, left_count=j, right_count=n - j)
+    node = ProjNode(direction=direction, threshold=float(threshold), size=n)
     node.left = _build_rp(X, sorted_ids[:j], m0, rng)
     node.right = _build_rp(X, sorted_ids[j:], m0, rng)
     return node
@@ -109,9 +105,8 @@ def _build_spill(X, ids, m0, alpha, rng) -> ProjNode:
         hi = (n + 1) // 2
         lo = n - hi
     mid = (n - 1) // 2
-    threshold = float(proj[mid]) if n % 2 == 1 else 0.5 * (proj[mid] + proj[mid + 1])
-    node = ProjNode(direction=direction, threshold=threshold,
-                    size=n, left_count=hi, right_count=n - lo)
+    threshold = float(proj[mid] if n % 2 == 1 else 0.5 * (proj[mid] + proj[mid + 1]))
+    node = ProjNode(direction=direction, threshold=threshold, size=n)
     node.left = _build_spill(X, sorted_ids[:hi], m0, alpha, rng)
     node.right = _build_spill(X, sorted_ids[lo:], m0, alpha, rng)
     return node

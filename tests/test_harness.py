@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import re
 import struct
 import subprocess
@@ -46,6 +48,26 @@ FAMILIES = {
     "threshold_set": (14, lambda X: [ThresholdSketcher(out_dim=4, seed=1).sketch(u) for u in X.vectors[:3]]),
 }
 FAMILY_X = rand_collection(60, 8, 50)
+
+# sha256 of the (id, score) answers in test_tree_answers_pinned, taken with
+# the container layout that stored child pointers and leaf ranges per node
+TREE_ANSWERS_SHA256 = "18ec44cad29e9f6336de88c8f3e8e987c50eb76d0378d015540c39a46255fe6d"
+
+
+def assert_same_tree(a, b) -> None:
+    """Two dataclass trees equal field by field: nodes recursively, arrays
+    in dtype and values, derived fields (``compare=False``) skipped."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        if not f.compare:
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            assert_same_tree(x, y)
+        elif isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+        else:
+            assert type(x) is type(y) and x == y
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +153,7 @@ class TestContainerRoundTrips:
         q = np.random.default_rng(6).standard_normal(6).astype(np.float32)
         assert kd_search_exact(loaded, X, q, 5).ids.tolist() == \
             kd_search_exact(tree, X, q, 5).ids.tolist()
+        assert_same_tree(loaded, tree)
 
     def test_rp_and_spill_forest(self, tmp_path):
         X = rand_collection(200, 5, 7)
@@ -140,6 +163,9 @@ class TestContainerRoundTrips:
         q = np.random.default_rng(8).standard_normal(5).astype(np.float32)
         assert defeatist_search(loaded, X, q, 5).ids.tolist() == \
             defeatist_search(forest, X, q, 5).ids.tolist()
+        assert len(loaded) == len(forest)
+        for a, b in zip(loaded, forest):
+            assert_same_tree(a, b)
 
         spills = [spill_build(X, 16, 0.1, seed=t) for t in range(2)]
         save_index(tmp_path / "sp.akx", spills)
@@ -147,6 +173,28 @@ class TestContainerRoundTrips:
         assert defeatist_search(loaded, X, q, 5).ids.tolist() == \
             defeatist_search(spills, X, q, 5).ids.tolist()
         assert loaded[0].alpha == 0.1
+        assert len(loaded) == len(spills)
+        for a, b in zip(loaded, spills):
+            assert_same_tree(a, b)
+
+    def test_tree_answers_pinned(self, tmp_path):
+        """Saved and reloaded k-d, RP and spill trees answer as they did
+        under the previous tree layout."""
+        rng = np.random.default_rng(11)
+        kd_X = Collection(rng.integers(-3, 4, size=(300, 5)).astype(np.float32))
+        X = rand_collection(200, 5, 7)
+        indexes = {"kd.akx": kd_build(kd_X, 4), "rp.akx": [rp_build(X, 16, seed=t) for t in range(3)],
+                   "sp.akx": [spill_build(X, 16, 0.1, seed=t) for t in range(2)]}
+        for name, index in indexes.items():
+            save_index(tmp_path / name, index)
+        kd, rp, spill = (load_index(tmp_path / name) for name in indexes)
+        digest = hashlib.sha256()
+        for q_kd, q in zip(np.random.default_rng(12).uniform(-4, 4, (20, 5)),
+                           np.random.default_rng(8).standard_normal((20, 5)).astype(np.float32)):
+            for got in (kd_search_exact(kd, kd_X, q_kd, 10), defeatist_search(rp, X, q, 10),
+                        defeatist_search(spill, X, q, 10)):
+                digest.update(got.ids.astype(np.int64).tobytes() + got.scores.astype(np.float64).tobytes())
+        assert digest.hexdigest() == TREE_ANSWERS_SHA256
 
     def test_cover(self, tmp_path):
         X = rand_collection(150, 4, 9)
@@ -311,6 +359,8 @@ class TestContainerInputChecks:
         (_blob(meta=b"{"), "corrupt meta block"),
         (_blob(tag=12, meta=b"[1]"), "corrupt meta block: not a JSON object"),
         (_blob(dtype=b"zz!"), "array 'codewords' has unknown dtype b'zz!'"),
+        (_blob(dtype=b"|O"), "array 'codewords' has dtype b'|O', which cannot be read from bytes"),
+        (_blob(dtype=b"V0"), "array 'codewords' has dtype b'V0', which cannot be read from bytes"),
         (_blob() + b"junk", "4 trailing bytes"),
         (_blob(shape=(1000,)), "shape (1000,) needs 4000 bytes, 8 left"),
         (_blob(shape=(2**40, 2**40)), "needs"),
@@ -323,7 +373,7 @@ class TestContainerInputChecks:
          "malformed aq container: meta 'beam' must be int, not 2.5"),
         (_blob(tag=5, meta=b'{"kind":"nope"}'), "malformed lsh container: meta 'kind' must name a FamilyKind, not 'nope'"),
     ], ids=["magic", "version", "tag", "short_header", "short_array_header", "short_data",
-            "meta", "meta_list", "dtype", "trailing", "shape", "huge_shape", "array_name", "meta_key",
+            "meta", "meta_list", "dtype", "object_dtype", "empty_dtype", "trailing", "shape", "huge_shape", "array_name", "meta_key",
             "meta_type", "meta_bool_as_int", "meta_float_as_int", "meta_enum"])
     def test_malformed_container_rejected(self, tmp_path, raw, message):
         path = tmp_path / "bad.akx"
@@ -353,13 +403,124 @@ class TestContainerInputChecks:
         (lambda m, a: m.update(size=3), "size 3 differs from the 60 nodes"),
         (lambda m, a: a["level"].put(1, a["level"][0]), "a node's level must be below its parent's"),
         (lambda m, a: a["level"].put(0, a["level"][0] + 1), "the root's level must be root_level"),
+        (lambda m, a: (m.update(root_level=1023), a["level"].put(0, 1023)),
+         "levels must not exceed 1022, where the radius 2^(level + 1) overflows"),
     ], ids=["short_level", "root_parent", "parent_out_of_range", "later_parent", "point_out_of_range",
-            "negative_point", "repeated_point", "size", "child_level", "root_level"])
+            "negative_point", "repeated_point", "size", "child_level", "root_level", "level_overflow"])
     def test_malformed_cover_rejected(self, tmp_path, mangle, message):
         path = tmp_path / "bad.akx"
         _save_mangled(path, "cover", cover_build(FAMILY_X), mangle)
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed cover container: {message}")):
             load_index(path, X=FAMILY_X)
+
+    def test_cover_without_collection_rejected(self, tmp_path):
+        path = tmp_path / "cover.akx"
+        save_index(path, cover_build(FAMILY_X))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: cover tree loading requires the collection")):
+            load_index(path)
+
+    @pytest.mark.parametrize("family,mangle,message", [
+        ("kd", lambda m, a: a.update(leaf_size=np.append(a["leaf_size"], 1)),
+         "the pre-order shape must close on exactly the"),
+        ("kd", lambda m, a: a.update(leaf_size=a["leaf_size"][:-1]), "the pre-order shape must close on exactly the"),
+        ("rp_forest", lambda m, a: a["t1_leaf_size"].put(0, 3), "the pre-order shape must close on exactly the"),
+        ("kd", lambda m, a: a["leaf_size"].put(0, -2), "the pre-order shape must close on exactly the"),
+        ("kd", lambda m, a: a.update(leaf_size=a["leaf_size"].astype(np.float64)),
+         "leaf_size and leaf_ids must be 1-D integer arrays"),
+        ("kd", lambda m, a: a.update(axis=a["axis"][:-1]),
+         "axis must be a 1-D integer array with one row per inner node"),
+        ("kd", lambda m, a: a.update(split=a["split"].astype(np.int64)),
+         "split must be a 1-D float array with one row per inner node"),
+        ("rp_forest", lambda m, a: a.update(t0_threshold=a["t0_threshold"][:-1]),
+         "t0_threshold must be a 1-D float array with one row per inner node"),
+        ("spill_forest", lambda m, a: a.update(t1_size=np.append(a["t1_size"], 5)),
+         "t1_size must be a 1-D integer array with one row per inner node"),
+        ("kd", lambda m, a: a["leaf_size"].put(np.argmax(a["leaf_size"] > 0), 0),
+         "leaf sizes must be positive and sum to the 60 leaf ids"),
+        ("kd", lambda m, a: a.update(leaf_ids=a["leaf_ids"][:-1]), "leaf sizes must be positive and sum to the 59 leaf ids"),
+        ("spill_forest", lambda m, a: a.update(t0_leaf_ids=np.append(a["t0_leaf_ids"], 0)),
+         "leaf sizes must be positive and sum to the"),
+        ("kd", lambda m, a: a["leaf_ids"].put(0, a["leaf_ids"][1]), "leaf_ids must be a permutation of [0, 60)"),
+        ("kd", lambda m, a: a["leaf_ids"].put(0, 60), "leaf_ids must be a permutation of [0, 60)"),
+        ("kd", lambda m, a: m.update(size=61), "leaf_ids must be a permutation of [0, 61)"),
+        ("kd", lambda m, a: a["axis"].put(0, 8), "axis values must lie in [0, 8)"),
+        ("kd", lambda m, a: a["axis"].put(0, -1), "axis values must lie in [0, 8)"),
+        ("rp_forest", lambda m, a: a.update(t0_dir=a["t0_dir"][:, :4]), "t0_dir must have 8 columns"),
+        ("spill_forest", lambda m, a: a.update(t1_dir=a["t1_dir"][:, None]),
+         "t1_dir must be a 2-D float array with one row per inner node"),
+        ("rp_forest", lambda m, a: a["t1_leaf_ids"].put(0, a["t1_leaf_ids"][1]),
+         "t1_leaf_ids must be a permutation of [0, 60)"),
+        ("rp_forest", lambda m, a: a["t0_size"].put(0, 59), "t0_leaf_ids must be a permutation of [0, 59)"),
+        ("spill_forest", lambda m, a: a["t0_leaf_ids"].put(3, 60), "t0_leaf_ids must lie in [0, 60)"),
+        ("spill_forest", lambda m, a: a["t1_leaf_ids"].put(3, -1), "t1_leaf_ids must lie in [0, 60)"),
+        ("rp_forest", lambda m, a: m.update(seeds=[0]), "seeds must hold one seed per tree (2)"),
+        ("spill_forest", lambda m, a: m.update(alphas=[0.1]), "alphas must hold one alpha per tree (2)"),
+        ("rp_forest", lambda m, a: m.update(n_trees=3, seeds=[0, 1, 2]),
+         "arrays differ from the pre-order tree layout: unexpected [], missing ['t2_dir'"),
+        ("kd", lambda m, a: a.update(left=a["leaf_size"]),
+         "arrays differ from the pre-order tree layout: unexpected ['left'], missing []"),
+    ], ids=["kd_extra_node", "kd_missing_node", "rp_root_leaf", "kd_size_minus_two", "kd_float_sizes",
+            "kd_short_axis", "kd_int_split", "rp_short_threshold", "spill_long_size", "kd_empty_leaf",
+            "kd_short_ids", "spill_long_ids", "kd_repeated_id", "kd_id_out_of_range", "kd_size_meta",
+            "kd_axis_dim", "kd_negative_axis", "rp_dir_columns", "spill_dir_3d", "rp_repeated_id",
+            "rp_root_size", "spill_id_out_of_range", "spill_negative_id", "rp_seeds", "spill_alphas",
+            "rp_n_trees", "kd_extra_array"])
+    def test_malformed_tree_rejected(self, tmp_path, family, mangle, message):
+        path = tmp_path / "bad.akx"
+        _save_mangled(path, family, FAMILIES[family][1](FAMILY_X), mangle)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed {family} container: {message}")):
+            load_index(path)
+
+    @pytest.mark.parametrize("family", ["kd", "rp_forest", "spill_forest"])
+    def test_child_pointer_tree_layout_rejected(self, tmp_path, family):
+        """The earlier tree layout (per node: child pointers, a leaf range,
+        and for RP trees padded rows and child counts) is not read; here a
+        root split into two leaves of two points each."""
+        pointers = {"left": np.array([1, -1, -1]), "right": np.array([2, -1, -1]),
+                    "leaf_start": np.array([-1, 0, 2]), "leaf_end": np.array([-1, 2, 4]), "leaf_ids": np.arange(4)}
+        if family == "kd":
+            meta, arrays = {"leaf_capacity": 2, "dim": 2, "size": 4}, {
+                "axis": np.array([0, -1, -1]), "split": np.array([2.0, 0.0, 0.0]), **pointers}
+            unexpected, missing = ["leaf_end", "leaf_start", "left", "right"], ["leaf_size"]
+        else:
+            meta = {"n_trees": 1, "dim": 2, "leaf_capacity": 2, "seeds": [0], "alphas": [0.1]}
+            arrays = {"t0_" + name: a for name, a in {
+                "dir": np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), "threshold": np.array([2.0, 0.0, 0.0]),
+                "size": np.array([4, 2, 2]), "left_count": np.array([2, 0, 0]),
+                "right_count": np.array([2, 0, 0]), **pointers}.items()}
+            unexpected = ["t0_leaf_end", "t0_leaf_start", "t0_left", "t0_left_count", "t0_right",
+                          "t0_right_count"]
+            missing = ["t0_leaf_size"]
+        path = tmp_path / "old.akx"
+        with open(path, "wb") as fh:
+            container._write_blob(fh, FAMILIES[family][0], meta, arrays)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed {family} container: arrays differ from the pre-order tree layout: "
+                f"unexpected {unexpected}, missing {missing}")):
+            load_index(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["kd", "rp_forest", "spill_forest"]), data=st.data())
+    def test_mangled_tree_loads_or_raises_value_error(self, tmp_path_factory, family, data):
+        """Any one array value changed, or any one array cut or grown by a
+        row, loads or fails with a ValueError naming the file."""
+        meta, arrays = container._FAMILIES[family].encode(FAMILIES[family][1](FAMILY_X))
+        name = data.draw(st.sampled_from(sorted(arrays)), label="array")
+        change = data.draw(st.sampled_from(["value", "cut", "grow"]), label="change")
+        a = arrays[name]
+        if change == "value" and a.size:
+            a.flat[data.draw(st.integers(0, a.size - 1), label="at")] = data.draw(st.integers(-3, 70), label="to")
+        elif change == "cut":
+            arrays[name] = a[:-1]
+        else:
+            arrays[name] = np.concatenate((a, a[:1]))
+        path = tmp_path_factory.getbasetemp() / "mangled_tree.akx"
+        with open(path, "wb") as fh:
+            container._write_blob(fh, container._FAMILIES[family].tag, meta, arrays)
+        try:
+            load_index(path)
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("mangle,message", [
         (lambda m, a: a["ids"].put(5, 999), "neighbour ids must lie in [0, 60)"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -51,6 +52,15 @@ class TestHashFamilies:
         b.hash_block(0, 2, u[None, :])
         assert a == b
         assert a != HashFamily(FamilyKind.HYPERPLANE, seed=2, d=3)
+
+    @pytest.mark.parametrize("field,value", [("kind", FamilyKind.P_STABLE_L2), ("seed", 2), ("d", 4), ("r", 2.0)])
+    def test_fields_frozen_after_hashing(self, field, value):
+        """The parameter caches hold what the fields gave; a field cannot
+        change under them."""
+        fam = HashFamily(FamilyKind.HYPERPLANE, seed=1, d=3)
+        fam.hash_block(0, 4, np.ones((2, 3)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fam, field, value)
 
     def test_hyperplane_antipodal_never_collides(self):
         fam = HashFamily(FamilyKind.HYPERPLANE, seed=0, d=6)
@@ -315,6 +325,17 @@ class TestApproxNn:
             ladder.pleb_eps = 0.5
         with pytest.raises(TypeError):
             RadiusLadder(X=X, eps=3.0, seed=0, levels=[1.0], pleb_eps=0.5)
+
+    @pytest.mark.parametrize("field,value", [("eps", 0.1), ("seed", 5), ("levels", (2.0,))])
+    def test_ladder_fields_frozen(self, field, value):
+        """Built levels are cached by index; eps, seed and levels cannot
+        change under them."""
+        from annkit.lsh import build_radius_ladder
+
+        ladder = build_radius_ladder(rand_collection(50, 4, 52), eps=0.5, seed=1)
+        ladder.query(np.zeros(4, dtype=np.float32))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ladder, field, value)
 
     def test_degenerate_collection_rejected(self):
         X = Collection(np.ones((20, 4), dtype=np.float32))

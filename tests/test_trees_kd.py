@@ -12,8 +12,9 @@ from annkit.harness.container import load_index, save_index
 from annkit.trees import kd_build, kd_search_exact
 
 
-# sha256 of the seeded container in test_kd_container_bytes_pinned
-KD_AKX_SHA256 = "346fad0786d7f06eb894d16059f90632061515476354c33aa84d90269b0a8937"
+# sha256 of the seeded container in test_kd_container_bytes_pinned, in the
+# pre-order tree layout (leaf sizes, leaf ids, and axis/split per inner node)
+KD_AKX_SHA256 = "6429849845f629425b85835fdd135adf3723be306147d52019dd32bdee89e4da"
 
 
 def rand_collection(m, d, seed):
@@ -181,9 +182,9 @@ class TestSearchExact:
 
 class TestContainerBytes:
     def test_kd_container_bytes_pinned(self, tmp_path):
-        """The search layout is derived on construction and never saved:
-        a seeded tree's container keeps the bytes it had before the layout
-        existed."""
+        """A seeded tree's container is its search layout's pre-order
+        arrays (leaf sizes, leaf ids, axes, splits) and nothing else, and
+        re-saving a loaded tree gives the same bytes."""
         rng = np.random.default_rng(11)
         X = Collection(rng.integers(-3, 4, size=(300, 5)).astype(np.float32))
         path = tmp_path / "kd.akx"

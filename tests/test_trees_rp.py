@@ -1,8 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from annkit.core import Collection, DistanceKind, brute_force_topk, recall
+from annkit.harness.container import load_index, save_index
 from annkit.trees import defeatist_search, potential_phi, rp_build, spill_build
+
+
+# sha256 of the seeded containers in test_forest_container_bytes_pinned, in
+# the pre-order tree layout (leaf sizes, leaf ids, and dir/threshold/size
+# per inner node)
+RP_AKX_SHA256 = "355bb18d963ab612a48da8ec7623bab1de673979e2a211c670c98298d2cbfb19"
+SPILL_AKX_SHA256 = "9e5844f88fe67b2d1ea78d9968a130f496833efd5c5ec55f502a7f65e575fcf8"
 
 
 def rand_collection(m, d, seed):
@@ -50,7 +60,7 @@ class TestRpBuild:
     def test_child_fraction_bounds(self):
         tree = rp_build(rand_collection(500, 8, 2), 8, seed=5)
         for node in internal_nodes(tree.root, []):
-            for count in (node.left_count, node.right_count):
+            for count in (node.left.size, node.right.size):
                 assert node.size / 4 <= count <= 3 * node.size / 4 + 1e-9
 
     def test_leaves_partition(self):
@@ -67,8 +77,8 @@ class TestSpillBuild:
         X = rand_collection(256, 6, 5)
         tree = spill_build(X, 16, alpha=0.0, seed=9)
         for node in internal_nodes(tree.root, []):
-            assert node.left_count == int(np.ceil(node.size / 2))
-            assert node.right_count == int(np.ceil(node.size / 2))
+            assert node.left.size == int(np.ceil(node.size / 2))
+            assert node.right.size == int(np.ceil(node.size / 2))
 
     def test_duplication_when_spilling(self):
         X = rand_collection(1024, 8, 6)
@@ -80,7 +90,7 @@ class TestSpillBuild:
         tree = spill_build(rand_collection(400, 6, 7), 8, alpha=0.15, seed=3)
         for node in internal_nodes(tree.root, []):
             n = node.size
-            for count in (node.left_count, node.right_count):
+            for count in (node.left.size, node.right.size):
                 assert np.ceil(n / 2) <= count <= np.ceil((0.5 + 0.15) * n) + 1e-9
 
 
@@ -157,3 +167,18 @@ class TestPotential:
         X = rand_collection(10, 3, 12)
         with pytest.raises(ValueError):
             potential_phi(X, X.vectors[4], 3)
+
+
+class TestContainerBytes:
+    @pytest.mark.parametrize("name,build,digest", [
+        ("rp", lambda X: [rp_build(X, 16, seed=t) for t in range(3)], RP_AKX_SHA256),
+        ("spill", lambda X: [spill_build(X, 16, 0.1, seed=t) for t in range(2)], SPILL_AKX_SHA256),
+    ])
+    def test_forest_container_bytes_pinned(self, tmp_path, name, build, digest):
+        """A seeded forest's container is each tree's pre-order arrays and
+        nothing else, and re-saving a loaded forest gives the same bytes."""
+        path = tmp_path / f"{name}.akx"
+        save_index(path, build(rand_collection(200, 5, 7)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        save_index(tmp_path / "again.akx", load_index(path))
+        assert (tmp_path / "again.akx").read_bytes() == path.read_bytes()
