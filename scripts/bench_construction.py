@@ -24,9 +24,12 @@ Eight rows, each repeated:
 
 Every row's output is hashed (the sized adjacency rows and the ``.akx``
 bytes for graphs, the ``(id, score)`` answers for the cover search, the
-``.akx`` bytes for the rest) and compared with digests pinned from the
-row-by-row graph construction, the per-cluster Lloyd loop and the cover
-search over node dicts; a mismatch fails the run.
+``.akx`` bytes for the rest) and compared with pinned digests; a mismatch
+fails the run. The graph digests are pinned from the batch Vamana build,
+the others from the per-cluster Lloyd loop and the cover search over node
+dicts. Beside a graph's digests goes its recall@10 for 300 Gaussian
+queries (the build-gaussian benchmark's first 300, or seed 800 at
+criterion 07's shape), searched by ``greedy_search`` at beam 64.
 Results are merged into ``BENCH_construction.json`` at the repository root
 under ``--label`` and the build's name, so that runs of two source trees on
 one machine sit side by side, and builds of the two can be run in turn:
@@ -54,8 +57,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from annkit.core import Collection  # noqa: E402
-from annkit.graph import build_vamana  # noqa: E402
+from annkit.core import Collection, DistanceKind, brute_force_topk, recall  # noqa: E402
+from annkit.graph import build_vamana, greedy_search  # noqa: E402
 from annkit.harness.container import save_index  # noqa: E402
 from annkit.ivf import build_ivf  # noqa: E402
 from annkit.quant import opq_train, pq_train  # noqa: E402
@@ -66,11 +69,11 @@ from annkit.trees import cover_build, cover_nn  # noqa: E402
 # answers
 PINNED = {
     "vamana-build-gaussian": (
-        "2be7f04e60b9b0427464db1e20d045e2054c52f66586f935c689c40d2bfd45c1",
-        "c61f293f8175473e725f64f2bae9bf5c2c0297deba410caffe1a90647835d194"),
+        "7b83f301930e98ea466bc6504e0cdef791fd49e0bd92019a48c32082fa126047",
+        "e32a63974e058aeb1570bd19e72717345722769d184c2bb898d03a9a62475748"),
     "vamana-criterion-07": (
-        "4b16ba610ab3b18678ae4f0682ea5e2081201c5ba901232f1cdc9e3d856aa34c",
-        "cf2577f58e1f08dfb906cd9ce46a0e428a8939edd8051eb7d1ed017441877439"),
+        "cce9d258f048385172e7e2795478bb685a68e67fd58db187cca8d6196dd83cbe",
+        "a19c2dd7eadb122f3fed2b2218fb2c05e4e519cbee127a7cb9919faa1bb2f2ff"),
     "cover-2000x64": (
         None,
         "466ece105a9d74f5e04477e68de75c7ae653b535ce085a9972fe2529ce794021"),
@@ -135,29 +138,36 @@ def answers_digests(answers, workdir: Path) -> tuple:
     return (digest.hexdigest(),)
 
 
+def graph_recall(G, X, queries) -> float:
+    """Mean recall@10 of ``greedy_search`` at beam 64 over ``queries``."""
+    return float(np.mean([recall(brute_force_topk(X, q, 10, DistanceKind.L2_SQUARED),
+                                 greedy_search(G, X, q, 10, beam=64)[0], 10) for q in queries]))
+
+
 def rows():
     """name -> (untimed set-up, the timed run over what it returns, the
-    digests of the run's output)."""
+    digests of the run's output, and for graphs the queries of its recall)."""
     rng = np.random.default_rng([1, 0xB6])  # build-gaussian's rows, then its queries
     bg = rng.standard_normal((5000, 64)).astype(np.float32)
     bq = rng.standard_normal((2000, 64)).astype(np.float32)[:300]
     c07 = Collection(gaussian_rows(700, 5000, 32))
+    c07q = gaussian_rows(800, 300, 32)
     cf = Collection(gaussian_rows(0, 10000, 64))
     qc = Collection(mixture_rows(1, 20000))
     return {
         "vamana-build-gaussian": (
             lambda: Collection(bg),
-            lambda X: build_vamana(X, alpha=1.2, cap=16, beam=32, seed=5, passes=2), graph_digests),
+            lambda X: build_vamana(X, alpha=1.2, cap=16, beam=32, seed=5, passes=2), graph_digests, bq),
         "vamana-criterion-07": (
-            lambda: c07, lambda X: build_vamana(X, alpha=1.2, cap=32, beam=64, seed=0), graph_digests),
-        "cover-2000x64": (lambda: Collection(bg[:2000]), cover_build, index_digests),
+            lambda: c07, lambda X: build_vamana(X, alpha=1.2, cap=32, beam=64, seed=0), graph_digests, c07q),
+        "cover-2000x64": (lambda: Collection(bg[:2000]), cover_build, index_digests, None),
         "cover-nn-2000x64": (
             lambda: cover_build(Collection(bg[:2000])),
-            lambda tree: [cover_nn(tree, q, 10) for q in bq], answers_digests),
-        "pq-cli-files": (lambda: cf, lambda X: pq_train(X, 32, 16, seed=0), index_digests),
-        "opq-cli-files": (lambda: cf, lambda X: opq_train(X, 32, 16, iters=10, seed=0), index_digests),
-        "ivf-cli-files": (lambda: cf, lambda X: build_ivf(X, 0, max_iters=10, seed=0), index_digests),
-        "ivf-query-clustered": (lambda: qc, lambda X: build_ivf(X, 0, max_iters=20, seed=1), index_digests),
+            lambda tree: [cover_nn(tree, q, 10) for q in bq], answers_digests, None),
+        "pq-cli-files": (lambda: cf, lambda X: pq_train(X, 32, 16, seed=0), index_digests, None),
+        "opq-cli-files": (lambda: cf, lambda X: opq_train(X, 32, 16, iters=10, seed=0), index_digests, None),
+        "ivf-cli-files": (lambda: cf, lambda X: build_ivf(X, 0, max_iters=10, seed=0), index_digests, None),
+        "ivf-query-clustered": (lambda: qc, lambda X: build_ivf(X, 0, max_iters=20, seed=1), index_digests, None),
     }
 
 
@@ -170,7 +180,7 @@ def main(argv=None) -> int:
 
     results, ok = {}, True
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (setup, run, digests) in rows().items():
+        for name, (setup, run, digests, queries) in rows().items():
             if args.only and name not in args.only:
                 continue
             given, seconds = setup(), []
@@ -184,8 +194,12 @@ def main(argv=None) -> int:
             results[name] = {"median_s": round(statistics.median(seconds), 3),
                              "seconds": [round(s, 3) for s in seconds], "repeats": args.repeats,
                              "digests_match": match, "sha256": got}
+            quality = ""
+            if queries is not None:
+                results[name]["recall_at_10"] = round(graph_recall(out, given, queries), 4)
+                quality = f", recall@10 {results[name]['recall_at_10']:.4f}"
             print(f"{name}: median {statistics.median(seconds):.3f} s over {args.repeats}, "
-                  f"digests {'match' if match else 'DIFFER'}", flush=True)
+                  f"digests {'match' if match else 'DIFFER'}{quality}", flush=True)
 
     out_path = Path(__file__).resolve().parent.parent / "BENCH_construction.json"
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}

@@ -3,7 +3,9 @@
 The greedy searcher keeps a bounded best-list of beam width b >= k and a
 visited set; expanding the closest unexpanded list entry until the list
 stabilizes is equivalent to rescanning every queue member's neighborhood
-each round, but does each node's neighborhood exactly once.
+each round, but does each node's neighborhood exactly once. The batch
+searcher runs many such searches in lockstep over one adjacency table, with
+every beam held in arrays; Vamana construction uses it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "SearchTrace",
     "build_knn_graph",
     "greedy_search",
+    "greedy_search_batch",
     "robust_prune",
     "build_alpha_sng_exact",
     "build_vamana",
@@ -141,6 +144,122 @@ def greedy_search(
         k=k,
     )
     return result, trace
+
+
+# the seen masks of one block of a batch search hold at most this many bytes
+_SEEN_BYTES = 1 << 22
+
+
+def greedy_search_batch(
+    table: np.ndarray,
+    X: Collection,
+    Q: np.ndarray,
+    entries: np.ndarray,
+    beam: int,
+    kind: DistanceKind = DistanceKind.L2_SQUARED,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`greedy_search` for many queries at once, in lockstep.
+
+    ``table`` is an ``(m, w)`` adjacency table: row u holds u's distinct
+    out-neighbors, padded with -1. Query j starts from ``entries[j]``.
+    Returns the ``(B, beam)`` ids and scores of the final beams, padded
+    with -1 and +inf where a beam never filled. Row j equals the beam of
+    ``greedy_search`` on ``Q[j]`` from the same entry at this beam width,
+    in ids and score bits: a row's score depends only on its row and its
+    query, and both beams are kept in ``(score, id)`` order.
+
+    Every query expands the first unexpanded node of its beam in each
+    round, and all of their state is arrays: the beams' ids, scores and
+    open flags, and one seen mask per query. The queries are taken in
+    blocks whose seen masks fit in ``_SEEN_BYTES``.
+    """
+    if beam < 1:
+        raise ValueError("beam must be at least 1")
+    Q64 = np.asarray(Q, dtype=np.float64)
+    if Q64.ndim != 2:
+        raise ValueError("Q must hold one query per row")
+    m = table.shape[0]
+    if table.ndim != 2 or (table.size and not (-1 <= table.min() <= table.max() < m)):
+        raise ValueError("table rows must hold node ids in [0, m), padded with -1")
+    entries = np.asarray(entries, dtype=np.int64)
+    if entries.shape != (Q64.shape[0],) or (entries.size and not (0 <= entries.min() <= entries.max() < m)):
+        raise ValueError("need one valid entry node id per query")
+    ids = np.empty((Q64.shape[0], beam), dtype=np.int64)
+    scores = np.empty((Q64.shape[0], beam))
+    step = max(1, _SEEN_BYTES // (m + 1))
+    for lo in range(0, Q64.shape[0], step):
+        hi = lo + step
+        ids[lo:hi], scores[lo:hi] = _search_block(table, X, Q64[lo:hi], entries[lo:hi], beam, kind)
+    return ids, scores
+
+
+def _pair_scores(X: Collection, ids: np.ndarray, Q64: np.ndarray, rows: np.ndarray,
+                 kind: DistanceKind) -> np.ndarray:
+    """Scores of the query ``Q64[rows[i]]`` against the row ``ids[i]`` of
+    ``X``, each equal bit for bit to :func:`score_rows`'."""
+    if kind is DistanceKind.L2_SQUARED and X.is_dense:
+        # score_rows' kernel: a float64 difference, then one einsum
+        # reduction per row
+        diff = np.subtract(X.vectors[ids], Q64[rows])
+        return np.einsum("ij,ij->i", diff, diff)
+    return np.array([score_rows(X, ids[i:i + 1], Q64[r], kind)[0] for i, r in enumerate(rows.tolist())])
+
+
+def _search_block(table: np.ndarray, X: Collection, Q64: np.ndarray, entries: np.ndarray,
+                  b: int, kind: DistanceKind) -> tuple[np.ndarray, np.ndarray]:
+    n, (m, w) = Q64.shape[0], table.shape
+    out_ids = np.empty((n, b), dtype=np.int64)
+    out_scores = np.empty((n, b))
+    # one seen row per query plus a last column that is always set: a -1
+    # pad at flat index q (m + 1) - 1 reads the set column of the row before
+    seen = np.zeros((n, m + 1), dtype=bool)
+    seen[:, m] = True
+    seen[np.arange(n), entries] = True
+    seen = seen.reshape(-1)
+    # per live query: its beam in the first b columns, kept in (score, id)
+    # order, and the neighbors of the node it expands in the last w; empty
+    # slots hold id m and a NaN score, which sorts after every score and
+    # equals none
+    ids = np.full((n, b + w), m, dtype=np.int64)
+    scores = np.full((n, b + w), np.nan)
+    is_open = np.zeros((n, b + w), dtype=bool)  # holds a node not yet expanded
+    qid = np.arange(n)
+    ids[:, 0], scores[:, 0], is_open[:, 0] = entries, _pair_scores(X, entries, Q64, qid, kind), True
+    live = np.ones(n, dtype=bool)
+    while True:
+        if not live.all():  # finished queries leave the block
+            done = ~live
+            out_ids[qid[done]], out_scores[qid[done]] = ids[done, :b], scores[done, :b]
+            qid, ids, scores, is_open = qid[live], ids[live], scores[live], is_open[live]
+            if not qid.size:
+                break
+        rows = np.arange(qid.size)
+        pos = is_open[:, :b].argmax(axis=1)
+        is_open[rows, pos] = False
+        nbr = table[ids[rows, pos]]
+        flat = nbr + (qid * (m + 1))[:, None]
+        fresh = ~seen[flat]
+        seen[flat[fresh]] = True
+        r, c = np.nonzero(fresh)
+        c += b
+        ids[:, b:], scores[:, b:], is_open[:, b:] = m, np.nan, fresh
+        ids[r, c] = nbr[fresh]
+        scores[r, c] = _pair_scores(X, ids[r, c], Q64, qid[r], kind)
+        # the first b + 1 by score are the first b + 1 by (score, id) unless
+        # two of them tie; rows with a tie are ordered by (score, id)
+        order = np.argsort(scores, axis=1, kind="stable")[:, :b + 1]
+        order += (rows * (b + w))[:, None]
+        top = scores.reshape(-1)[order]
+        tied = np.flatnonzero((top[:, 1:] == top[:, :-1]).any(axis=1))
+        if tied.size:
+            order[tied] = np.lexsort((ids[tied], scores[tied]), axis=1)[:, :b + 1] + (tied * (b + w))[:, None]
+        order = order[:, :b]
+        ids[:, :b], scores[:, :b], is_open[:, :b] = \
+            ids.reshape(-1)[order], scores.reshape(-1)[order], is_open.reshape(-1)[order]
+        live = is_open[:, :b].any(axis=1)
+    empty = out_ids == m
+    out_ids[empty], out_scores[empty] = -1, np.inf
+    return out_ids, out_scores
 
 
 _U64 = 2.0 ** -53  # unit roundoff of float64
@@ -321,6 +440,23 @@ def alpha_shortcut_violations(G: NeighborGraph, X: Collection, alpha: float) -> 
     return violations
 
 
+def _random_start(rng: np.random.Generator, m: int, cap: int) -> np.ndarray:
+    """An ``(m, cap)`` start graph: row u holds ``cap`` distinct ids drawn
+    uniformly from the ids other than u, by Floyd's sampling run over all
+    rows at once (``cap`` draws of ``m`` integers, no permutation per row)."""
+    picks = np.empty((m, cap), dtype=np.int64)
+    for c, top in enumerate(range(m - 1 - cap, m - 1)):
+        t = rng.integers(0, top + 1, size=m)
+        picks[:, c] = np.where((picks[:, :c] == t[:, None]).any(axis=1), top, t)
+    picks += picks >= np.arange(m)[:, None]  # skip self
+    return picks
+
+
+# a Vamana pass inserts its nodes in batches of 1, 2, 4, ... nodes, at most
+# this share of m (and at least one node) per batch
+_BATCH_FRACTION = 0.02
+
+
 def build_vamana(
     X: Collection,
     alpha: float,
@@ -331,57 +467,72 @@ def build_vamana(
     passes: int = 2,
 ) -> NeighborGraph:
     """Practical alpha-SNG approximation: start from a random regular graph,
-    then for each node (in random order) re-link it from a greedy search of
-    the current snapshot, and add reverse edges with re-pruning whenever a
+    then re-link every node, in random order and in batches, from a greedy
+    search of the graph, and add reverse edges with re-pruning whenever a
     target's degree would exceed the cap.
 
-    While building, out-neighbors live in one fixed-width table plus a
-    degree vector, and the graph's rows are views of it. A row's order
-    never matters (the search sorts its beam by ``(score, id)``, the prune
-    takes the unique candidates), so rows are sorted once, at the end.
+    Each pass walks its permutation in prefix-doubling batches (1, 2, 4, ...
+    nodes, at most ``_BATCH_FRACTION`` of m). A batch is searched in
+    lockstep (:func:`greedy_search_batch`) against the graph as it stands
+    before the batch, and each of its nodes is pruned on its own. The
+    batch's reverse edges are then grouped per target: a target with room
+    in its slack takes them all, one that would overflow is re-pruned once
+    over its row plus all of its new sources. With one node per batch this
+    is the node-by-node build.
+
+    Out-neighbors live in one fixed-width table plus a degree vector. A
+    row's order never matters (the search sorts its beam by ``(score,
+    id)``, the prune takes the unique candidates), so rows are sorted once,
+    at the end.
     """
     m = len(X)
     if not 1 <= cap < m:
         raise ValueError("need 1 <= cap < m")
     rng = np.random.default_rng(seed)
+    entry = medoid(X)
     # reverse edges accumulate a little past the cap before re-pruning;
     # a final sweep restores the cap everywhere
     slack = cap + max(8, cap // 2)
-    table = np.full((m, slack + 1), -1, dtype=np.int64)  # -1 past each row's degree
+    table = np.full((m, slack), -1, dtype=np.int64)  # -1 past each row's degree
+    table[:, :cap] = _random_start(rng, m, cap)
     deg = np.full(m, cap, dtype=np.int64)
-    for u in range(m):
-        choices = rng.permutation(m - 1)[:cap]
-        table[u, :cap] = np.where(choices >= u, choices + 1, choices)  # skip self
-    rows = [table[u, :cap] for u in range(m)]
-    G = NeighborGraph(adjacency=rows, directed=True, entry=medoid(X), kind=kind,
-                      alpha=alpha, degree_cap=cap, construction="vamana")
+    largest = max(1, int(_BATCH_FRACTION * m))
 
     def relink(u: int, candidates: np.ndarray) -> np.ndarray:
         kept = robust_prune(u, candidates, alpha, cap, X)
         table[u, :kept.size] = kept
         table[u, kept.size:deg[u]] = -1
         deg[u] = kept.size
-        rows[u] = table[u, :kept.size]
         return kept
 
     for _ in range(passes):
-        for u in rng.permutation(m).tolist():
-            result, _ = greedy_search(G, X, X.vectors[u], k=beam, beam=beam)
-            kept = relink(u, np.concatenate((result.ids, rows[u])))
-            # reverse edges: each target row changes on its own
-            targets = kept[~(table[kept] == u).any(axis=1)]
-            table[targets, deg[targets]] = u
-            deg[targets] += 1
-            for v, size in zip(targets.tolist(), deg[targets].tolist()):
-                if size > slack:
-                    relink(v, table[v, :size])
-                else:
-                    rows[v] = table[v, :size]
-    for u in range(m):
-        if deg[u] > cap:
-            relink(u, rows[u])
-    G.adjacency = [np.sort(row) for row in rows]
-    return G
+        order, start, size = rng.permutation(m), 0, 1
+        while start < m:
+            batch = order[start:start + size]
+            start, size = start + batch.size, min(2 * size, largest)
+            found, _ = greedy_search_batch(table, X, X.vectors[batch], np.full(batch.size, entry),
+                                           beam, kind)
+            kept = [relink(u, np.concatenate((ids[ids >= 0], table[u, :deg[u]])))
+                    for u, ids in zip(batch.tolist(), found)]
+            # reverse edges (src, dst) that are new, grouped by target
+            dst = np.concatenate(kept)
+            src = np.repeat(batch, [k.size for k in kept])
+            new = ~(table[dst] == src[:, None]).any(axis=1)
+            src, dst = src[new], dst[new]
+            by_target = np.argsort(dst * m + src)
+            src, dst = src[by_target], dst[by_target]
+            targets, first, count = np.unique(dst, return_index=True, return_counts=True)
+            fits = deg[targets] + count <= slack
+            fit = np.repeat(fits, count)
+            rank = np.arange(dst.size) - np.repeat(first, count)
+            table[dst[fit], deg[dst[fit]] + rank[fit]] = src[fit]
+            deg[targets[fits]] += count[fits]
+            for v, lo, n in zip(targets[~fits].tolist(), first[~fits].tolist(), count[~fits].tolist()):
+                relink(v, np.concatenate((table[v, :deg[v]], src[lo:lo + n])))
+    for u in np.flatnonzero(deg > cap).tolist():
+        relink(u, table[u, :deg[u]])
+    return NeighborGraph(adjacency=[np.sort(table[u, :deg[u]]) for u in range(m)], directed=True,
+                         entry=entry, kind=kind, alpha=alpha, degree_cap=cap, construction="vamana")
 
 
 def connectivity_check(G: NeighborGraph) -> tuple[float, int]:

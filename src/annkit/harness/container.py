@@ -12,7 +12,6 @@ its index object, and an adjacent encode/decode pair.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 import struct
@@ -376,9 +375,24 @@ def _decode_lsh(meta, arrays, X) -> LshIndex:
                      r=_meta(meta, "r", float))
     index = LshIndex(family=fam, ell=_meta(meta, "ell", int), big_l=_meta(meta, "big_l", int), tables=[],
                      eps=_meta(meta, "eps", float))
-    buckets = zip(arrays["keys"].tolist(), _unpack_ragged(arrays["ids"], arrays["offsets"]))
-    for size in _meta(meta, "table_sizes", [int]):
-        index.tables.append({key: ids.tolist() for key, ids in itertools.islice(buckets, size)})
+    keys, ids, offsets = arrays["keys"], arrays["ids"], arrays["offsets"]
+    buckets = _unpack_ragged(ids, offsets)
+    sizes = _meta(meta, "table_sizes", [int])
+    _require(keys.ndim == 1 and keys.dtype.kind in "iu" and keys.size == len(buckets),
+             f"keys must be a 1-D integer array with one key per bucket ({len(buckets)})")
+    _require(len(sizes) == index.big_l and min(sizes, default=0) >= 0 and sum(sizes) == len(buckets),
+             f"table_sizes must hold {index.big_l} sizes summing to the {len(buckets)} buckets")
+    _require(ids.dtype.kind in "iu", "ids must be an integer array")
+    starts = np.cumsum([0] + sizes)
+    n = int(offsets[starts[1]]) if sizes else 0
+    for t, (lo, hi) in enumerate(zip(starts[:-1].tolist(), starts[1:].tolist())):
+        _require(np.all(np.diff(keys[lo:hi]) > 0), f"table {t}'s keys must increase")
+        members = np.sort(ids[offsets[lo]:offsets[hi]])
+        _require(np.array_equal(members, np.arange(n)),
+                 f"table {t}'s ids must be a permutation of [0, {n}), as table 0's are")
+        index.tables.append({key: b.tolist() for key, b in zip(keys[lo:hi].tolist(), buckets[lo:hi])})
+    if X is not None:
+        _require(n == len(X), f"the tables hold {n} ids, the collection {len(X)}")
     return index
 
 
@@ -519,16 +533,20 @@ def _encode_asym_set(sketches):
 
 
 def _decode_asym_set(meta, arrays, X) -> list:
-    sketches = []
     nzs = _unpack_ragged(arrays["nz"], arrays["nz_offsets"])
     h, seed = _meta(meta, "h", int), _meta(meta, "seed", int)
+    dims = _meta(meta, "dims", [int])
     has_nz, has_lower = _meta(meta, "has_nz", [bool]), _meta(meta, "has_lower", [bool])
-    for i, dim in enumerate(_meta(meta, "dims", [int])):
-        nz = nzs[i] if has_nz[i] else None
-        lower = arrays["lower"][i].copy() if has_lower[i] else None
-        sketches.append(AsymSketch(nz=nz, upper=arrays["upper"][i].copy(),
-                                   lower=lower, h=h, seed=seed, dim=dim))
-    return sketches
+    n = len(dims)
+    _require(len(has_nz) == len(has_lower) == n, f"has_nz and has_lower must hold one flag per sketch ({n})")
+    upper, lower = arrays["upper"], arrays["lower"]
+    _require(upper.ndim == 2 and upper.dtype.kind == "f" and upper.shape[0] == n and lower.shape == upper.shape
+             and lower.dtype.kind == "f", f"upper and lower must be 2-D float arrays of one shape "
+             f"with one row per sketch ({n})")
+    _require(len(nzs) == n, f"nz_offsets must hold one part per sketch ({n})")
+    return [AsymSketch(nz=nzs[i] if has_nz[i] else None, upper=upper[i].copy(),
+                       lower=lower[i].copy() if has_lower[i] else None, h=h, seed=seed, dim=dim)
+            for i, dim in enumerate(dims)]
 
 
 def _encode_threshold_set(sketches):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import annkit.graph as graph
 from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk, recall, score_rows
 from annkit.harness.container import save_index
 from annkit.graph import (
+    NeighborGraph,
     alpha_shortcut_violations,
     build_alpha_sng_exact,
     build_knn_graph,
     build_vamana,
     connectivity_check,
     greedy_search,
+    greedy_search_batch,
     medoid,
     robust_prune,
 )
@@ -85,6 +88,86 @@ def robust_prune_reference(u, candidates, alpha, cap, X):
         alive[d_u > alpha * d_v] = False
         alive[pos] = False
     return np.sort(np.array(kept, dtype=np.int64))
+
+
+def adjacency_table(adjacency):
+    """The graph's rows as one table, padded with -1."""
+    table = np.full((len(adjacency), max(1, max(a.size for a in adjacency))), -1, dtype=np.int64)
+    for u, row in enumerate(adjacency):
+        table[u, :row.size] = row
+    return table
+
+
+def build_vamana_reference(X, alpha, cap, beam, seed, kind=DistanceKind.L2_SQUARED, passes=2):
+    """Node-by-node Vamana: each node, in a seeded random order, is searched
+    for with ``greedy_search`` on the graph as it stands, re-linked by
+    ``robust_prune``, and adds its reverse edges one target at a time,
+    re-pruning a target that overflows its slack. The oracle for
+    ``build_vamana`` with one node per batch."""
+    m = len(X)
+    rng = np.random.default_rng(seed)
+    slack = cap + max(8, cap // 2)
+    rows = list(graph._random_start(rng, m, cap))
+    G = NeighborGraph(adjacency=rows, directed=True, entry=medoid(X), kind=kind,
+                      alpha=alpha, degree_cap=cap, construction="vamana")
+
+    def relink(u, candidates):
+        rows[u] = robust_prune(u, candidates, alpha, cap, X)
+        return rows[u]
+
+    for _ in range(passes):
+        for u in rng.permutation(m).tolist():
+            result, _ = greedy_search(G, X, X.vectors[u], k=beam, beam=beam)
+            for v in relink(u, np.concatenate((result.ids, rows[u]))).tolist():
+                if u not in rows[v]:
+                    rows[v] = np.append(rows[v], u)
+                    if rows[v].size > slack:
+                        relink(v, rows[v])
+    for u in range(m):
+        if rows[u].size > cap:
+            relink(u, rows[u])
+    G.adjacency = [np.sort(row) for row in rows]
+    return G
+
+
+@st.composite
+def batch_search_cases(draw):
+    """Batch search inputs: integer grids (many score ties), duplicate rows
+    and Gaussian rows; tables of any degree, down to none, so that some
+    beams never fill; queries drawn from the rows (score 0) or off them;
+    one entry per query; any beam."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, d = draw(st.integers(1, 40), label="m"), draw(st.integers(1, 4), label="d")
+    style = draw(st.sampled_from(["int", "dup", "gauss"]))
+    if style == "int":
+        rows = rng.integers(-2, 3, size=(m, d))
+    elif style == "dup":
+        rows = rng.standard_normal((m, d))[rng.integers(0, max(1, m // 3), size=m)]
+    else:
+        rows = rng.standard_normal((m, d))
+    X = Collection(rows.astype(np.float32))
+    width = draw(st.integers(0, min(m, 8)), label="width")
+    adjacency = [np.sort(rng.choice(m, size=int(rng.integers(0, width + 1)), replace=False)).astype(np.int64)
+                 for _ in range(m)]
+    n = draw(st.integers(1, 6), label="queries")
+    Q = np.where(rng.random((n, 1)) < 0.5, X.vectors[rng.integers(0, m, size=n)],
+                 rng.integers(-2, 3, size=(n, d)) if style == "int" else rng.standard_normal((n, d)))
+    return adjacency, X, Q.astype(np.float32), rng.integers(0, m, size=n), draw(st.integers(1, 10), label="beam")
+
+
+def assert_batch_equals_single(adjacency, X, Q, entries, beam, kind=DistanceKind.L2_SQUARED):
+    """Row j of the batch search is ``greedy_search``'s beam for ``Q[j]``,
+    ids and score bits, for k = 1 and k = beam."""
+    G = NeighborGraph(adjacency=adjacency, directed=True, entry=0, kind=kind)
+    ids, scores = greedy_search_batch(adjacency_table(adjacency), X, Q, entries, beam, kind)
+    assert ids.shape == scores.shape == (len(Q), beam)
+    for j, q in enumerate(Q):
+        for k in (1, beam):
+            want, _ = greedy_search(G, X, q, k=k, entry=int(entries[j]), beam=beam)
+            assert ids[j, :want.ids.size].tolist() == want.ids.tolist()
+            assert scores[j, :want.ids.size].tobytes() == want.scores.tobytes()
+        # where the beam never filled, the rest is padding
+        assert np.all(ids[j, want.ids.size:] == -1) and np.all(scores[j, want.ids.size:] == np.inf)
 
 
 @st.composite
@@ -182,6 +265,51 @@ class TestGreedySearch:
         G = build_knn_graph(X, 6)
         _, trace = greedy_search(G, X, X.vectors[3], k=3)
         assert trace.visited >= trace.hops >= 1
+
+
+class TestGreedySearchBatch:
+    @pytest.mark.parametrize("beam", [1, 8, 32])
+    def test_equals_greedy_search_on_a_vamana_graph(self, beam):
+        X = rand_collection(600, 8, 41)
+        G = build_vamana(X, alpha=1.2, cap=8, beam=16, seed=42)
+        Q = np.random.default_rng(43).standard_normal((40, 8)).astype(np.float32)
+        entries = np.random.default_rng(44).integers(0, 600, size=40)
+        assert_batch_equals_single(G.adjacency, X, Q, entries, beam)
+
+    @pytest.mark.parametrize("kind", [DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT])
+    def test_equals_greedy_search_on_a_knn_graph_from_one_entry(self, kind):
+        X = rand_collection(200, 4, 45)
+        G = build_knn_graph(X, 5, kind)
+        Q = np.concatenate((X.vectors[:10], np.random.default_rng(46).standard_normal((10, 4)).astype(np.float32)))
+        assert_batch_equals_single(G.adjacency, X, Q, np.full(20, G.entry), 10, kind)
+
+    def test_blocks_of_queries_equal_one_block(self, monkeypatch):
+        X = rand_collection(300, 6, 47)
+        table = adjacency_table(build_knn_graph(X, 6).adjacency)
+        Q = np.random.default_rng(48).standard_normal((25, 6)).astype(np.float32)
+        entries = np.arange(25)
+        whole = greedy_search_batch(table, X, Q, entries, 12)
+        monkeypatch.setattr(graph, "_SEEN_BYTES", 3 * 301)  # three queries per block
+        blocked = greedy_search_batch(table, X, Q, entries, 12)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch_search_cases())
+    def test_equals_greedy_search_on_adversarial_data(self, case):
+        assert_batch_equals_single(*case)
+
+    @pytest.mark.parametrize("table,entries,beam,message", [
+        (np.full((5, 2), -1), np.array([0, 5]), 4, "need one valid entry node id per query"),
+        (np.full((5, 2), -1), np.array([0]), 4, "need one valid entry node id per query"),
+        (np.full((5, 2), -1), np.array([0, 0]), 0, "beam must be at least 1"),
+        (np.full((5, 2), 5), np.array([0, 0]), 4, "table rows must hold node ids in [0, m), padded with -1"),
+        (np.full((5, 2), -2), np.array([0, 0]), 4, "table rows must hold node ids in [0, m), padded with -1"),
+        (np.full(5, -1), np.array([0, 0]), 4, "table rows must hold node ids in [0, m), padded with -1"),
+    ])
+    def test_rejects_bad_input(self, table, entries, beam, message):
+        X = rand_collection(5, 2, 49)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            greedy_search_batch(table, X, X.vectors[:2], entries, beam)
 
 
 class TestRobustPrune:
@@ -297,15 +425,16 @@ class TestAlphaSng:
 
 
 # (m, d, data seed, alpha, cap, beam, seed) -> sha256 of the sized rows and
-# of the .akx file, pinned from the list-of-arrays build with the row-by-row
-# prune
+# of the .akx file, pinned from the batch build (batches of up to 2% of m,
+# start graph by Floyd's sampling); the node-by-node build that it replaced
+# is build_vamana_reference
 VAMANA_SHA256 = {
     (1000, 16, 31, 1.2, 8, 16, 32): (
-        "143e8740f60ed66dfc8b3e59bfc5facf54307719bf2bb72264b9170d469d96db",
-        "4d96e4d9538bc873b9195983a4d3769c275e1507d09ee4b015147bfff2ea6b14"),
+        "1786aecd26bd8c011b184299228304a38e3684aee1543ebb82d8c8c02890aab4",
+        "5ba591eb5e1a0c01f45c736fa3a3ce9b2245a7d54919a7200fccd32bd1274cb4"),
     (600, 8, 33, 2.0, 12, 24, 34): (
-        "a3c349c382ae65a6e402ea175ecd3eb1947ce7c8746a7534b89a88a6d883fa80",
-        "810376116e65296146e2852f6bd36ac94896561a9b5c9a162290548e8809170b"),
+        "04af868c42a097744d7d1dcb200d58995e416e3e305bdca588e47d9366dabe21",
+        "2e7790f341f1eb0ab5a5d0b587325fbc2f34286ca02d4cccddc5fc637593aaab"),
 }
 
 
@@ -314,6 +443,7 @@ class TestVamana:
         X = rand_collection(400, 8, 18)
         G = build_vamana(X, alpha=1.2, cap=12, beam=24, seed=19)
         assert G.out_degree().max() <= 12
+        assert not any(u in row for u, row in enumerate(G.adjacency))
 
     def test_seed_reproducibility(self):
         X = rand_collection(150, 6, 20)
@@ -328,6 +458,27 @@ class TestVamana:
         res, _ = greedy_search(G, X, q, k=5, beam=20)
         want = brute_force_topk(X, q, 5, DistanceKind.L2_SQUARED)
         assert res.ids.tolist() == want.ids.tolist()
+
+    @pytest.mark.parametrize("m,d,data_seed,alpha,cap,beam,seed,passes", [
+        (300, 8, 50, 1.2, 6, 12, 51, 2),
+        (400, 4, 52, 2.0, 10, 10, 53, 1),
+        *(shape + (2,) for shape in sorted(VAMANA_SHA256)),
+    ])
+    def test_one_node_batches_equal_the_reference(self, monkeypatch, m, d, data_seed, alpha, cap, beam,
+                                                  seed, passes):
+        X = rand_collection(m, d, data_seed)
+        monkeypatch.setattr(graph, "_BATCH_FRACTION", 0.0)
+        got = build_vamana(X, alpha=alpha, cap=cap, beam=beam, seed=seed, passes=passes)
+        want = build_vamana_reference(X, alpha=alpha, cap=cap, beam=beam, seed=seed, passes=passes)
+        assert got.entry == want.entry
+        assert all(np.array_equal(a, b) for a, b in zip(got.adjacency, want.adjacency))
+
+    def test_start_graph_rows_are_distinct_and_skip_self(self):
+        for m, cap in ((2, 1), (9, 8), (50, 7), (500, 32)):
+            start = graph._random_start(np.random.default_rng(m), m, cap)
+            assert start.shape == (m, cap) and start.dtype == np.int64
+            assert np.all((start >= 0) & (start < m)) and not np.any(start == np.arange(m)[:, None])
+            assert all(np.unique(row).size == cap for row in start)
 
     @pytest.mark.parametrize("shape", sorted(VAMANA_SHA256))
     def test_pinned_adjacency_and_container(self, shape, tmp_path):
@@ -362,8 +513,6 @@ class TestConnectivity:
         assert frac == 1.0 and missing == 0
 
     def test_two_isolated_cliques(self):
-        from annkit.graph import NeighborGraph
-
         adjacency = [np.array([1]), np.array([0]), np.array([3]), np.array([2])]
         G = NeighborGraph(adjacency=adjacency, directed=True, entry=0)
         frac, missing = connectivity_check(G)

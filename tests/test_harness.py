@@ -538,6 +538,84 @@ class TestContainerInputChecks:
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed graph container: {message}")):
             load_index(path)
 
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda m, a: m.update(table_sizes=[4, 4]), "table_sizes must hold 3 sizes summing to the 12 buckets"),
+        (lambda m, a: m.update(table_sizes=[4, 4, 4, 0]), "table_sizes must hold 3 sizes summing to the 12 buckets"),
+        (lambda m, a: m.update(table_sizes=[1, 1, 1]), "table_sizes must hold 3 sizes summing to the 12 buckets"),
+        (lambda m, a: m.update(table_sizes=[4, 3, 5]), "table 1's ids must be a permutation of [0, 60), as table 0's are"),
+        (lambda m, a: m.update(table_sizes=[8, -1, 5]), "table_sizes must hold 3 sizes summing to the 12 buckets"),
+        (lambda m, a: m.update(table_sizes=[0, 8, 4]), "table 1's ids must be a permutation of [0, 0), as table 0's are"),
+        (lambda m, a: a["ids"].fill(999), "table 0's ids must be a permutation of [0, 60), as table 0's are"),
+        (lambda m, a: a["ids"].put(-1, -1), "table 2's ids must be a permutation of [0, 60), as table 0's are"),
+        (lambda m, a: a["ids"].put(70, a["ids"][71]),
+         "table 1's ids must be a permutation of [0, 60), as table 0's are"),
+        (lambda m, a: a.update(ids=a["ids"].astype(np.float64)), "ids must be an integer array"),
+        (lambda m, a: a.update(keys=a["keys"][:-1]), "keys must be a 1-D integer array with one key per bucket (12)"),
+        (lambda m, a: a["keys"].put(1, a["keys"][0]), "table 0's keys must increase"),
+    ], ids=["short_sizes", "long_sizes", "small_sizes", "shifted_sizes", "negative_size", "empty_table", "ids_999",
+            "negative_id", "repeated_id", "float_ids", "short_keys", "repeated_key"])
+    def test_malformed_lsh_rejected(self, tmp_path, mangle, message):
+        path = tmp_path / "bad.akx"
+        _save_mangled(path, "lsh", FAMILIES["lsh"][1](FAMILY_X), mangle)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed lsh container: {message}")):
+            load_index(path)
+
+    def test_lsh_against_another_collection_rejected(self, tmp_path):
+        path = tmp_path / "lsh.akx"
+        save_index(path, FAMILIES["lsh"][1](FAMILY_X))
+        assert len(load_index(path, X=FAMILY_X).tables) == 3
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: malformed lsh container: the tables hold 60 ids, the collection 59")):
+            load_index(path, X=Collection(FAMILY_X.vectors[:59]))
+
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda m, a: a.update(upper=a["upper"][:2]), "upper and lower must be 2-D float arrays of one shape "
+         "with one row per sketch (3)"),
+        (lambda m, a: a.update(lower=a["lower"][:2]), "upper and lower must be 2-D float arrays of one shape "
+         "with one row per sketch (3)"),
+        (lambda m, a: a.update(upper=a["upper"][0]), "upper and lower must be 2-D float arrays of one shape "
+         "with one row per sketch (3)"),
+        (lambda m, a: m.update(dims=m["dims"] + [8]), "has_nz and has_lower must hold one flag per sketch (4)"),
+        (lambda m, a: m.update(has_nz=m["has_nz"][:2]), "has_nz and has_lower must hold one flag per sketch (3)"),
+        (lambda m, a: m.update(has_lower=m["has_lower"] + [True]),
+         "has_nz and has_lower must hold one flag per sketch (3)"),
+        (lambda m, a: a.update(nz_offsets=a["nz_offsets"][:-1], nz=a["nz"][:a["nz_offsets"][-2]]),
+         "nz_offsets must hold one part per sketch (3)"),
+    ], ids=["short_upper", "short_lower", "flat_upper", "long_dims", "short_has_nz", "long_has_lower",
+            "short_nz_offsets"])
+    def test_malformed_asym_set_rejected(self, tmp_path, mangle, message):
+        path = tmp_path / "bad.akx"
+        _save_mangled(path, "asym_set", FAMILIES["asym_set"][1](FAMILY_X), mangle)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed asym_set container: {message}")):
+            load_index(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["lsh", "asym_set"]), data=st.data())
+    def test_mangled_lsh_or_sketch_loads_or_raises_value_error(self, tmp_path_factory, family, data):
+        """Any one array value changed, any one array cut or grown by a row,
+        or any one meta list cut or grown by an entry, loads or fails with a
+        ValueError naming the file."""
+        meta, arrays = container._FAMILIES[family].encode(FAMILIES[family][1](FAMILY_X))
+        lists = sorted(key for key, value in meta.items() if isinstance(value, list))
+        name = data.draw(st.sampled_from(sorted(arrays) + lists), label="field")
+        change = data.draw(st.sampled_from(["value", "cut", "grow"]), label="change")
+        if name in meta:
+            meta[name] = meta[name][:-1] if change == "cut" else meta[name] + meta[name][:1]
+        elif change == "value" and arrays[name].size:
+            a, low = arrays[name], 0 if arrays[name].dtype.kind == "u" else -3
+            a.flat[data.draw(st.integers(0, a.size - 1), label="at")] = data.draw(st.integers(low, 70), label="to")
+        elif change == "cut":
+            arrays[name] = arrays[name][:-1]
+        else:
+            arrays[name] = np.concatenate((arrays[name], arrays[name][:1]))
+        path = tmp_path_factory.getbasetemp() / "mangled_sketch.akx"
+        with open(path, "wb") as fh:
+            container._write_blob(fh, container._FAMILIES[family].tag, meta, arrays)
+        try:
+            load_index(path, X=FAMILY_X)
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: ")
+
     @settings(max_examples=150, deadline=None)
     @given(family=st.sampled_from(sorted(FAMILIES)), cut=st.integers(0, 2**20),
            tail=st.binary(max_size=16))
