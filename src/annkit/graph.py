@@ -5,7 +5,8 @@ visited set; expanding the closest unexpanded list entry until the list
 stabilizes is equivalent to rescanning every queue member's neighborhood
 each round, but does each node's neighborhood exactly once. The batch
 searcher runs many such searches in lockstep over one adjacency table, with
-every beam held in arrays; Vamana construction uses it.
+every beam held in arrays, and the batch prune prunes many nodes at once;
+Vamana construction uses both.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ __all__ = [
     "greedy_search",
     "greedy_search_batch",
     "robust_prune",
+    "robust_prune_batch",
     "build_alpha_sng_exact",
     "build_vamana",
     "connectivity_check",
     "medoid",
-    "alpha_shortcut_violations",
 ]
 
 
@@ -97,7 +98,8 @@ def greedy_search(
 
     The beam is a Python list of ``(score, id)`` pairs kept sorted; every
     entry before position ``i`` is expanded, so the next node to expand is
-    found by scanning on from ``i``.
+    found by scanning on from ``i``. Dense L2 hops are scored by
+    :func:`_l2_rows` itself, without :func:`score_rows`' dispatch.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -107,6 +109,7 @@ def greedy_search(
         raise ValueError("entry must be a valid node id")
     q64 = np.asarray(q, dtype=np.float64)
     adjacency, kind = G.adjacency, G.kind
+    dense_l2 = kind is DistanceKind.L2_SQUARED and X.is_dense
     trace = SearchTrace()
     history = trace.best_history
 
@@ -128,7 +131,7 @@ def greedy_search(
         if nbrs.size:
             visited += nbrs.size
             unscored[nbrs] = False
-            scores = score_rows(X, nbrs, q64, kind).tolist()
+            scores = (_l2_rows(X.vectors, nbrs, q64) if dense_l2 else score_rows(X, nbrs, q64, kind)).tolist()
             beam_list += zip(scores, nbrs.tolist())
             beam_list.sort()
             del beam_list[b:]
@@ -193,15 +196,23 @@ def greedy_search_batch(
     return ids, scores
 
 
+def _l2_rows(vectors: np.ndarray, ids: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Squared L2 distances of the float32 rows ``vectors[ids]`` to ``Q``
+    (one vector, or one per id), equal bit for bit to :func:`score_rows`':
+    the rows are upcast first, which is exact, so each float64 difference
+    is rounded once as in a mixed subtract, and one einsum reduces each row.
+    """
+    diff = vectors[ids].astype(np.float64)
+    diff -= Q
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def _pair_scores(X: Collection, ids: np.ndarray, Q64: np.ndarray, rows: np.ndarray,
                  kind: DistanceKind) -> np.ndarray:
     """Scores of the query ``Q64[rows[i]]`` against the row ``ids[i]`` of
     ``X``, each equal bit for bit to :func:`score_rows`'."""
     if kind is DistanceKind.L2_SQUARED and X.is_dense:
-        # score_rows' kernel: a float64 difference, then one einsum
-        # reduction per row
-        diff = np.subtract(X.vectors[ids], Q64[rows])
-        return np.einsum("ij,ij->i", diff, diff)
+        return _l2_rows(X.vectors, ids, Q64[rows])
     return np.array([score_rows(X, ids[i:i + 1], Q64[r], kind)[0] for i, r in enumerate(rows.tolist())])
 
 
@@ -268,14 +279,13 @@ _U64 = 2.0 ** -53  # unit roundoff of float64
 # exact-SNG prune, which keeps a few of thousands of candidates, works out
 # few rows that it never visits
 _COVER_PAIRS = 4096
-# lo_w = r_w (1 - 20u) - e_w and hi_w = r_w (1 + 20u) + e_w, in one broadcast
-_THRESHOLD_SCALE = np.array([[1.0 - 20 * _U64], [1.0 + 20 * _U64]])
-_THRESHOLD_SIGN = np.array([[-1.0], [1.0]])
 
 
 def _cover_thresholds(cmat: np.ndarray, d_u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Squared row norms ``n`` of ``cmat`` and the per-column thresholds
-    ``[lo, hi]`` for the Gram test of :func:`_cover_rows`.
+    ``[lo, hi]`` (a leading axis of 2) for the Gram test of
+    :func:`_cover_rows`. Leading axes of ``cmat`` and ``d_u`` are a batch of
+    independent prunes, zero rows padding a prune's candidates.
 
     Candidate v covers w when ``d_u[w] > fl(alpha * fl(sqrt(S_vw)))``,
     where ``S_vw`` is the squared distance as one diff-einsum pass computes
@@ -299,14 +309,22 @@ def _cover_thresholds(cmat: np.ndarray, d_u: np.ndarray, alpha: float) -> tuple[
     square, ``s_vw < lo_w = r_w (1 - 20u) - e_w`` means that v covers w,
     and ``s_vw >= hi_w = r_w (1 + 20u) + e_w`` that it does not.
     """
-    d = cmat.shape[1]
+    d = cmat.shape[-1]
     nu = (d + 2) * _U64
-    n = np.einsum("ij,ij->i", cmat, cmat)
-    e = n + n.max()
+    n = np.einsum("...ij,...ij->...i", cmat, cmat)
+    e = n + n.max(axis=-1, keepdims=True)
     e *= 8.0 * nu / (1.0 - nu)
     r = d_u / alpha
     r *= r
-    return n, _THRESHOLD_SCALE * r + _THRESHOLD_SIGN * e
+    return n, np.stack((r * (1.0 - 20 * _U64) - e, r * (1.0 + 20 * _U64) + e))
+
+
+def _covered(w_rows: np.ndarray, v_rows: np.ndarray, d_uw: np.ndarray, alpha: float) -> np.ndarray:
+    """The exact test for the pairs the Gram bounds leave open: v covers w
+    when ``d(u, w) > alpha * d(v, w)``, with ``d(v, w)`` from one
+    diff-einsum pass over the float64 rows."""
+    diff = w_rows - v_rows
+    return d_uw > alpha * np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _cover_rows(rows: list, cmat: np.ndarray, cmat_t: np.ndarray, n: np.ndarray,
@@ -346,6 +364,8 @@ def robust_prune(
     """
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     # np.unique would hash the ids first: 11 us more on a Vamana prune's ~36
     # ids, 95 us more on the exact alpha-SNG's 999
     cand = np.sort(np.asarray(candidates, dtype=np.int64))
@@ -387,9 +407,7 @@ def robust_prune(
         unsure = int.from_bytes(maybe_row, "little") & ~covers & alive  # left open by the bounds: rare
         if unsure:
             ws = np.array(_low_bits(unsure, cand.size))
-            diff = cmat[ws] - cmat[v]
-            d_v = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            for w in ws[d_u[ws] > alpha * d_v].tolist():
+            for w in ws[_covered(cmat[ws], cmat[v], d_u[ws], alpha)].tolist():
                 alive &= ~(1 << w)
     return np.sort(cand[kept])
 
@@ -404,6 +422,123 @@ def _low_bits(mask: int, count: int) -> list:
     return out
 
 
+# a batch prune pads its nodes' candidates into (B, n_max, d) float64 blocks
+# of at most this many bytes (or one node); the node relinks of a Vamana
+# batch fit in one or two, the final sweep over thousands of nodes in many
+_PRUNE_BYTES = 1 << 20
+
+
+def robust_prune_batch(
+    us: np.ndarray,
+    candidate_lists: list,
+    alpha: float,
+    cap: int,
+    X: Collection,
+) -> list:
+    """:func:`robust_prune` for many nodes at once: entry i equals
+    ``robust_prune(us[i], candidate_lists[i], alpha, cap, X)`` bit for bit.
+
+    The nodes are pruned independently. One sort of ``node * m + id`` keys
+    takes the unique candidates of every list. The nodes, ordered by
+    candidate count, are then taken in chunks whose padded
+    ``(B, n_max, d)`` float64 candidate blocks fit in ``_PRUNE_BYTES``.
+    A chunk takes its Gram blocks with one stacked matmul and settles each
+    pair with the certified thresholds of :func:`_cover_thresholds`. Its
+    keep loop runs over all of its nodes at once, for at most ``cap``
+    steps: each step keeps every node's first live candidate in
+    ``(distance, id)`` order and clears what that candidate covers; only
+    the pairs the bounds leave open are decided by :func:`_covered`.
+    """
+    if alpha < 1.0:
+        raise ValueError("alpha must be at least 1")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    us = np.asarray(us, dtype=np.int64)
+    if us.ndim != 1 or len(candidate_lists) != us.size:
+        raise ValueError("need one candidate list per node")
+    if not us.size:
+        return []
+    lists = [np.asarray(c, dtype=np.int64).reshape(-1) for c in candidate_lists]
+    m, d = len(X), X.vectors.shape[1]
+    ids = np.concatenate(lists)
+    if ids.size and not 0 <= ids.min() <= ids.max() < m:
+        raise ValueError("candidate ids must lie in [0, m)")
+    keys = np.repeat(np.arange(us.size), [c.size for c in lists]) * m + ids
+    keys.sort()
+    owner = keys // m
+    ids = keys - owner * m
+    fresh = ids != us[owner]
+    fresh[1:] &= keys[1:] != keys[:-1]
+    owner, ids = owner[fresh], ids[fresh]
+    count = np.bincount(owner, minlength=us.size)
+    first = np.cumsum(count) - count  # where each node's candidates start
+    # every node's kept ids, ascending, padded with m
+    out = np.full((us.size, min(cap, int(count.max(initial=0)))), m, dtype=np.int64)
+    nodes = np.argsort(count, kind="stable")
+    nodes = nodes[count[nodes] > 0]
+    lo = 0
+    while lo < nodes.size:
+        # the chunk [lo, hi) pads to its last node's count, and so takes
+        # (hi - lo) * count[nodes[hi - 1]] * d * 8 bytes
+        size = np.arange(1, nodes.size - lo + 1) * count[nodes[lo:]] * (8 * d)
+        hi = lo + max(1, int(np.searchsorted(size, _PRUNE_BYTES, side="right")))
+        chunk = nodes[lo:hi]
+        kept = _prune_chunk(us[chunk], ids, first[chunk], count[chunk], alpha, cap, X)
+        out[chunk, :kept.shape[1]] = kept
+        lo = hi
+    valid = out < m
+    return np.split(out[valid], np.cumsum(valid.sum(axis=1))[:-1])
+
+
+def _prune_chunk(us: np.ndarray, ids: np.ndarray, first: np.ndarray, count: np.ndarray,
+                 alpha: float, cap: int, X: Collection) -> np.ndarray:
+    """The kept ids of the nodes ``us``, one ascending row each padded with
+    m; node j's unique candidates are ``ids[first[j]:first[j] + count[j]]``."""
+    (nb,), width, (m, d) = us.shape, int(count.max()), X.vectors.shape
+    node = np.repeat(np.arange(nb), count)
+    col = np.arange(node.size) - np.repeat(np.cumsum(count) - count, count)
+    cand = np.full((nb, width), m, dtype=np.int64)  # each row's ids ascending, padded with m
+    cand[node, col] = ids[np.repeat(first, count) + col]
+    cmat = np.zeros((nb, width, d))
+    cmat[node, col] = X.vectors[cand[node, col]]
+    # d(u, w) by score_rows' diff-einsum, a float64 difference per row
+    diff = (cmat - X.vectors[us].astype(np.float64)[:, None, :]).reshape(-1, d)
+    d_u = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(nb, width)
+    d_u[cand == m] = np.inf
+    # each row in (distance, id) order, the order of the keep loop
+    by = np.arange(nb)[:, None], np.argsort(d_u, axis=1, kind="stable")
+    cand, cmat, d_u = cand[by], cmat[by], d_u[by]
+    n, (lo, hi) = _cover_thresholds(cmat, d_u, alpha)
+    s = n[:, :, None] + n[:, None, :]
+    gram = cmat @ cmat.transpose(0, 2, 1)
+    gram *= 2.0
+    s -= gram
+    spare = s >= lo[:, None, :]  # row v does not cover column w for sure
+    spare[:, np.arange(width), np.arange(width)] = False  # nor may it stay alive once kept
+    unsure = s < hi[:, None, :]  # where spared, the bounds leave the pair open
+    kept = np.zeros((nb, width), dtype=bool)
+    rows, alive = np.arange(nb), cand < m
+    for step in range(min(cap, width)):
+        v = alive.argmax(axis=1)
+        kept[rows, v] = True
+        if step + 1 == cap:
+            break
+        alive &= spare[rows, v]
+        r, w = np.nonzero(unsure[rows, v] & alive)  # rare
+        if r.size:
+            b = rows[r]
+            gone = _covered(cmat[b, w], cmat[b, v[r]], d_u[b, w], alpha)
+            alive[r[gone], w[gone]] = False
+        live = alive.any(axis=1)
+        if not live.all():
+            rows, alive = rows[live], alive[live]
+            if not rows.size:
+                break
+    cand[~kept] = m
+    cand.sort(axis=1)
+    return cand[:, :min(cap, width)]
+
+
 def build_alpha_sng_exact(X: Collection, alpha: float) -> NeighborGraph:
     """Exact alpha-shortcut neighborhood graph by the full O(m^3) prune."""
     if alpha < 1.0:
@@ -416,28 +551,6 @@ def build_alpha_sng_exact(X: Collection, alpha: float) -> NeighborGraph:
         adjacency.append(robust_prune(u, cand, alpha, cap=m, X=X))
     return NeighborGraph(adjacency=adjacency, directed=True, entry=medoid(X),
                          kind=DistanceKind.L2_SQUARED, alpha=alpha, construction="sng")
-
-
-def alpha_shortcut_violations(G: NeighborGraph, X: Collection, alpha: float) -> int:
-    """Count (u, w) pairs with no edge and no covering neighbor; 0 on a
-    valid alpha-SNG (exhaustive triple loop, desk scale only)."""
-    m = len(X)
-    mat = X.vectors.astype(np.float64)
-    # same per-row arithmetic as robust_prune so boundary cases agree bitwise
-    all_ids = np.arange(m, dtype=np.int64)
-    dist = np.stack([np.sqrt(score_rows(X, all_ids, mat[u], DistanceKind.L2_SQUARED))
-                     for u in range(m)])
-    violations = 0
-    for u in range(m):
-        nbrs = G.adjacency[u]
-        edge_mask = np.zeros(m, dtype=bool)
-        edge_mask[nbrs] = True
-        for w in range(m):
-            if w == u or edge_mask[w]:
-                continue
-            if not np.any(dist[u, w] >= alpha * dist[w, nbrs]):
-                violations += 1
-    return violations
 
 
 def _random_start(rng: np.random.Generator, m: int, cap: int) -> np.ndarray:
@@ -474,11 +587,14 @@ def build_vamana(
     Each pass walks its permutation in prefix-doubling batches (1, 2, 4, ...
     nodes, at most ``_BATCH_FRACTION`` of m). A batch is searched in
     lockstep (:func:`greedy_search_batch`) against the graph as it stands
-    before the batch, and each of its nodes is pruned on its own. The
-    batch's reverse edges are then grouped per target: a target with room
-    in its slack takes them all, one that would overflow is re-pruned once
-    over its row plus all of its new sources. With one node per batch this
-    is the node-by-node build.
+    before the batch, and its nodes are pruned in one
+    :func:`robust_prune_batch` call. The batch's reverse edges are then
+    grouped per target: a target with room in its slack takes them all, and
+    the targets that would overflow are re-pruned in one batch call, each
+    over its row plus all of its new sources. A final batch call restores
+    the cap on every row. Each call prunes distinct nodes from lists that
+    read only their own rows, so it equals pruning them one by one. With
+    one node per batch this is the node-by-node build.
 
     Out-neighbors live in one fixed-width table plus a degree vector. A
     row's order never matters (the search sorts its beam by ``(score,
@@ -498,11 +614,15 @@ def build_vamana(
     deg = np.full(m, cap, dtype=np.int64)
     largest = max(1, int(_BATCH_FRACTION * m))
 
-    def relink(u: int, candidates: np.ndarray) -> np.ndarray:
-        kept = robust_prune(u, candidates, alpha, cap, X)
-        table[u, :kept.size] = kept
-        table[u, kept.size:deg[u]] = -1
-        deg[u] = kept.size
+    def relink(nodes: np.ndarray, candidate_lists: list) -> list:
+        # distinct nodes, each re-linked from a list that reads only its own row
+        kept = robust_prune_batch(nodes, candidate_lists, alpha, cap, X)
+        sizes = np.array([k.size for k in kept], dtype=np.int64)
+        table[nodes] = -1
+        if sizes.sum():
+            rows = np.repeat(nodes, sizes)
+            table[rows, np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = np.concatenate(kept)
+        deg[nodes] = sizes
         return kept
 
     for _ in range(passes):
@@ -512,8 +632,8 @@ def build_vamana(
             start, size = start + batch.size, min(2 * size, largest)
             found, _ = greedy_search_batch(table, X, X.vectors[batch], np.full(batch.size, entry),
                                            beam, kind)
-            kept = [relink(u, np.concatenate((ids[ids >= 0], table[u, :deg[u]])))
-                    for u, ids in zip(batch.tolist(), found)]
+            kept = relink(batch, [np.concatenate((ids[ids >= 0], table[u, :deg[u]]))
+                                  for u, ids in zip(batch.tolist(), found)])
             # reverse edges (src, dst) that are new, grouped by target
             dst = np.concatenate(kept)
             src = np.repeat(batch, [k.size for k in kept])
@@ -527,10 +647,11 @@ def build_vamana(
             rank = np.arange(dst.size) - np.repeat(first, count)
             table[dst[fit], deg[dst[fit]] + rank[fit]] = src[fit]
             deg[targets[fits]] += count[fits]
-            for v, lo, n in zip(targets[~fits].tolist(), first[~fits].tolist(), count[~fits].tolist()):
-                relink(v, np.concatenate((table[v, :deg[v]], src[lo:lo + n])))
-    for u in np.flatnonzero(deg > cap).tolist():
-        relink(u, table[u, :deg[u]])
+            over = targets[~fits]
+            relink(over, [np.concatenate((table[v, :deg[v]], src[lo:lo + n]))
+                          for v, lo, n in zip(over.tolist(), first[~fits].tolist(), count[~fits].tolist())])
+    over = np.flatnonzero(deg > cap)
+    relink(over, [table[u, :deg[u]] for u in over.tolist()])
     return NeighborGraph(adjacency=[np.sort(table[u, :deg[u]]) for u in range(m)], directed=True,
                          entry=entry, kind=kind, alpha=alpha, degree_cap=cap, construction="vamana")
 

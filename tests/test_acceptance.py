@@ -21,7 +21,6 @@ from annkit.core import (
     recall,
 )
 from annkit.graph import (
-    alpha_shortcut_violations,
     build_alpha_sng_exact,
     build_vamana,
     greedy_search,
@@ -56,6 +55,7 @@ from annkit.sampling import (
 )
 from annkit.sketch import JlSketcher, ThresholdSketcher, asym_sketch, asym_upper_bound, jl_ip_estimate, jl_project
 from annkit.trees import cover_build, cover_nn, cover_nn_approx, kd_build, kd_search_exact
+from tests.test_graph import alpha_shortcut_violations
 from tests.test_sampling import _contributions
 from tests.test_trees_cover import scan_invariants
 

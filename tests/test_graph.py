@@ -1,5 +1,6 @@
 import hashlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk, 
 from annkit.harness.container import save_index
 from annkit.graph import (
     NeighborGraph,
-    alpha_shortcut_violations,
     build_alpha_sng_exact,
     build_knn_graph,
     build_vamana,
@@ -20,6 +20,7 @@ from annkit.graph import (
     greedy_search_batch,
     medoid,
     robust_prune,
+    robust_prune_batch,
 )
 
 
@@ -88,6 +89,28 @@ def robust_prune_reference(u, candidates, alpha, cap, X):
         alive[d_u > alpha * d_v] = False
         alive[pos] = False
     return np.sort(np.array(kept, dtype=np.int64))
+
+
+def alpha_shortcut_violations(G, X, alpha):
+    """Count (u, w) pairs with no edge and no covering neighbor; 0 on a
+    valid alpha-SNG (exhaustive triple loop, desk scale only)."""
+    m = len(X)
+    mat = X.vectors.astype(np.float64)
+    # same per-row arithmetic as robust_prune so boundary cases agree bitwise
+    all_ids = np.arange(m, dtype=np.int64)
+    dist = np.stack([np.sqrt(score_rows(X, all_ids, mat[u], DistanceKind.L2_SQUARED))
+                     for u in range(m)])
+    violations = 0
+    for u in range(m):
+        nbrs = G.adjacency[u]
+        edge_mask = np.zeros(m, dtype=bool)
+        edge_mask[nbrs] = True
+        for w in range(m):
+            if w == u or edge_mask[w]:
+                continue
+            if not np.any(dist[u, w] >= alpha * dist[w, nbrs]):
+                violations += 1
+    return violations
 
 
 def adjacency_table(adjacency):
@@ -199,6 +222,22 @@ def prune_cases(draw):
     alpha = draw(st.sampled_from([1.0, 2.0, 1.2, 3.0]))
     cap = draw(st.integers(1, m + 2))
     return u, candidates, alpha, cap, X
+
+
+@st.composite
+def batch_prune_cases(draw):
+    """Batch prune inputs: the rows, alpha and cap of ``prune_cases``, with
+    up to eight nodes (repeats allowed) whose lists have very different
+    lengths, from empty to 3m ids, and may hold their own node; and a byte
+    budget that puts one node, a few or all of them in one chunk."""
+    u, candidates, alpha, cap, X = draw(prune_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, b = len(X), draw(st.integers(1, 8), label="nodes")
+    us = np.concatenate(([u], rng.integers(0, m, size=b - 1)))
+    lists = [candidates] + [rng.integers(0, m, size=n) for n in rng.choice([0, 1, max(1, m // 2), 3 * m], b - 1)]
+    lists = [np.append(c, v) if rng.random() < 0.3 else c for v, c in zip(us.tolist(), lists)]
+    budget = draw(st.sampled_from([1, 256, graph._PRUNE_BYTES]), label="budget")
+    return us, lists, alpha, cap, X, budget
 
 
 class TestKnnGraph:
@@ -385,6 +424,64 @@ class TestRobustPrune:
         monkeypatch.setattr(graph, "_smallest", spy)
         robust_prune(0, np.arange(1, 20), 1.2, 4, rand_collection(20, 3, 14))
         assert calls == [19]
+
+
+class TestRobustPruneBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(batch_prune_cases())
+    def test_each_entry_equals_the_single_prune(self, case):
+        us, lists, alpha, cap, X, budget = case
+        with mock.patch.object(graph, "_PRUNE_BYTES", budget):
+            got = robust_prune_batch(us, lists, alpha, cap, X)
+        assert len(got) == len(us)
+        for u, candidates, kept in zip(us.tolist(), lists, got):
+            want = robust_prune_reference(u, candidates, alpha, cap, X)
+            assert kept.dtype == np.int64 and np.array_equal(kept, want)
+            assert np.array_equal(kept, robust_prune(u, candidates, alpha, cap, X))
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_open_pairs_go_to_the_exact_test(self, monkeypatch, alpha):
+        # among integer points many pairs tie d(u, w) = alpha * d(v, w)
+        # exactly; the Gram bounds leave them open
+        X = Collection(np.random.default_rng(58).integers(-6, 7, size=(49, 2)).astype(np.float32))
+        opened = []
+
+        def spy(w_rows, v_rows, d_uw, alpha):
+            opened.append(d_uw.size)
+            return covered(w_rows, v_rows, d_uw, alpha)
+
+        covered = graph._covered
+        monkeypatch.setattr(graph, "_covered", spy)
+        everyone = np.arange(49)
+        got = robust_prune_batch(everyone, [everyone] * 49, alpha, 49, X)
+        assert sum(opened) > 0
+        for u in range(49):
+            assert np.array_equal(got[u], robust_prune_reference(u, everyone, alpha, 49, X))
+
+    def test_one_node_chunks_build_the_same_graph(self, monkeypatch):
+        X = rand_collection(300, 8, 54)
+        whole = build_vamana(X, alpha=1.2, cap=6, beam=12, seed=55)
+        monkeypatch.setattr(graph, "_PRUNE_BYTES", 1)  # every chunk holds one node
+        chunked = build_vamana(X, alpha=1.2, cap=6, beam=12, seed=55)
+        assert all(np.array_equal(a, b) for a, b in zip(whole.adjacency, chunked.adjacency))
+
+    def test_no_nodes(self):
+        assert robust_prune_batch(np.empty(0, dtype=np.int64), [], 1.2, 4, rand_collection(5, 2, 56)) == []
+
+    @pytest.mark.parametrize("us,lists,alpha,cap,message", [
+        ([0], [np.array([1])], 0.9, 4, "alpha must be at least 1"),
+        ([0], [np.array([1])], 1.2, 0, "cap must be at least 1"),
+        ([0, 1], [np.array([1])], 1.2, 4, "need one candidate list per node"),
+        ([0], [np.array([5])], 1.2, 4, "candidate ids must lie in [0, m)"),
+        ([0], [np.array([-1])], 1.2, 4, "candidate ids must lie in [0, m)"),
+    ])
+    def test_rejects_bad_input(self, us, lists, alpha, cap, message):
+        X = rand_collection(5, 2, 57)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            robust_prune_batch(np.array(us), lists, alpha, cap, X)
+        if len(us) == len(lists) and lists[0].min() >= 0 and lists[0].max() < 5:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                robust_prune(us[0], lists[0], alpha, cap, X)
 
 
 class TestAlphaSng:
