@@ -423,8 +423,9 @@ def _low_bits(mask: int, count: int) -> list:
 
 
 # a batch prune pads its nodes' candidates into (B, n_max, d) float64 blocks
-# of at most this many bytes (or one node); the node relinks of a Vamana
-# batch fit in one or two, the final sweep over thousands of nodes in many
+# whose rows and Gram blocks, B n_max (d + n_max) 8 bytes, hold at most this
+# many bytes (or one node); the node relinks of a Vamana batch fit in a few,
+# the final sweep over thousands of nodes in many
 _PRUNE_BYTES = 1 << 20
 
 
@@ -441,7 +442,8 @@ def robust_prune_batch(
     The nodes are pruned independently. One sort of ``node * m + id`` keys
     takes the unique candidates of every list. The nodes, ordered by
     candidate count, are then taken in chunks whose padded
-    ``(B, n_max, d)`` float64 candidate blocks fit in ``_PRUNE_BYTES``.
+    ``(B, n_max, d)`` float64 candidate blocks and ``(B, n_max, n_max)``
+    Gram blocks fit in ``_PRUNE_BYTES``.
     A chunk takes its Gram blocks with one stacked matmul and settles each
     pair with the certified thresholds of :func:`_cover_thresholds`. Its
     keep loop runs over all of its nodes at once, for at most ``cap``
@@ -478,9 +480,10 @@ def robust_prune_batch(
     nodes = nodes[count[nodes] > 0]
     lo = 0
     while lo < nodes.size:
-        # the chunk [lo, hi) pads to its last node's count, and so takes
-        # (hi - lo) * count[nodes[hi - 1]] * d * 8 bytes
-        size = np.arange(1, nodes.size - lo + 1) * count[nodes[lo:]] * (8 * d)
+        # the chunk [lo, hi) pads to its last node's count n_max, and so
+        # takes (hi - lo) n_max (d + n_max) 8 bytes
+        n_max = count[nodes[lo:]]
+        size = np.arange(1, n_max.size + 1) * n_max * (d + n_max) * 8
         hi = lo + max(1, int(np.searchsorted(size, _PRUNE_BYTES, side="right")))
         chunk = nodes[lo:hi]
         kept = _prune_chunk(us[chunk], ids, first[chunk], count[chunk], alpha, cap, X)

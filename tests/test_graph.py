@@ -280,6 +280,7 @@ class TestGreedySearch:
             res, _ = greedy_search(G, X, q, k=5)
             want = brute_force_topk(X, q, 5, DistanceKind.L2_SQUARED)
             assert res.ids.tolist() == want.ids.tolist()
+            assert res.scores.tobytes() == want.scores.tobytes()
 
     def test_matches_reference_at_beam_k(self):
         X = rand_collection(120, 6, 5)
