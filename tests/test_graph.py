@@ -370,6 +370,12 @@ class TestRobustPrune:
         kept = robust_prune(0, np.arange(1, 40), 2.0, 5, X)
         assert kept.size <= 5
 
+    @pytest.mark.parametrize("alpha,cap,message", [(0.9, 4, "alpha must be at least 1"),
+                                                   (1.2, 0, "cap must be at least 1")])
+    def test_rejects_bad_alpha_or_cap(self, alpha, cap, message):
+        with pytest.raises(ValueError, match=message):
+            robust_prune(0, np.array([1]), alpha, cap, rand_collection(5, 2, 57))
+
     @settings(max_examples=400, deadline=None)
     @given(prune_cases())
     def test_equals_reference_on_adversarial_data(self, case):
@@ -477,12 +483,8 @@ class TestRobustPruneBatch:
         ([0], [np.array([-1])], 1.2, 4, "candidate ids must lie in [0, m)"),
     ])
     def test_rejects_bad_input(self, us, lists, alpha, cap, message):
-        X = rand_collection(5, 2, 57)
         with pytest.raises(ValueError, match=re.escape(message)):
-            robust_prune_batch(np.array(us), lists, alpha, cap, X)
-        if len(us) == len(lists) and lists[0].min() >= 0 and lists[0].max() < 5:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                robust_prune(us[0], lists[0], alpha, cap, X)
+            robust_prune_batch(np.array(us), lists, alpha, cap, rand_collection(5, 2, 57))
 
 
 class TestAlphaSng:
