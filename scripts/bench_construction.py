@@ -27,9 +27,12 @@ bytes for graphs, the ``(id, score)`` answers for the cover search, the
 ``.akx`` bytes for the rest) and compared with pinned digests; a mismatch
 fails the run. The graph digests are pinned from the batch Vamana build,
 the others from the per-cluster Lloyd loop and the cover search over node
-dicts. Beside a graph's digests goes its recall@10 for 300 Gaussian
-queries (the build-gaussian benchmark's first 300, or seed 800 at
-criterion 07's shape), searched by ``greedy_search`` at beam 64.
+dicts; every ``.akx`` digest from the container that stores each integer
+array at its narrowest width. Beside each ``.akx`` digest goes the file's
+size in bytes, ``akx_bytes``, and beside a graph's digests its recall@10
+for 300 Gaussian queries (the build-gaussian benchmark's first 300, or
+seed 800 at criterion 07's shape), searched by ``greedy_search`` at beam
+64.
 Results are merged into ``BENCH_construction.json`` at the repository root
 under ``--label`` and the build's name, so that runs of two source trees on
 one machine sit side by side, and builds of the two can be run in turn:
@@ -70,13 +73,13 @@ from annkit.trees import cover_build, cover_nn  # noqa: E402
 PINNED = {
     "vamana-build-gaussian": (
         "7b83f301930e98ea466bc6504e0cdef791fd49e0bd92019a48c32082fa126047",
-        "e32a63974e058aeb1570bd19e72717345722769d184c2bb898d03a9a62475748"),
+        "c79842d4974a0a0b2b4a816867ec69e9a83a2a70bed0da97a6e2c6f4865de936"),
     "vamana-criterion-07": (
         "cce9d258f048385172e7e2795478bb685a68e67fd58db187cca8d6196dd83cbe",
-        "a19c2dd7eadb122f3fed2b2218fb2c05e4e519cbee127a7cb9919faa1bb2f2ff"),
+        "5745c8f1c27df167171328b2c846c1ff38abde1e7d8ec6cad9cab68096b286e1"),
     "cover-2000x64": (
         None,
-        "466ece105a9d74f5e04477e68de75c7ae653b535ce085a9972fe2529ce794021"),
+        "55a0eae9ac1432e3377bdcec1526eec821c5cea2b21f3b340336565500e0830f"),
     "cover-nn-2000x64": (
         "cf37af0f9ca18bdf6bf2c0454db396aa20a21eb277590287dd936100f31160fd",),
     "pq-cli-files": (
@@ -87,10 +90,10 @@ PINNED = {
         "6c167d50b77f9b6d82b68f8d1e099f56973a1f3695695bcd57e9f6f8a38cd46b"),
     "ivf-cli-files": (
         None,
-        "39d277a365842b193fb3ce40104665a214c70a0272672a4e2b7f9d6ea1a0f336"),
+        "c0921743bd223eddc17ced477d5b0028511757c441d49bb70e770d8d011ba251"),
     "ivf-query-clustered": (
         None,
-        "3f17f631c355f799f97585302c6b19ba2d2296ff833ed37aa9eb0607fa873983"),
+        "4198fb8c0fc8dc9581ac2bcaf90cc463cb684d1e699f9e9d4fb3a1ce2e79544a"),
 }
 
 
@@ -115,27 +118,31 @@ def adjacency_sha256(G) -> str:
     return digest.hexdigest()
 
 
-def akx_sha256(obj, workdir: Path) -> str:
+def akx_sha256(obj, workdir: Path) -> tuple[str, int]:
+    """The sha256 digest and the size in bytes of ``obj``'s .akx file."""
     path = workdir / "index.akx"
     save_index(path, obj)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    raw = path.read_bytes()
     path.unlink()
-    return digest
+    return hashlib.sha256(raw).hexdigest(), len(raw)
 
 
+# each *_digests(output, workdir) returns (its digests, its .akx size or None)
 def graph_digests(G, workdir: Path) -> tuple:
-    return adjacency_sha256(G), akx_sha256(G, workdir)
+    digest, size = akx_sha256(G, workdir)
+    return (adjacency_sha256(G), digest), size
 
 
 def index_digests(obj, workdir: Path) -> tuple:
-    return None, akx_sha256(obj, workdir)
+    digest, size = akx_sha256(obj, workdir)
+    return (None, digest), size
 
 
 def answers_digests(answers, workdir: Path) -> tuple:
     digest = hashlib.sha256()
     for res in answers:
         digest.update(res.ids.tobytes() + res.scores.tobytes())
-    return (digest.hexdigest(),)
+    return (digest.hexdigest(),), None
 
 
 def graph_recall(G, X, queries) -> float:
@@ -188,12 +195,14 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 out = run(given)
                 seconds.append(time.perf_counter() - t0)
-            got = digests(out, Path(tmp))
+            got, akx_bytes = digests(out, Path(tmp))
             match = got == PINNED[name]
             ok &= match
             results[name] = {"median_s": round(statistics.median(seconds), 3),
                              "seconds": [round(s, 3) for s in seconds], "repeats": args.repeats,
                              "digests_match": match, "sha256": got}
+            if akx_bytes is not None:
+                results[name]["akx_bytes"] = akx_bytes
             quality = ""
             if queries is not None:
                 results[name]["recall_at_10"] = round(graph_recall(out, given, queries), 4)

@@ -289,6 +289,8 @@ def _smallest(scores: np.ndarray, k: int, ids: Optional[np.ndarray] = None) -> n
 def top_k_from_scores(scores: np.ndarray, k: int) -> TopKResult:
     """Select the k smallest scores with (score, id) lexicographic ties,
     where the id of a score is its position."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     scores = np.asarray(scores, dtype=np.float64)
     ids = _smallest(scores, k)
     return TopKResult(ids=ids, scores=scores[ids], k=k)
@@ -301,6 +303,8 @@ def rescore(X: Collection, ids: np.ndarray, q: Vector, k: int, kind: DistanceKin
     then the selection of :func:`top_k_from_scores` with ties broken by
     id, so the result equals brute force over the candidates.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     ids = np.asarray(ids, dtype=np.int64)
     scores = score_rows(X, ids, q, kind)
     pos = _smallest(scores, k, ids)

@@ -5,7 +5,8 @@ selftest.
 loaded container's family in another (``_QUERIES``). Every run with the
 same flags and seed writes byte-identical output (benchmark wall-clock
 columns appear only behind --timings). Exit codes: 0 ok, 1 test failure,
-2 usage error.
+2 usage error or bad input (a ValueError or OSError, printed as one
+``annkit: error:`` line).
 """
 
 from __future__ import annotations
@@ -53,6 +54,25 @@ def _emit(text: str, out: str | None) -> None:
 
 def _ints(csv: str) -> list[int]:
     return [int(tok) for tok in csv.split(",") if tok]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --k: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _load_data_and_queries(args) -> tuple[Collection, Collection]:
+    X, queries = load_vecs(args.data), load_vecs(args.queries)
+    if queries.dim != X.dim:
+        raise ValueError(f"{args.queries}: queries have dimension {queries.dim}, "
+                         f"the data {args.data} {X.dim}")
+    return X, queries
 
 
 def _cmd_generate(args) -> int:
@@ -160,8 +180,7 @@ def _query_index(obj, X, q, k, args, prepared) -> TopKResult:
 
 
 def _cmd_query(args) -> int:
-    X = load_vecs(args.data)
-    queries = load_vecs(args.queries)
+    X, queries = _load_data_and_queries(args)
     obj = load_index(args.index_file, X=X)
     prepared = _QUERIES[family_of(obj)].prepare(obj, X)
     lines = ["query_id,rank,id,score"]
@@ -174,8 +193,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    X = load_vecs(args.data)
-    queries = load_vecs(args.queries).vectors
+    X, queries = _load_data_and_queries(args)
+    queries = queries.vectors
     kind = _KINDS[args.kind]
     if args.target == "ivf":
         index = build_ivf(X, _clusters(args), kind, seed=args.seed)
@@ -369,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-file", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--kind", choices=sorted(_KINDS), default="l2")
     p.add_argument("--beam", type=int, default=None)
     p.add_argument("--entry", type=int, default=-1, help="graph entry id; -1 = stored medoid")
@@ -383,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=["ivf", "vamana", "forest", "boundedme"])
     p.add_argument("--data", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--kind", choices=sorted(_KINDS), default="l2")
     p.add_argument("--clusters", default="auto")
     p.add_argument("--sweep-l", default="1,2,4,8")
@@ -422,7 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:  # bad input: a flag value the library rejects, or a bad file
+        print(f"annkit: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,6 +5,12 @@ block, then named arrays (dtype string, shape, raw little-endian bytes).
 Writing is fully deterministic: meta keys are sorted and arrays are
 emitted in sorted name order.
 
+Each integer array is stored at the narrowest of 1, 2 or 4 bytes that
+holds all its values (unsigned unless a value is negative; an empty array
+as ``u1``), or at its own 8-byte dtype when none does. Reading widens
+every 1-, 2- or 4-byte integer array to int64, so decoders see the int64
+arrays of the earlier all-int64 layout, whose files still load.
+
 Each family is one ``_FAMILIES`` entry: its pinned tag, the exact type of
 its index object, and an adjacent encode/decode pair.
 """
@@ -36,6 +42,21 @@ _MAGIC = b"AKIX"
 _VERSION = 1
 
 
+def _narrowest(arr: np.ndarray) -> np.ndarray:
+    """An integer array at the narrowest 1-, 2- or 4-byte dtype that holds
+    its values, or unchanged when none does; other arrays unchanged."""
+    if arr.dtype.kind not in "iu":
+        return arr
+    if not arr.size:
+        return arr.astype(np.uint8)
+    lo, hi = int(arr.min()), int(arr.max())
+    for size in (1, 2, 4):
+        dtype = np.dtype(f"{'u' if lo >= 0 else 'i'}{size}")
+        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
+            return arr.astype(dtype)
+    return arr
+
+
 def _write_blob(fh, tag: int, meta: dict, arrays: dict) -> None:
     fh.write(_MAGIC)
     fh.write(struct.pack("<HH", _VERSION, tag))
@@ -44,7 +65,7 @@ def _write_blob(fh, tag: int, meta: dict, arrays: dict) -> None:
     fh.write(meta_bytes)
     fh.write(struct.pack("<I", len(arrays)))
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = _narrowest(np.ascontiguousarray(arrays[name]))
         arr = arr.astype(arr.dtype.newbyteorder("<"))
         name_b = name.encode()
         dtype_b = arr.dtype.str.encode()
@@ -84,8 +105,9 @@ def _read_blob(path) -> tuple[str, dict, dict]:
     if tag not in _NAME_OF_TAG:
         raise ValueError(f"{path}: unknown family tag {tag}")
     (meta_len,) = unpack("<I")
+    meta_b = take(meta_len)
     try:
-        meta = json.loads(take(meta_len))
+        meta = json.loads(meta_b)
     except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
         raise ValueError(f"{path}: corrupt meta block: {err}") from None
     if not isinstance(meta, dict):
@@ -109,7 +131,8 @@ def _read_blob(path) -> tuple[str, dict, dict]:
         if count * dtype.itemsize > len(raw) - pos:
             raise ValueError(f"{path}: array {name!r} of shape {shape} needs "
                              f"{count * dtype.itemsize} bytes, {len(raw) - pos} left")
-        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(shape).copy()
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).reshape(shape)
+        arrays[name] = arr.astype(np.int64) if dtype.kind in "iu" and dtype.itemsize < 8 else arr.copy()
         pos += count * dtype.itemsize
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last array")

@@ -128,13 +128,9 @@ def pq_decode(cb: PqCodebook, code: np.ndarray) -> np.ndarray:
 
 def pq_adc(cb: PqCodebook, q: np.ndarray) -> np.ndarray:
     """(L, C) table of squared chunk distances for one query."""
-    q64 = np.asarray(q, dtype=np.float64)
-    d_sub = cb.sub_dim
-    tables = np.empty((cb.n_subspaces, cb.n_codewords), dtype=np.float64)
-    for i in range(cb.n_subspaces):
-        diff = cb.codewords[i].astype(np.float64) - q64[i * d_sub:(i + 1) * d_sub]
-        tables[i] = np.einsum("ij,ij->i", diff, diff)
-    return tables
+    chunks = np.asarray(q, dtype=np.float64).reshape(cb.n_subspaces, 1, cb.sub_dim)
+    diff = cb.codewords.astype(np.float64) - chunks
+    return np.einsum("lcj,lcj->lc", diff, diff)
 
 
 def pq_adc_distance(tables: np.ndarray, code: np.ndarray) -> float:

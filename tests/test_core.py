@@ -311,6 +311,37 @@ class TestRescore:
             assert np.array_equal(score_rows(X, ids, q, kind), pairwise_scores(X, q, kind)[ids])
 
 
+def _search_entry_points():
+    """name -> search(k) over one small collection, for every path that
+    selects its top k through top_k_from_scores or rescore."""
+    from annkit.ivf import build_ivf, ivf_search
+    from annkit.lsh import FamilyKind, HashFamily, build_index, lsh_topk
+    from annkit.sampling import build_wedge_index, wedge_topk
+    from annkit.trees import defeatist_search, rp_build
+
+    rng = np.random.default_rng(70)
+    X = Collection(rng.standard_normal((50, 8)).astype(np.float32))
+    q = rng.standard_normal(8).astype(np.float32)
+    lsh = build_index(X, HashFamily(FamilyKind.HYPERPLANE, seed=1, d=8), 2, 3)
+    ivf, forest, wedge = build_ivf(X, 4, seed=1), [rp_build(X, 8, seed=t) for t in range(2)], build_wedge_index(X)
+    return {
+        "top_k_from_scores": lambda k: top_k_from_scores(pairwise_scores(X, q, DistanceKind.L2_SQUARED), k),
+        "rescore": lambda k: rescore(X, np.arange(50), q, k, DistanceKind.L2_SQUARED),
+        "brute_force_topk": lambda k: brute_force_topk(X, q, k, DistanceKind.L2_SQUARED),
+        "lsh_topk": lambda k: lsh_topk(lsh, X, q, k),
+        "ivf_search": lambda k: ivf_search(ivf, X, q, k, 4),
+        "defeatist_search": lambda k: defeatist_search(forest, X, q, k),
+        "wedge_topk": lambda k: wedge_topk(wedge, X, q, samples=200, k=k, seed=1),
+    }
+
+
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("entry", sorted(_search_entry_points()))
+def test_search_rejects_k_below_one(entry, k):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        _search_entry_points()[entry](k)
+
+
 class TestRecall:
     def _result(self, ids):
         ids = np.array(ids, dtype=np.int64)

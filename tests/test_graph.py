@@ -526,15 +526,16 @@ class TestAlphaSng:
 
 # (m, d, data seed, alpha, cap, beam, seed) -> sha256 of the sized rows and
 # of the .akx file, pinned from the batch build (batches of up to 2% of m,
-# start graph by Floyd's sampling); the node-by-node build that it replaced
-# is build_vamana_reference
+# start graph by Floyd's sampling), the .akx file's with each integer array
+# at its narrowest width; the node-by-node build that it replaced is
+# build_vamana_reference
 VAMANA_SHA256 = {
     (1000, 16, 31, 1.2, 8, 16, 32): (
         "1786aecd26bd8c011b184299228304a38e3684aee1543ebb82d8c8c02890aab4",
-        "5ba591eb5e1a0c01f45c736fa3a3ce9b2245a7d54919a7200fccd32bd1274cb4"),
+        "993ade8c2697aa527a707ca1e03cbe018b058824e2f0b82493bf50177eac75a4"),
     (600, 8, 33, 2.0, 12, 24, 34): (
         "04af868c42a097744d7d1dcb200d58995e416e3e305bdca588e47d9366dabe21",
-        "2e7790f341f1eb0ab5a5d0b587325fbc2f34286ca02d4cccddc5fc637593aaab"),
+        "a40f6d4218b7d8e6010e871bea2af26a1205ed6c84972a2d3348b3d066b2b906"),
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import re
 import struct
 import subprocess
@@ -54,20 +55,75 @@ FAMILY_X = rand_collection(60, 8, 50)
 TREE_ANSWERS_SHA256 = "18ec44cad29e9f6336de88c8f3e8e987c50eb76d0378d015540c39a46255fe6d"
 
 
-def assert_same_tree(a, b) -> None:
-    """Two dataclass trees equal field by field: nodes recursively, arrays
-    in dtype and values, derived fields (``compare=False``) skipped."""
-    assert type(a) is type(b)
-    for f in dataclasses.fields(a):
-        if not f.compare:
-            continue
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if dataclasses.is_dataclass(x):
-            assert_same_tree(x, y)
-        elif isinstance(x, np.ndarray):
-            assert isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
-        else:
-            assert type(x) is type(y) and x == y
+def assert_same_object(a, b, where: str = "obj") -> None:
+    """Two index objects equal field by field: dataclasses, lists and dicts
+    recursively, arrays in dtype, shape and values, anything else in type
+    and value; derived dataclass fields (``compare=False``) skipped."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            if f.compare:
+                assert_same_object(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), where
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_object(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            assert_same_object(a[key], b[key], f"{where}[{key!r}]")
+    else:
+        assert a == b, where
+
+
+def assert_loads_as_built(built, loaded, family: str) -> None:
+    """``loaded`` equals ``built`` apart from what a container does not
+    hold: an OPQ model's training trace. A cover tree's links, which the
+    dataclass comparison skips, must match level by level."""
+    if family == "opq":
+        built = dataclasses.replace(built, objective_trace=None)
+    assert_same_object(built, loaded)
+    if family == "cover":
+        assert sorted(built.by_level) == sorted(loaded.by_level)
+        for level in built.by_level:
+            assert sorted(built.links(level).T.tolist()) == sorted(loaded.links(level).T.tolist())
+
+
+def stored_dtypes(raw: bytes) -> dict:
+    """Array name -> the dtype string a container's bytes store it at."""
+    (meta_len,) = struct.unpack_from("<I", raw, 8)
+    pos = 12 + meta_len
+    (n_arrays,) = struct.unpack_from("<I", raw, pos)
+    pos, out = pos + 4, {}
+    for _ in range(n_arrays):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        name = raw[pos + 2:pos + 2 + name_len].decode()
+        pos += 2 + name_len
+        (dtype_len,) = struct.unpack_from("<H", raw, pos)
+        dtype = raw[pos + 2:pos + 2 + dtype_len].decode()
+        pos += 2 + dtype_len
+        shape = struct.unpack_from(f"<{raw[pos]}Q", raw, pos + 1)
+        pos += 1 + 8 * len(shape) + int(np.prod(shape)) * np.dtype(dtype).itemsize
+        out[name] = dtype
+    return out
+
+
+def all_int64_blob(family: str, obj) -> bytes:
+    """A container of ``obj`` in the layout written before integer arrays
+    were narrowed: every array at the dtype its encoder gives it, which is
+    int64 for every integer array but the LSH keys (uint64)."""
+    spec = container._FAMILIES[family]
+    meta, arrays = spec.encode(obj)
+    meta_b = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    out = [b"AKIX", struct.pack("<HHI", 1, spec.tag, len(meta_b)), meta_b, struct.pack("<I", len(arrays))]
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name])
+        arr = arr.astype(arr.dtype.newbyteorder("<"))
+        out += [struct.pack("<H", len(name)), name.encode(), struct.pack("<H", len(arr.dtype.str)),
+                arr.dtype.str.encode(), struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape), arr.tobytes()]
+    return b"".join(out)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +209,7 @@ class TestContainerRoundTrips:
         q = np.random.default_rng(6).standard_normal(6).astype(np.float32)
         assert kd_search_exact(loaded, X, q, 5).ids.tolist() == \
             kd_search_exact(tree, X, q, 5).ids.tolist()
-        assert_same_tree(loaded, tree)
+        assert_same_object(loaded, tree)
 
     def test_rp_and_spill_forest(self, tmp_path):
         X = rand_collection(200, 5, 7)
@@ -165,7 +221,7 @@ class TestContainerRoundTrips:
             defeatist_search(forest, X, q, 5).ids.tolist()
         assert len(loaded) == len(forest)
         for a, b in zip(loaded, forest):
-            assert_same_tree(a, b)
+            assert_same_object(a, b)
 
         spills = [spill_build(X, 16, 0.1, seed=t) for t in range(2)]
         save_index(tmp_path / "sp.akx", spills)
@@ -175,7 +231,7 @@ class TestContainerRoundTrips:
         assert loaded[0].alpha == 0.1
         assert len(loaded) == len(spills)
         for a, b in zip(loaded, spills):
-            assert_same_tree(a, b)
+            assert_same_object(a, b)
 
     def test_tree_answers_pinned(self, tmp_path):
         """Saved and reloaded k-d, RP and spill trees answer as they did
@@ -319,6 +375,50 @@ class TestContainerRoundTrips:
             load_index(path)
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_load_equals_the_built_object(self, tmp_path, family):
+        # re-saving gives the same bytes: test_resave_is_identical_and_tag_pinned
+        built = FAMILIES[family][1](FAMILY_X)
+        save_index(tmp_path / "x.akx", built)
+        assert_loads_as_built(built, load_index(tmp_path / "x.akx", X=FAMILY_X), family)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_all_int64_layout_loads_to_the_same_object(self, tmp_path, family):
+        built = FAMILIES[family][1](FAMILY_X)
+        raw = all_int64_blob(family, built)
+        assert all(dtype in ("<i8", "<u8") for dtype in stored_dtypes(raw).values()
+                   if np.dtype(dtype).kind in "iu")
+        path = tmp_path / "wide.akx"
+        path.write_bytes(raw)
+        assert_loads_as_built(built, load_index(path, X=FAMILY_X), family)
+
+    def test_all_int64_layout_is_the_one_pinned_before(self):
+        """all_int64_blob writes the former layout byte for byte: the k-d
+        tree of test_kd_container_bytes_pinned hashes to its earlier pin."""
+        rng = np.random.default_rng(11)
+        X = Collection(rng.integers(-3, 4, size=(300, 5)).astype(np.float32))
+        assert hashlib.sha256(all_int64_blob("kd", kd_build(X, 4))).hexdigest() == \
+            "6429849845f629425b85835fdd135adf3723be306147d52019dd32bdee89e4da"
+
+    def test_integer_arrays_stored_at_their_narrowest_width(self, tmp_path):
+        X = rand_collection(10000, 8, 60)
+        path = tmp_path / "lsh.akx"
+        save_index(path, build_index(X, HashFamily(FamilyKind.HYPERPLANE, seed=1, d=8), 2, 3))
+        assert stored_dtypes(path.read_bytes()) == {"ids": "<u2", "keys": "<u8", "offsets": "<u2"}
+        save_index(path, cover_build(FAMILY_X))  # parent[0] is -1 and levels fall below 0: signed
+        assert stored_dtypes(path.read_bytes()) == {"level": "|i1", "parent": "|i1", "point": "|u1"}
+
+    def test_width_rule(self):
+        cases = [([], "u1"), ([0, 255], "u1"), ([-1, 127], "i1"), ([0, 256], "u2"), ([-129], "i2"),
+                 ([65535], "u2"), ([2**16], "u4"), ([-2**15 - 1], "i4"), ([2**32 - 1], "u4"),
+                 ([2**32], "i8"), ([-2**31 - 1], "i8")]
+        for values, want in cases:
+            assert container._narrowest(np.array(values, dtype=np.int64)).dtype == np.dtype(want), values
+        assert container._narrowest(np.array([2**64 - 1], dtype=np.uint64)).dtype == np.uint64
+        assert container._narrowest(np.array([7], dtype=np.uint64)).dtype == np.uint8
+        floats = np.array([1.0, 2.0])
+        assert container._narrowest(floats) is floats
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_resave_is_identical_and_tag_pinned(self, tmp_path, containers, family):
         first, again = tmp_path / "first.akx", tmp_path / "again.akx"
         first.write_bytes(containers[family])
@@ -356,6 +456,7 @@ class TestContainerInputChecks:
         (b"AKIX\1", "truncated"),
         (_blob()[:30], "truncated"),
         (_blob()[:-1], "needs 8 bytes, 7 left"),
+        (_blob(meta=b'{"L":1}')[:16], "truncated"),
         (_blob(meta=b"{"), "corrupt meta block"),
         (_blob(tag=12, meta=b"[1]"), "corrupt meta block: not a JSON object"),
         (_blob(dtype=b"zz!"), "array 'codewords' has unknown dtype b'zz!'"),
@@ -372,7 +473,7 @@ class TestContainerInputChecks:
         (_blob(tag=10, meta=b'{"L":1,"C":1,"beam":2.5}', shape=(1, 1, 2)),
          "malformed aq container: meta 'beam' must be int, not 2.5"),
         (_blob(tag=5, meta=b'{"kind":"nope"}'), "malformed lsh container: meta 'kind' must name a FamilyKind, not 'nope'"),
-    ], ids=["magic", "version", "tag", "short_header", "short_array_header", "short_data",
+    ], ids=["magic", "version", "tag", "short_header", "short_array_header", "short_data", "short_meta",
             "meta", "meta_list", "dtype", "object_dtype", "empty_dtype", "trailing", "shape", "huge_shape", "array_name", "meta_key",
             "meta_type", "meta_bool_as_int", "meta_float_as_int", "meta_enum"])
     def test_malformed_container_rejected(self, tmp_path, raw, message):
@@ -380,6 +481,27 @@ class TestContainerInputChecks:
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             load_index(path)
+
+    def test_truncated_meta_block_reported_as_truncated(self, tmp_path):
+        path = tmp_path / "bad.akx"
+        path.write_bytes(_blob(meta=b'{"L":1,"C":1,"d_sub":2}')[:20])
+        with pytest.raises(ValueError) as err:
+            load_index(path)
+        assert str(err.value) == f"{path}: truncated: 23 bytes expected at offset 12, 8 left"
+
+    @pytest.mark.parametrize("family,message", [
+        ("graph", "neighbour ids must lie in [0, 60)"),
+        ("lsh", "table 0's ids must be a permutation of [0, 60), as table 0's are"),
+    ])
+    def test_two_byte_id_out_of_range_rejected(self, tmp_path, family, message):
+        meta, arrays = container._FAMILIES[family].encode(FAMILIES[family][1](FAMILY_X))
+        arrays["ids"][5] = 60000  # stored at u2, the narrowest width that holds it
+        path = tmp_path / "bad.akx"
+        with open(path, "wb") as fh:
+            container._write_blob(fh, container._FAMILIES[family].tag, meta, arrays)
+        assert stored_dtypes(path.read_bytes())["ids"] == "<u2"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed {family} container: {message}")):
+            load_index(path, X=FAMILY_X)
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_ivf_assignment_out_of_range_rejected(self, tmp_path, bad):
@@ -791,6 +913,43 @@ class TestCli:
     def test_unknown_flag_usage_exit(self):
         out = run_cli("generate", "--nonsense", "1")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--index-file", "{pq}", "--k", "0"],
+        ["query", "--index-file", "{pq}", "--k", "-3"],
+        ["bench", "ivf", "--k", "0"],
+    ], ids=["query_k0", "query_k_minus_3", "bench_k0"])
+    def test_k_below_one_is_a_usage_error(self, tmp_path, argv):
+        data, queries, pq = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "pq.akx"
+        save_vecs(data, rand_collection(50, 8, 61))
+        save_vecs(queries, rand_collection(2, 8, 62))
+        save_index(pq, pq_train(load_vecs(data), 2, 4, seed=1))
+        out = run_cli(*(arg.format(pq=pq) for arg in argv), "--data", str(data), "--queries", str(queries))
+        assert out.returncode == 2 and out.stdout == ""
+        assert "argument --k: must be at least 1" in out.stderr
+
+    @pytest.mark.parametrize("case", ["pq_subspaces", "query_dimension", "truncated_akx", "missing_file"])
+    def test_bad_input_exits_2_with_one_error_line(self, tmp_path, case):
+        data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "kd.akx"
+        save_vecs(data, rand_collection(50, 8, 63))
+        save_vecs(queries, rand_collection(2, 8 if case != "query_dimension" else 6, 64))
+        save_index(idx, kd_build(load_vecs(data), 8))
+        query = ["query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries)]
+        if case == "pq_subspaces":
+            argv, message = ["build", "--index", "pq", "--subspaces", "3", "--data", str(data),
+                             "--out", str(tmp_path / "pq.akx")], "d=8 not divisible by L=3"
+        elif case == "query_dimension":
+            argv, message = query, f"{queries}: queries have dimension 6, the data {data} 8"
+        elif case == "truncated_akx":
+            idx.write_bytes(idx.read_bytes()[:40])
+            argv, message = query, f"{idx}: truncated"
+        else:
+            idx.unlink()
+            argv, message = query, f"No such file or directory: '{idx}'"
+        out = run_cli(*argv)
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith("annkit: error: ") and out.stderr.count("\n") == 1
+        assert message in out.stderr
 
     def test_selftest_passes(self):
         out = run_cli("selftest")

@@ -160,14 +160,15 @@ class TestKMeans:
 
 
 class TestBuild:
+    # the .akx digests with each integer array at its narrowest width
     @pytest.mark.parametrize("kind,digest,lists_digest", [
         (DistanceKind.L2_SQUARED,
-         "e3c1be80529c50d0e501c562190b28c9c6e897331648571001606bf26872e10a",
+         "084f74448b9a703bc6d1c568624a9d83053142b83e4468faa2bfc989d2973f75",
          "8b4affa017e8a49358ebf5fc477f4778c97c4d3e7b37069b497f1bc954367898"),
         (DistanceKind.NEG_INNER_PRODUCT,
-         "5d488b037238fd2d67b6b572d47626b68e4167bc9877d120352b88f39983b8c7",
+         "78174dc8e5f6e7f5a30fcb27a890f7fb6be417cad34f7abe07ae9b4fc1e64794",
          "144024f74df1c13b331abf676c4e3d4302e9596f5847b154c58225a5219463a8"),
-    ])
+    ], ids=["l2", "ip"])
     def test_seeded_index_bytes_pinned(self, tmp_path, kind, digest, lists_digest):
         """The .akx file holds the centroids, the assignment and the
         objective trace; with the inverted lists it keeps its bits."""

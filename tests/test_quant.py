@@ -37,6 +37,18 @@ def rand_collection(m, d, seed):
     return Collection(np.random.default_rng(seed).standard_normal((m, d)).astype(np.float32))
 
 
+def pq_adc_reference(cb: PqCodebook, q: np.ndarray) -> np.ndarray:
+    """The ADC table one subspace at a time, each codebook widened on its
+    pass: the loop that pq_adc's single broadcast replaced."""
+    q64 = np.asarray(q, dtype=np.float64)
+    d_sub = cb.sub_dim
+    tables = np.empty((cb.n_subspaces, cb.n_codewords), dtype=np.float64)
+    for i in range(cb.n_subspaces):
+        diff = cb.codewords[i].astype(np.float64) - q64[i * d_sub:(i + 1) * d_sub]
+        tables[i] = np.einsum("ij,ij->i", diff, diff)
+    return tables
+
+
 class TestVq:
     def test_seeded_centroid_bits_pinned(self):
         X = Collection(np.random.default_rng(61).standard_normal((1000, 16)).astype(np.float32))
@@ -136,6 +148,16 @@ class TestPq:
         # chunk 0 vs codeword 1: (1-1)^2 + 1^2 = 1; chunk 1 vs codeword 0: 1 + 0 = 1
         assert pq_adc_distance(tables, np.array([1, 0])) == pytest.approx(2.0)
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.integers(1, 32), C=st.integers(1, 16), d_sub=st.integers(1, 64), seed=st.integers(0, 2**16))
+    def test_adc_table_is_bit_identical_to_the_subspace_loop(self, L, C, d_sub, seed):
+        rng = np.random.default_rng(seed)
+        cb = PqCodebook(codewords=rng.standard_normal((L, C, d_sub)).astype(np.float32))
+        for q in rng.standard_normal((3, L * d_sub)):
+            got = pq_adc(cb, q)
+            assert got.shape == (L, C) and got.dtype == np.float64
+            assert np.array_equal(got, pq_adc_reference(cb, q))
 
     @pytest.mark.parametrize("L", [2, 8, 32])
     def test_adc_scan_is_bit_identical_to_per_row(self, L):

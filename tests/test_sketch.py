@@ -217,10 +217,11 @@ def test_huge_sparse_dimension_hashes_only_the_non_zeros(h):
     assert asym_upper_bound(u, sk) >= float(u.values.astype(np.float64) @ u.values) - 1e-9
 
 
-# sha256 digests pinned from the per-mapping loop implementation
-ASYM_SET_SHA256 = "1fed0cc575c7520ec253859ef8a9f09ed5607904483f8eb4ea5a2bf194db77ac"
+# sha256 digests pinned from the per-mapping loop implementation; the two
+# containers' with each integer array at its narrowest width
+ASYM_SET_SHA256 = "6e0b3b28d55f11daa2b5e66be478bd4a51a68c85cb0823aa2de6f3a7464e67eb"
 JL_SIGNS_SHA256 = "ce28766d00638d54872631b802518d577eed0e1c8e4b6989b83eb6aa5716ecbc"
-THRESHOLD_SET_SHA256 = "0190c308b046c2996f37ea11e2ba0cdfe542a0c596f266c4fb036c960ce764fa"
+THRESHOLD_SET_SHA256 = "1ab8db546b1e28dedb4eb90364e1dfa19fe191fb269c9229408ed3d3683869b3"
 
 
 class TestJl:

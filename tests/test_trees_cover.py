@@ -145,7 +145,8 @@ class TestBuildAndInvariants:
         scan_invariants(tree)
 
     def test_pinned_container_and_answers(self, tmp_path):
-        # sha256 digests pinned from the lexsort-based parent and answer selection
+        # sha256 digests pinned from the lexsort-based parent and answer
+        # selection; the container's with each integer array at its narrowest width
         X = rand_collection(2000, 64, 2026)
         tree = cover_build(X)
         save_index(tmp_path / "cover.akx", tree)
@@ -171,10 +172,11 @@ class TestBuildAndInvariants:
         assert answers.hexdigest() == DEEP_COVER_ANSWERS_SHA256
 
 
-COVER_SHA256 = "47c8677230d839551a1ce5b141c1108b44cd8d8857008913313f87a2c60c1d90"
+COVER_SHA256 = "64e603e0cb97d1c3d7ec20ceeb5e3e1aac329c1c84313fcdeb458cabb2ee79af"
 COVER_ANSWERS_SHA256 = "d11ab26e5807e4b8aae1bf8d67dcd5076058b8b8f1e9a3168d499d14ac8f120a"
-# pinned from the build over CoverNode children dicts
-DEEP_COVER_SHA256 = "e21d6cde39add964400eb16b443a2ed014f2247fbdae9a9d25d3631b5bfc8049"
+# pinned from the build over CoverNode children dicts; the container's with
+# each integer array at its narrowest width
+DEEP_COVER_SHA256 = "ef2b2a08c75ebf2a37ef32332d28c0ccf79cff96410d0c1110f827c5c74b9cd4"
 DEEP_COVER_ANSWERS_SHA256 = "24a049eb5aaa551a55883decdc6b16ac23212c617ad5ac701fd73d6117e4dc6b"
 # eps 0.25 and 0.5 on the deep 2000x3 tree, then on the 2000x64 tree
 APPROX_ANSWERS_SHA256 = "4fcce93be10030ac4de0ea697440c2d94d30a2bcac6ff1652afeaeb0dc7d5d2f"

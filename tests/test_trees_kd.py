@@ -14,7 +14,8 @@ from annkit.trees import kd_build, kd_search_exact
 
 # sha256 of the seeded container in test_kd_container_bytes_pinned, in the
 # pre-order tree layout (leaf sizes, leaf ids, and axis/split per inner node)
-KD_AKX_SHA256 = "6429849845f629425b85835fdd135adf3723be306147d52019dd32bdee89e4da"
+# with each integer array at its narrowest width
+KD_AKX_SHA256 = "1577f03575d7db115b0bc0ae9e2309bdad4115e32f4434821525c6ea98489360"
 
 
 def rand_collection(m, d, seed):

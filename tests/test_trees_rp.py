@@ -10,9 +10,9 @@ from annkit.trees import defeatist_search, potential_phi, rp_build, spill_build
 
 # sha256 of the seeded containers in test_forest_container_bytes_pinned, in
 # the pre-order tree layout (leaf sizes, leaf ids, and dir/threshold/size
-# per inner node)
-RP_AKX_SHA256 = "355bb18d963ab612a48da8ec7623bab1de673979e2a211c670c98298d2cbfb19"
-SPILL_AKX_SHA256 = "9e5844f88fe67b2d1ea78d9968a130f496833efd5c5ec55f502a7f65e575fcf8"
+# per inner node) with each integer array at its narrowest width
+RP_AKX_SHA256 = "fc520291c582a0992ddca65c264c8585215344c14992659dfceef520e106ddaf"
+SPILL_AKX_SHA256 = "3c2061c52c77565e69bbf85d7509da7e368ccedaa43e522aefd373b77ab65708"
 
 
 def rand_collection(m, d, seed):
@@ -173,7 +173,7 @@ class TestContainerBytes:
     @pytest.mark.parametrize("name,build,digest", [
         ("rp", lambda X: [rp_build(X, 16, seed=t) for t in range(3)], RP_AKX_SHA256),
         ("spill", lambda X: [spill_build(X, 16, 0.1, seed=t) for t in range(2)], SPILL_AKX_SHA256),
-    ])
+    ], ids=["rp", "spill"])
     def test_forest_container_bytes_pinned(self, tmp_path, name, build, digest):
         """A seeded forest's container is each tree's pre-order arrays and
         nothing else, and re-saving a loaded forest gives the same bytes."""
