@@ -9,8 +9,10 @@ whole toolkit.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,12 +79,15 @@ class SparseVector:
 Vector = Union[np.ndarray, SparseVector]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Collection:
     """An ordered, immutable set of ``m`` same-dimensional vectors, ids 0..m-1.
 
-    Dense collections are stored as one ``(m, d)`` float32 matrix; sparse
-    collections as a tuple of :class:`SparseVector`.
+    Dense collections are stored as one read-only ``(m, d)`` float32
+    matrix; sparse collections as a tuple of :class:`SparseVector`. The
+    fields cannot be reassigned, so data-only quantities derived from a
+    dense matrix (:attr:`screen_rows`, :attr:`column_range`) are computed
+    on first use and then kept.
     """
 
     vectors: Union[np.ndarray, tuple]
@@ -96,8 +101,8 @@ class Collection:
             if not np.all(np.isfinite(mat)):
                 raise ValueError("collection entries must be finite")
             mat.setflags(write=False)
-            self.vectors = mat
-            self.dim = mat.shape[1]
+            object.__setattr__(self, "vectors", mat)
+            object.__setattr__(self, "dim", mat.shape[1])
         else:
             vecs = tuple(self.vectors)
             if not vecs:
@@ -107,12 +112,30 @@ class Collection:
             dims = {v.dim for v in vecs}
             if len(dims) != 1:
                 raise ValueError("collection vectors must share one dimensionality")
-            self.vectors = vecs
-            self.dim = vecs[0].dim
+            object.__setattr__(self, "vectors", vecs)
+            object.__setattr__(self, "dim", vecs[0].dim)
 
     @property
     def is_dense(self) -> bool:
         return isinstance(self.vectors, np.ndarray)
+
+    def _dense(self) -> np.ndarray:
+        if not self.is_dense:
+            raise ValueError("only a dense collection has derived row and column data")
+        return self.vectors
+
+    @functools.cached_property
+    def screen_rows(self) -> Optional["_ScreenRows"]:
+        """The float32 screen's data-only row terms, from the row norms
+        (see :func:`_screen`); None where the screen cannot use them.
+        Computed on first use, by :func:`_screen_rows`."""
+        return _screen_rows(self._dense())
+
+    @functools.cached_property
+    def column_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-column minimum and maximum, as float64 ``(lo, hi)``.
+        Computed on first use, by :func:`_column_range`."""
+        return _column_range(self._dense())
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -296,42 +319,121 @@ def top_k_from_scores(scores: np.ndarray, k: int) -> TopKResult:
     return TopKResult(ids=ids, scores=scores[ids], k=k)
 
 
+def _rescore(X: Collection, ids: np.ndarray, q: Vector, k: int, kind: DistanceKind) -> TopKResult:
+    scores = score_rows(X, ids, q, kind)
+    pos = _smallest(scores, k, ids)
+    return TopKResult(ids=ids[pos], scores=scores[pos], k=k)
+
+
+# Fewest candidate rows that rescore (and a k-d leaf batch) screens first.
+# Below it, the screen's fixed cost (about a dozen numpy calls) exceeds the
+# float64 rows it saves: at d = 64 the two paths broke even near 192 rows
+# for L2 and 256 for inner product (README, "Search contract").
+_SCREEN_MIN_ROWS = 192
+
+
 def rescore(X: Collection, ids: np.ndarray, q: Vector, k: int, kind: DistanceKind) -> TopKResult:
     """Exact top-k of the candidate rows ``ids`` (unique, in any order).
 
     The one rescoring path of every candidate family: :func:`score_rows`,
     then the selection of :func:`top_k_from_scores` with ties broken by
-    id, so the result equals brute force over the candidates.
+    id, so the result equals brute force over the candidates. From
+    ``_SCREEN_MIN_ROWS`` candidates on, only the rows that :func:`_screen`
+    keeps are scored, with the same result bit for bit.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     ids = np.asarray(ids, dtype=np.int64)
-    scores = score_rows(X, ids, q, kind)
-    pos = _smallest(scores, k, ids)
-    return TopKResult(ids=ids[pos], scores=scores[pos], k=k)
+    if ids.size >= _SCREEN_MIN_ROWS:
+        kept = _screen(X, q, k, kind, ids)
+        if kept is not None:
+            ids = kept
+    return _rescore(X, ids, q, k, kind)
+
+
+def _column_range(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column minimum and maximum of ``mat``, as read-only float64.
+
+    A reduction over axis 0 runs one d-long inner loop per row; folding 16
+    rows into one wide row first makes those loops 16 times longer, about
+    three times faster at d = 64. Min and max are exact, so the grouping
+    cannot change the result.
+    """
+    fold = 16
+    m, d = mat.shape
+    wide = mat[:m - m % fold].reshape(-1, fold * d)
+    tail = mat[m - m % fold:]
+    lo = np.concatenate((wide.min(axis=0, initial=np.inf).reshape(fold, d), tail)).min(axis=0)
+    hi = np.concatenate((wide.max(axis=0, initial=-np.inf).reshape(fold, d), tail)).max(axis=0)
+    return _frozen(lo.astype(np.float64)), _frozen(hi.astype(np.float64))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
 _U32 = 2.0 ** -24  # unit roundoff of float32
 _TINY64 = 2.0 ** -1074  # smallest float64 subnormal
 _SCREEN_KINDS = (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT)
+_NO_SCORES = _frozen(np.zeros(0))
 
 
-def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind) -> Optional[np.ndarray]:
-    """Rows that may hold the exact top-k, from a certified float32 scan;
-    None where the screen does not apply.
+def _gamma32(d: int) -> Optional[float]:
+    """``g = gamma_{d+2}`` in float32 (see :func:`_screen`); None where it
+    is not defined, d + 2 >= 2^23."""
+    nu = (d + 2) * _U32
+    return None if nu >= 0.5 else nu / (1.0 - nu)
+
+
+class _ScreenRows(NamedTuple):
+    """The float32 screen's data-only row terms (see :func:`_screen`), one
+    read-only float64 entry per row: ``c_i = sqrt(n_i + d 2^-149) (1 + g)
+    >= |x_i|`` and ``n_i -+ g c_i^2``, where ``n_i = fl32(|x_i|^2)``; and
+    the largest ``c_i``."""
+
+    c: np.ndarray
+    n_lo: np.ndarray
+    n_hi: np.ndarray
+    c_max: float
+
+
+def _screen_rows(mat: np.ndarray) -> Optional[_ScreenRows]:
+    """:class:`_ScreenRows` of a float32 matrix; None where ``g`` is not
+    defined or a float32 row norm overflows, for the screen then gives up."""
+    d = mat.shape[1]
+    g = _gamma32(d)
+    if g is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.einsum("ij,ij->i", mat, mat).astype(np.float64)
+    if not np.isfinite(n).all():
+        return None
+    c = np.sqrt(n + d * 2.0 ** -149)
+    c *= 1.0 + g
+    w = c * c
+    w *= g
+    return _ScreenRows(_frozen(c), _frozen(n - w), _frozen(n + w), float(c.max()))
+
+
+def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind, ids: Optional[np.ndarray] = None,
+            known: np.ndarray = _NO_SCORES) -> Optional[np.ndarray]:
+    """Rows of ``ids`` (all rows by default) that may hold the exact top-k,
+    from a certified float32 scan; None where the screen does not apply.
+    ``known`` are exact scores of other rows, competing for the same k.
 
     Each row i gets a float32-fast estimate ``a_i`` of its exact score
     ``s_i`` (the float64 value :func:`score_rows` returns) and a bound
-    ``e_i >= |a_i - s_i|``. With ``T`` the k-th smallest ``a_i + e_i``,
-    every row scoring at most the k-th exact score, ties included,
-    satisfies ``a_i - e_i <= s_i <= T``. So the rows ``a_i - e_i <= T``
-    hold the top-k, and rescoring them gives brute force's answer bit
-    for bit.
+    ``e_i >= |a_i - s_i|``. With ``T`` the k-th smallest of ``known`` and
+    the ``a_i + e_i``, every row scoring at most the k-th exact score of
+    all of them, ties included, satisfies ``a_i - e_i <= s_i <= T``. So
+    the rows ``a_i - e_i <= T`` hold those of the top-k, and rescoring them
+    gives brute force's answer bit for bit.
 
     The estimate: ``q32 = fl32(q)``, ``p_i = fl32(x_i . q32)`` (one
-    sgemv), ``n_i = fl32(|x_i|^2)``; then in float64 ``a_i = n_i - 2 p_i
-    + |q|^2`` for L2_SQUARED and ``a_i = -p_i`` for NEG_INNER_PRODUCT.
+    sgemv), ``n_i = fl32(|x_i|^2)``; then ``a_i = n_i - 2 p_i + |q|^2``
+    for L2_SQUARED and ``a_i = -p_i`` for NEG_INNER_PRODUCT.
 
     The bound, with ``gamma_n = n u / (1 - n u)`` (Higham, *Accuracy and
     Stability of Numerical Algorithms*, §3.1), ``u`` the unit roundoff
@@ -353,58 +455,71 @@ def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind) -> Optional[np
       real-number score;
     * widening: ``g`` exceeds float32's ``gamma_d`` by at least
       ``2^-23``, far more than the float64 terms above plus the roundings
-      of computing ``c_i``, ``b``, ``rho``, ``e_i``, ``a_i +- e_i`` (each
-      ``O(d 2^-53)`` relative for any d the screen accepts), so ``g`` in
-      place of ``gamma_d``, on the relative and the underflow terms alike,
-      covers them.
+      of computing ``c_i``, ``b``, ``rho`` and ``a_i +- e_i`` (each of the
+      few float64 operations below loses at most ``u`` of a value below
+      ``2 (c_i + b)^2`` for L2_SQUARED, ``3 c_i b`` for
+      NEG_INNER_PRODUCT), so ``g`` in place of ``gamma_d``, on the
+      relative and the underflow terms alike, covers them.
 
     Since ``|x_i|^2 + 2 c_i b + |q|^2 <= (c_i + b)^2``, this gives
     ``e_i = g (c_i + b)^2 + 2 rho c_i + 3 d 2^-150 (1 + g)`` for
     L2_SQUARED and ``e_i = (g b + rho) c_i + d 2^-150 (1 + g)`` for
+    NEG_INNER_PRODUCT. The data-only terms ``c_i`` and ``n_i -+ g c_i^2``
+    are computed once per collection (:attr:`Collection.screen_rows`), so
+    a query forms, in float64,
+    ``a_i -+ e_i = (n_i -+ g c_i^2) -+ 2 (g b + rho) c_i - 2 p_i
+    + (|q|^2 -+ (g b^2 + 3 d 2^-150 (1 + g)))`` for L2_SQUARED and
+    ``-p_i -+ ((g b + rho) c_i + d 2^-150 (1 + g))`` for
     NEG_INNER_PRODUCT.
 
     The bound assumes no overflow, so the screen gives up (None) when
-    ``q32`` is not finite or any screen quantity is; also when ``k >= m``,
-    for other kinds (ANGULAR keeps its zero-row check), sparse vectors,
-    and a query of the wrong shape (the full path raises).
+    ``|q|`` reaches float32's largest value, a row norm overflows float32,
+    or ``b max_i c_i`` exceeds half that value (every float32 partial sum
+    of ``p_i`` is at most ``(1 + gamma_d) c_i b`` in size, so none
+    overflows); also when there are no more than k rows and known scores
+    together, for other kinds (ANGULAR keeps its zero-row check), sparse
+    vectors, and a query of the wrong shape (the full path raises).
     """
     if kind not in _SCREEN_KINDS or not X.is_dense or isinstance(q, SparseVector):
         return None
     mat = X.vectors
     m, d = mat.shape
     qv = _as_f64(q)
-    nu = (d + 2) * _U32
-    if k >= m or qv.shape != (d,) or not np.abs(qv).max() <= _F32_MAX or nu >= 0.5:
+    if k >= (m if ids is None else ids.size) + known.size or qv.shape != (d,):
         return None
-    g = nu / (1.0 - nu)
-    q32 = qv.astype(np.float32)
-    r = qv - q32  # exact: q32 is the rounding of qv
     qq = float(qv @ qv)
-    rho = np.sqrt(r @ r + d * _TINY64) * (1.0 + g)
-    b = np.sqrt(qq + d * _TINY64) * (1.0 + g) + rho
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = (mat @ q32).astype(np.float64)
-        n = np.einsum("ij,ij->i", mat, mat).astype(np.float64)
-        c = np.sqrt(n + d * 2.0 ** -149)
-        c *= 1.0 + g
-        if kind is DistanceKind.L2_SQUARED:
-            a = n - 2.0 * p
-            a += qq
-            e = c + b
-            e *= e
-            e *= g
-            e += (2.0 * rho) * c
-            e += 3 * d * 2.0 ** -150 * (1.0 + g)
-        else:
-            a = -p
-            e = (g * b + rho) * c
-            e += d * 2.0 ** -150 * (1.0 + g)
-        hi = a + e
-        if not np.isfinite(hi.sum()):
-            return None
-        a -= e
+    rows = X.screen_rows
+    if not qq < _F32_MAX * _F32_MAX or rows is None:  # also catches a NaN or infinite q
+        return None
+    g = _gamma32(d)
+    q32 = qv.astype(np.float32)  # finite: every |q_j| <= |q| < float32's largest value
+    r = qv - q32  # exact: q32 is the rounding of qv
+    rho = math.sqrt(float(r @ r) + d * _TINY64) * (1.0 + g)
+    b = math.sqrt(qq + d * _TINY64) * (1.0 + g) + rho
+    if not b * rows.c_max <= 0.5 * _F32_MAX:
+        return None
+    l2 = kind is DistanceKind.L2_SQUARED
+    p32 = (mat if ids is None else mat.take(ids, axis=0)) @ q32
+    v = np.multiply(p32, -2.0 if l2 else -1.0, dtype=np.float64)  # exact
+    c = rows.c if ids is None else rows.c.take(ids)
+    lin = c * (2.0 * (g * b + rho) if l2 else g * b + rho)  # the bound's term linear in c_i
+    if l2:
+        t = g * b * b + 3 * d * 2.0 ** -150 * (1.0 + g)
+        hi = rows.n_hi + lin if ids is None else rows.n_hi.take(ids) + lin
+        lo = rows.n_lo - lin if ids is None else rows.n_lo.take(ids) - lin
+        hi += v
+        hi += qq + t
+        lo += v
+        lo += qq - t
+    else:
+        lin += d * 2.0 ** -150 * (1.0 + g)
+        hi = v + lin
+        lo = v - lin
+    if known.size:
+        hi = np.concatenate((known, hi))
     kth = np.partition(hi, k - 1)[k - 1]
-    return np.flatnonzero(a <= kth)
+    keep = np.flatnonzero(lo <= kth)
+    return keep if ids is None else ids[keep]
 
 
 def brute_force_topk(X: Collection, q: Vector, k: int, kind: DistanceKind) -> TopKResult:
@@ -420,7 +535,7 @@ def brute_force_topk(X: Collection, q: Vector, k: int, kind: DistanceKind) -> To
     cand = _screen(X, q, k, kind)
     if cand is None:
         return top_k_from_scores(pairwise_scores(X, q, kind), k)
-    return rescore(X, cand, q, k, kind)
+    return _rescore(X, cand, q, k, kind)
 
 
 def recall(exact: TopKResult, approx: TopKResult, k: int) -> float:

@@ -119,7 +119,7 @@ class _Query(NamedTuple):
     scan: ADC offsets for PQ and OPQ (X rotated first), plus stored norms
     for AQ."""
 
-    search: Optional[Callable]  # (obj, X, q, k, args, prepared) -> TopKResult; None: unqueryable
+    search: Optional[Callable]  # (obj, X, q, k, args, prepared) -> TopKResult; None: `query` refuses it
     prepare: Callable = lambda obj, X: None  # (obj, X) -> prepared
 
 
@@ -173,16 +173,16 @@ _QUERIES = {
 def _query_index(obj, X, q, k, args, prepared) -> TopKResult:
     """One query against a loaded index; ``prepared`` is what its family's
     ``prepare`` returned for ``obj`` and ``X``."""
-    search = _QUERIES[family_of(obj)].search
-    if search is None:
-        raise TypeError(f"cannot query {type(obj).__name__}")
-    return search(obj, X, q, k, args, prepared)
+    return _QUERIES[family_of(obj)].search(obj, X, q, k, args, prepared)
 
 
 def _cmd_query(args) -> int:
     X, queries = _load_data_and_queries(args)
     obj = load_index(args.index_file, X=X)
-    prepared = _QUERIES[family_of(obj)].prepare(obj, X)
+    family = family_of(obj)
+    if _QUERIES[family].search is None:
+        raise ValueError(f"{args.index_file}: a {family} container is a sketch, not a searchable index")
+    prepared = _QUERIES[family].prepare(obj, X)
     lines = ["query_id,rank,id,score"]
     for qi in range(len(queries)):
         result = _query_index(obj, X, queries.vectors[qi], args.k, args, prepared)
@@ -327,7 +327,9 @@ def _cmd_selftest(args) -> int:
     fam = HashFamily(FamilyKind.HYPERPLANE, seed=3, d=8)
     i1 = lsh_build(X, fam, 2, 3)
     i2 = lsh_build(X, HashFamily(FamilyKind.HYPERPLANE, seed=3, d=8), 2, 3)
-    check("lsh deterministic rebuild", all(a == b for a, b in zip(i1.tables, i2.tables)))
+    check("lsh deterministic rebuild", all(
+        a.keys() == b.keys() and all(np.array_equal(a[key], b[key]) for key in a)
+        for a, b in zip(i1.tables, i2.tables)))
 
     idx = build_ivf(X, 16, seed=2)
     q = queries[0]

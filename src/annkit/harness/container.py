@@ -413,7 +413,7 @@ def _decode_lsh(meta, arrays, X) -> LshIndex:
         members = np.sort(ids[offsets[lo]:offsets[hi]])
         _require(np.array_equal(members, np.arange(n)),
                  f"table {t}'s ids must be a permutation of [0, {n}), as table 0's are")
-        index.tables.append({key: b.tolist() for key, b in zip(keys[lo:hi].tolist(), buckets[lo:hi])})
+        index.tables.append(dict(zip(keys[lo:hi].tolist(), buckets[lo:hi])))
     if X is not None:
         _require(n == len(X), f"the tables hold {n} ids, the collection {len(X)}")
     return index

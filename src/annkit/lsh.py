@@ -195,7 +195,7 @@ class LshIndex:
     family: HashFamily
     ell: int
     big_l: int
-    tables: list  # one dict per table: bucket key -> sorted id list
+    tables: list  # one dict per table: bucket key -> ascending int64 id array
     eps: float = 0.0
 
     def bucket_keys(self, table: int, mat: np.ndarray) -> np.ndarray:
@@ -209,6 +209,9 @@ class LshIndex:
         all L * ell functions."""
         cols = self.family.hash_block(0, self.big_l * self.ell, np.asarray(u)[None, :])
         return _mix_keys(cols.reshape(self.big_l, self.ell)).tolist()
+
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -226,10 +229,13 @@ def build_index(X: Collection, family: HashFamily, ell: int, big_l: int, eps: fl
     mat = np.asarray(X.vectors, dtype=np.float64)
     for t in range(big_l):
         keys = index.bucket_keys(t, mat)
-        table: dict[int, list[int]] = {}
-        for i, key in enumerate(keys.tolist()):
-            table.setdefault(key, []).append(i)
-        index.tables.append(table)
+        # a stable sort keeps each bucket's ids ascending; every bucket is
+        # a read-only view of the one order array
+        order = np.argsort(keys, kind="stable")
+        order.setflags(write=False)
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        index.tables.append(dict(zip(keys[starts].tolist(), np.split(order, starts[1:]))))
     return index
 
 
@@ -240,7 +246,7 @@ def pleb_query(index: LshIndex, X: Collection, q: np.ndarray, r: float, eps: flo
     budget = 4 * index.big_l
     visited = 0
     for table, key in zip(index.tables, index.query_keys(q)):
-        for i in table.get(key, []):
+        for i in table.get(key, _NO_IDS).tolist():
             if visited >= budget:
                 return PlebAnswer(yes=False, visited=visited)
             visited += 1
@@ -255,7 +261,9 @@ def lsh_topk(index: LshIndex, X: Collection, q: np.ndarray, k: int,
     """Practical retrieval: union of the query's L buckets, rescored exactly."""
     seen = np.zeros(len(X), dtype=bool)
     for table, key in zip(index.tables, index.query_keys(q)):
-        seen[table.get(key, [])] = True
+        bucket = table.get(key)
+        if bucket is not None:
+            seen[bucket] = True
     return rescore(X, np.flatnonzero(seen), q, k, kind)
 
 

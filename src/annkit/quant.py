@@ -27,7 +27,6 @@ __all__ = [
     "pq_encode",
     "pq_decode",
     "pq_adc",
-    "pq_adc_distance",
     "adc_offsets",
     "pq_adc_scan",
     "opq_train",
@@ -35,7 +34,6 @@ __all__ = [
     "aq_encode",
     "aq_decode",
     "aq_adc",
-    "aq_distance",
     "aq_adc_scan",
     "residual_decompose",
     "score_aware_weight",
@@ -133,12 +131,6 @@ def pq_adc(cb: PqCodebook, q: np.ndarray) -> np.ndarray:
     return np.einsum("lcj,lcj->lc", diff, diff)
 
 
-def pq_adc_distance(tables: np.ndarray, code: np.ndarray) -> float:
-    """Asymmetric distance: L table lookups, equal to the exact squared
-    distance between the raw query and the decoded code."""
-    return float(tables[np.arange(tables.shape[0]), code].sum())
-
-
 def adc_offsets(codes: np.ndarray, n_codewords: int) -> np.ndarray:
     """Flat positions of an (m, L) code array in a raveled (L, C) table:
     entry [n, i] becomes ``codes[n, i] + i * C``. Compute once per encoded
@@ -148,9 +140,11 @@ def adc_offsets(codes: np.ndarray, n_codewords: int) -> np.ndarray:
 
 
 def pq_adc_scan(tables: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """:func:`pq_adc_distance` for every encoded row at once, one gather
-    and one row sum; each row is summed in the same order, so the scores
-    are bit-identical to the per-row function."""
+    """Asymmetric distances of every encoded row: per row, the sum of its
+    L table entries, equal to the exact squared distance between the raw
+    query and the decoded code. One gather and one row sum; each row is
+    summed in the same order as a per-row lookup, so the scores are
+    bit-identical to it."""
     return tables.ravel().take(offsets).sum(axis=1)
 
 
@@ -341,22 +335,13 @@ def aq_adc(cb: AqCodebook, q: np.ndarray) -> np.ndarray:
     return np.einsum("lcd,d->lc", cb.codewords.astype(np.float64), q64)
 
 
-def aq_distance(cb: AqCodebook, q: np.ndarray, code: AqCode,
-                tables: Optional[np.ndarray] = None) -> float:
-    """||q||^2 - 2 <q, reconstruction> + stored ||u||^2; only the inner
-    product is approximate, the norm term is exact."""
-    q64 = np.asarray(q, dtype=np.float64)
-    if tables is None:
-        tables = aq_adc(cb, q)
-    ip = float(tables[np.arange(cb.n_codebooks), code.codes].sum())
-    return float(q64 @ q64) - 2.0 * ip + code.norm_sq
-
-
 def aq_adc_scan(cb: AqCodebook, q: np.ndarray, offsets: np.ndarray,
                 norms: np.ndarray) -> np.ndarray:
-    """:func:`aq_distance` for every encoded row at once, bit-identical:
-    ``offsets`` from :func:`adc_offsets` on the stacked codes, ``norms``
-    the stored ``norm_sq`` values."""
+    """``||q||^2 - 2 <q, reconstruction> + stored ||u||^2`` for every
+    encoded row at once (only the inner product is approximate, the norm
+    term is exact): ``offsets`` from :func:`adc_offsets` on the stacked
+    codes, ``norms`` the stored ``norm_sq`` values. Bit-identical to the
+    same sum one row at a time."""
     q64 = np.asarray(q, dtype=np.float64)
     ip = pq_adc_scan(aq_adc(cb, q), offsets)
     return float(q64 @ q64) - 2.0 * ip + norms

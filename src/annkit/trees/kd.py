@@ -10,8 +10,9 @@ Search visits leaves in order of a certified lower bound on their scores
 (Arya & Mount's priority search, made exact): a leaf's bound is the largest
 squared plane distance over the ancestors whose split puts it on the far
 side from the query. Leaves are scored in growing batches until the next
-bound exceeds the k-th best score, so the answer equals brute force's, ids
-and scores bit for bit.
+bound exceeds the k-th best score, each large batch through the certified
+float32 screen of brute force, so the answer equals brute force's, ids and
+scores bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, _smallest, score_rows
+from annkit.core import _SCREEN_MIN_ROWS, Collection, DistanceKind, TopKResult, _screen, _smallest, score_rows
 from annkit.core import pairwise_scores  # noqa: F401 -- perfbench traces calls through this name
 
 __all__ = ["KdNode", "KdTree", "kd_build", "kd_search_exact"]
@@ -146,7 +147,10 @@ def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKR
 
     Matches :func:`annkit.core.brute_force_topk` on ids and scores: a leaf
     is skipped only when its bound alone certifies that nothing in it can
-    improve (or tie) the best set.
+    improve (or tie) the best set. Within a batch of ``_SCREEN_MIN_ROWS``
+    rows or more, :func:`annkit.core._screen` drops the rows whose float32
+    lower bound exceeds the k-th smallest of the best scores and the
+    batch's upper bounds, so only the rest are scored in float64.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -172,6 +176,10 @@ def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKR
         # the batch's leaves' runs of leaf_ids, back to back
         shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
         ids = layout.leaf_ids[shift + np.arange(shift.size)]
+        if ids.size >= _SCREEN_MIN_ROWS:
+            kept = _screen(X, q64, k, DistanceKind.L2_SQUARED, ids, best_scores)
+            if kept is not None:
+                ids = kept
         scores = score_rows(X, ids, q64, DistanceKind.L2_SQUARED)
         ids = np.concatenate((best_ids, ids))
         scores = np.concatenate((best_scores, scores))

@@ -1,9 +1,13 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annkit.core as core
+import annkit.trees.kd as kd_module
 from annkit.core import (
     Collection,
     DistanceKind,
@@ -19,6 +23,7 @@ from annkit.core import (
     score_rows,
     top_k_from_scores,
 )
+from annkit.trees import kd_build, kd_search_exact
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False, width=32)
 
@@ -309,6 +314,151 @@ class TestRescore:
         ids = rng.permutation(300)[:57]
         for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT, DistanceKind.ANGULAR):
             assert np.array_equal(score_rows(X, ids, q, kind), pairwise_scores(X, q, kind)[ids])
+
+
+def unscreened(X, ids, q, k, kind):
+    """The float64 path the screen stands in front of: every row of ``ids``
+    scored, then the (score, id) selection."""
+    ids = np.asarray(ids, dtype=np.int64)
+    scores = score_rows(X, ids, q, kind)
+    pos = core._smallest(scores, k, ids)
+    return TopKResult(ids=ids[pos], scores=scores[pos], k=k)
+
+
+def overflow_cases():
+    """(collection, query) pairs on which the screen gives up: a query
+    beyond float32's range, a row whose float32 norm overflows, and finite
+    norms whose product with the query's could overflow a float32 sum."""
+    return [
+        (Collection(np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.0], [2.0, 2.0]], dtype=np.float32)),
+         np.array([1e39, 0.0])),
+        (Collection(np.array([[3e19, 0.0], [0.0, 1.0], [-3e19, 2e19], [1.0, 1.0]], dtype=np.float32)),
+         np.array([2e19, 2e19], dtype=np.float32)),
+        (Collection(np.array([[1.2e19, 0.0], [0.0, 1.0], [-1.2e19, 1.0], [1.0, 1.0]], dtype=np.float32)),
+         np.array([1.5e19, 0.0], dtype=np.float32)),
+    ]
+
+
+class TestScreenedPaths:
+    """``rescore`` and ``kd_search_exact`` screen their rows in float32
+    before scoring them; the answers must equal scoring every row, ids and
+    score bits alike. The candidate-count rule is set to 1 here, so that
+    every path screens whatever its size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(screen_cases(), st.data())
+    def test_rescore_equals_unscreened_on_adversarial_data(self, case, data):
+        X, q = case
+        m = len(X)
+        ids = np.array(data.draw(st.permutations(range(m)))[:data.draw(st.integers(0, m))], dtype=np.int64)
+        k = data.draw(st.integers(1, m + 2))
+        with mock.patch.object(core, "_SCREEN_MIN_ROWS", 1):
+            for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+                assert_same_topk(rescore(X, ids, q, k, kind), unscreened(X, ids, q, k, kind))
+
+    @settings(max_examples=300, deadline=None)
+    @given(screen_cases(), st.data())
+    def test_kd_search_equals_unscreened_on_adversarial_data(self, case, data):
+        X, q = case
+        tree = kd_build(X, data.draw(st.integers(1, 4)))
+        k = data.draw(st.integers(1, len(X) + 2))
+        with mock.patch.object(kd_module, "_SCREEN_MIN_ROWS", 1):
+            got = kd_search_exact(tree, X, q, k)
+        assert_same_topk(got, unscreened(X, np.arange(len(X)), q, k, DistanceKind.L2_SQUARED))
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_overflow_gives_up_and_equals_unscreened(self, case):
+        X, q = overflow_cases()[case]
+        ids = np.array([3, 0, 2, 1])
+        with mock.patch.object(core, "_SCREEN_MIN_ROWS", 1), \
+                mock.patch.object(kd_module, "_SCREEN_MIN_ROWS", 1):
+            for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+                assert core._screen(X, q, 1, kind, ids) is None
+                for k in range(1, 6):
+                    assert_same_topk(rescore(X, ids, q, k, kind), unscreened(X, ids, q, k, kind))
+            for k in range(1, 6):
+                assert_same_topk(kd_search_exact(kd_build(X, 1), X, q, k),
+                                 unscreened(X, ids, q, k, DistanceKind.L2_SQUARED))
+
+    def test_rescore_screens_many_candidates(self):
+        rng = np.random.default_rng(12)
+        X = Collection(rng.standard_normal((3000, 16)).astype(np.float32))
+        ids = rng.permutation(3000)[:core._SCREEN_MIN_ROWS + 500]
+        scored = []
+
+        def spy(X, ids, q, kind):
+            scored.append(len(ids))
+            return score_rows(X, ids, q, kind)
+
+        for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+            q = rng.standard_normal(16)
+            want = unscreened(X, ids, q, 10, kind)
+            with mock.patch.object(core, "score_rows", spy):
+                assert_same_topk(rescore(X, ids, q, 10, kind), want)
+                assert_same_topk(rescore(X, ids[:core._SCREEN_MIN_ROWS - 1], q, 10, kind),
+                                 unscreened(X, ids[:core._SCREEN_MIN_ROWS - 1], q, 10, kind))
+        # screened: a few dozen rows scored in float64; below the rule: all
+        assert scored[0] < 100 and scored[2] < 100
+        assert scored[1] == scored[3] == core._SCREEN_MIN_ROWS - 1
+
+    def test_kd_search_screens_its_leaf_batches(self):
+        rng = np.random.default_rng(13)
+        X = Collection(rng.standard_normal((4000, 32)).astype(np.float32))
+        tree = kd_build(X, 16)
+        q = rng.standard_normal(32)
+        scored = []
+
+        def spy(X, ids, q, kind):
+            scored.append(len(ids))
+            return score_rows(X, ids, q, kind)
+
+        with mock.patch.object(kd_module, "score_rows", spy):
+            got = kd_search_exact(tree, X, q, 10)
+        assert_same_topk(got, brute_force_topk(X, q, 10, DistanceKind.L2_SQUARED))
+        # the screen leaves few of the 4000 rows to the float64 score
+        assert sum(scored) < 500
+
+
+class TestCollectionDerivedData:
+    def test_vectors_cannot_be_reassigned(self):
+        X = Collection(np.ones((3, 2), dtype=np.float32))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            X.vectors = np.zeros((3, 2), dtype=np.float32)
+        with pytest.raises(ValueError):
+            X.vectors[0, 0] = 2.0
+        assert np.all(X.vectors == 1.0)
+
+    def test_screen_rows_computed_once_per_collection(self):
+        calls, screen_rows = [], core._screen_rows
+
+        def spy(mat):
+            calls.append(mat.shape)
+            return screen_rows(mat)
+
+        rng = np.random.default_rng(14)
+        mats = [rng.standard_normal((400, 8)).astype(np.float32) for _ in range(2)]
+        with mock.patch.object(core, "_screen_rows", spy):
+            for mat in mats:
+                X = Collection(mat)
+                for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+                    for q in rng.standard_normal((3, 8)):
+                        brute_force_topk(X, q, 5, kind)
+                        rescore(X, np.arange(0, 400, 2), q, 5, kind)
+                assert X.screen_rows is X.screen_rows
+        assert calls == [(400, 8), (400, 8)]
+
+    def test_column_range_is_the_column_min_and_max(self):
+        rng = np.random.default_rng(15)
+        for m in (1, 15, 16, 17, 100):
+            mat = rng.standard_normal((m, 5)).astype(np.float32)
+            lo, hi = Collection(mat).column_range
+            assert lo.dtype == hi.dtype == np.float64
+            assert np.array_equal(lo, mat.min(axis=0)) and np.array_equal(hi, mat.max(axis=0))
+
+    def test_sparse_collection_has_no_derived_data(self):
+        X = Collection((SparseVector(indices=np.array([0]), values=np.array([1.0], dtype=np.float32), dim=3),))
+        with pytest.raises(ValueError, match="dense"):
+            X.screen_rows
 
 
 def _search_entry_points():

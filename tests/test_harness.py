@@ -20,10 +20,11 @@ from annkit.harness.io import load_vecs, save_vecs
 from annkit.harness.synth import Distribution, SyntheticSpec, generate
 from annkit.ivf import build_ivf, ivf_search
 from annkit.lsh import FamilyKind, HashFamily, build_index, lsh_topk
-from annkit.quant import aq_adc, aq_distance, aq_encode, aq_train, opq_train, pq_adc, pq_train
+from annkit.quant import aq_adc, aq_encode, aq_train, opq_train, pq_adc, pq_train
 from annkit.sampling import build_wedge_index, wedge_topk
 from annkit.sketch import JlSketcher, ThresholdSketcher, asym_sketch, jl_project
 from annkit.trees import cover_build, cover_nn, defeatist_search, kd_build, kd_search_exact, rp_build, spill_build
+from quant_reference import aq_distance
 
 
 def rand_collection(m, d, seed):
@@ -268,7 +269,7 @@ class TestContainerRoundTrips:
         loaded = load_index(tmp_path / "lsh.akx")
         q = np.random.default_rng(13).standard_normal(6).astype(np.float32)
         assert lsh_topk(loaded, X, q, 5).ids.tolist() == lsh_topk(index, X, q, 5).ids.tolist()
-        assert all(a == b for a, b in zip(loaded.tables, index.tables))
+        assert_same_object(loaded.tables, index.tables)
 
     def test_graph(self, tmp_path):
         X = rand_collection(150, 6, 14)
@@ -950,6 +951,17 @@ class TestCli:
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.startswith("annkit: error: ") and out.stderr.count("\n") == 1
         assert message in out.stderr
+
+    @pytest.mark.parametrize("family", ["jl", "asym_set", "threshold_set"])
+    def test_querying_a_sketch_container_exits_2(self, tmp_path, family):
+        data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / f"{family}.akx"
+        save_vecs(data, rand_collection(20, 8, 65))
+        save_vecs(queries, rand_collection(2, 8, 66))
+        save_index(idx, FAMILIES[family][1](load_vecs(data)))
+        out = run_cli("query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == (f"annkit: error: {idx}: a {family} container is a sketch, "
+                              "not a searchable index\n")
 
     def test_selftest_passes(self):
         out = run_cli("selftest")

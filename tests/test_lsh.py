@@ -21,6 +21,16 @@ def rand_collection(m, d, seed):
     return Collection(np.random.default_rng(seed).standard_normal((m, d)).astype(np.float32))
 
 
+def assert_same_tables(got, want):
+    """LSH tables equal table by table: the same bucket keys, and under each
+    key int64 ids equal to the wanted ones (an array or a list)."""
+    assert len(got) == len(want)
+    for table, expected in zip(got, want):
+        assert sorted(table) == sorted(expected)
+        for key, ids in table.items():
+            assert ids.dtype == np.int64 and np.array_equal(ids, expected[key]), key
+
+
 class TestDeriveParams:
     def test_formula_values(self):
         ell, big_l, rho = derive_params(10_000, 0.9, 0.5)
@@ -158,13 +168,13 @@ class TestIndex:
         index = build_index(X, fam, ell=2, big_l=3)
         for table in index.tables:
             for ids in table.values():
-                assert ids == sorted(ids)
+                assert np.array_equal(ids, np.sort(ids))
 
     def test_deterministic_rebuild(self):
         X = rand_collection(90, 5, 11)
         a = build_index(X, HashFamily(FamilyKind.P_STABLE_L2, seed=12, d=5, r=2.0), 3, 4)
         b = build_index(X, HashFamily(FamilyKind.P_STABLE_L2, seed=12, d=5, r=2.0), 3, 4)
-        assert all(x == y for x, y in zip(a.tables, b.tables))
+        assert_same_tables(a.tables, b.tables)
 
 
 def _golden_inputs(kind):
@@ -205,7 +215,7 @@ class TestStackedHashing:
     @pytest.mark.parametrize("kind", list(FamilyKind))
     def test_table_keys_equal_recorded_values(self, kind):
         index = build_index(_golden_inputs(kind), HashFamily(kind, seed=17, d=5, r=1.5), ell=2, big_l=2)
-        assert [sorted(t.items()) for t in index.tables] == GOLDEN_TABLES[kind]
+        assert_same_tables(index.tables, [dict(table) for table in GOLDEN_TABLES[kind]])
 
     @pytest.mark.parametrize("kind", list(FamilyKind))
     def test_query_keys_equal_per_table_keys(self, kind):
@@ -367,7 +377,7 @@ class TestMipsHash:
         tails = mh.transformed.vectors[:, -1]
         assert np.abs(tails).max() <= 1e-3
         plain = build_index(mh.transformed, HashFamily(FamilyKind.HYPERPLANE, seed=20, d=9), 2, 4)
-        assert all(a == b for a, b in zip(mh.index.tables, plain.tables))
+        assert_same_tables(mh.index.tables, plain.tables)
 
     def test_self_collision_probability_one(self):
         X = rand_collection(30, 6, 21)

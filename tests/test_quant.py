@@ -12,12 +12,10 @@ from annkit.quant import (
     aq_adc,
     aq_adc_scan,
     aq_decode,
-    aq_distance,
     aq_encode,
     aq_train,
     opq_train,
     pq_adc,
-    pq_adc_distance,
     pq_adc_scan,
     pq_decode,
     pq_encode,
@@ -31,6 +29,7 @@ from annkit.quant import (
     vq_encode,
     vq_train,
 )
+from quant_reference import aq_distance, pq_adc_distance
 
 
 def rand_collection(m, d, seed):

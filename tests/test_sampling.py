@@ -8,7 +8,6 @@ from scipy import stats
 
 from annkit.core import Collection, DistanceKind, brute_force_topk, recall, rescore
 from annkit.sampling import (
-    _column_range,
     _contribution_block,
     alias_build,
     alias_sample,
@@ -308,7 +307,7 @@ class TestBoundedMe:
             X = Collection((rng.standard_normal((m, d)) * rng.uniform(0.01, 100, d)).astype(np.float32))
             q = rng.standard_normal(d)
             full = _contributions(X, q)
-            lo, hi = _column_range(X.vectors)
+            lo, hi = X.column_range
             span = hi - lo
             q_scaled = q * span
             if np.abs(q_scaled).max() > 0:
