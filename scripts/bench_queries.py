@@ -29,6 +29,11 @@ on one machine sit side by side:
 
     PYTHONPATH=src python scripts/bench_queries.py --label after
 
+``--check`` answers every family's queries once, compares the digests
+and writes nothing; the exit code is 1 if any digest differs:
+
+    PYTHONPATH=src python scripts/bench_queries.py --check
+
 BLAS is pinned to one thread unless the environment says otherwise.
 """
 
@@ -98,10 +103,18 @@ def families(X: Collection) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--label", help="key of this run in the output file")
+    parser.add_argument("--check", action="store_true",
+                        help="only compare every digest with its pin; write nothing")
+    parser.add_argument("--repeats", type=int, help="repeats per family (default 3, 1 with --check)")
     parser.add_argument("--only", action="append", help="run only the named family (repeatable)")
     args = parser.parse_args(argv)
+    if args.check == bool(args.label):
+        parser.error("give exactly one of --label and --check")
+    if args.repeats is None:
+        args.repeats = 1 if args.check else 3
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
 
     X32, Q32 = mixture(1, 20000, max(COUNTS.values()))
     X = Collection(X32)
@@ -130,6 +143,8 @@ def main(argv=None) -> int:
         print(f"{name}: p50 {results[name]['p50_ms']:.3f} ms over {args.repeats} x {len(queries)} "
               f"queries, digest {'matches' if match else 'DIFFERS'}", flush=True)
 
+    if args.check:
+        return 0 if ok else 1
     out_path = Path(__file__).resolve().parent.parent / "BENCH_queries.json"
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
     run = doc.setdefault("runs", {}).setdefault(args.label, {})

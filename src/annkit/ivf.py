@@ -14,7 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, pairwise_scores, rescore, top_k_from_scores
+from annkit.core import (
+    _DENSE_KINDS,
+    Collection,
+    DistanceKind,
+    SparseVector,
+    TopKResult,
+    _dense_scores,
+    _smallest,
+    pairwise_scores,
+    rescore,
+)
 
 __all__ = ["KMeansKind", "KMeansModel", "IvfIndex", "kmeans_train", "build_ivf", "inverted_lists", "route",
            "ivf_search"]
@@ -237,12 +247,19 @@ def inverted_lists(assignment: np.ndarray, C: int) -> list:
 
 
 def route(index: IvfIndex, q: np.ndarray, ell: int) -> np.ndarray:
-    """Top-ell clusters by the index's query kind over the centroids."""
+    """Top-ell clusters by the index's query kind over the centroids, in
+    ``(score, id)`` order. A dense query is scored by brute force's dense
+    kernel on the centroid matrix as it is, with no ``Collection`` or
+    ``TopKResult`` built per query."""
     C = index.model.n_clusters
     if not 1 <= ell <= C:
         raise ValueError("need 1 <= ell <= C")
-    scores = pairwise_scores(Collection(index.model.centroids), q, index.kind)
-    return top_k_from_scores(scores, ell).ids
+    centroids = np.asarray(index.model.centroids, dtype=np.float32)
+    if isinstance(q, SparseVector) or index.kind not in _DENSE_KINDS:
+        scores = pairwise_scores(Collection(centroids), q, index.kind)
+    else:
+        scores = _dense_scores(centroids, q, index.kind)
+    return _smallest(scores, ell)
 
 
 def ivf_search(index: IvfIndex, X: Collection, q: np.ndarray, k: int, ell: int) -> TopKResult:

@@ -159,21 +159,61 @@ def boundedme_schedule(n_alive: int, k: int, eps_i: float, delta_i: float, d: in
 
 def _contribution_block(block: np.ndarray, lo: np.ndarray, span_safe: np.ndarray,
                         q_scaled: np.ndarray) -> np.ndarray:
-    """Contributions in [0, 1] of float32 ``block`` (rows x sampled
-    dimensions), whose sums over any shared dimension set rank points
-    exactly like the raw partial inner products; ``lo``, ``span_safe`` and
-    ``q_scaled`` are the per-dimension arrays of those columns.
+    """Twice the contributions in [0, 1] of float32 ``block`` (sampled
+    dimensions x rows, one row per dimension), whose sums over any shared
+    dimension set rank points exactly like the raw partial inner products;
+    ``lo``, ``span_safe`` and ``q_scaled`` are the per-dimension arrays of
+    those dimensions.
 
-    Each element is ``((x - lo) / span_safe * q' + 1) * 0.5`` in float64,
-    one correctly rounded operation at a time in that order, so it does
-    not depend on which block it was computed in.
+    Each element is ``(x - lo) / span_safe * q' + 1`` in float64, one
+    correctly rounded operation at a time in that order, so it does not
+    depend on which block it was computed in. It is 0 or at least
+    ``2^-53`` and at most 2, so halving it, the contribution proper, is
+    exact.
     """
-    contrib = np.subtract(block, lo)
-    contrib /= span_safe
-    contrib *= q_scaled
+    contrib = np.subtract(block, lo[:, None])
+    contrib /= span_safe[:, None]
+    contrib *= q_scaled[:, None]
     contrib += 1.0
-    contrib *= 0.5  # the same correctly rounded halving as / 2
     return contrib
+
+
+def _column_sums(block: np.ndarray) -> np.ndarray:
+    """Sums over the rows of the ``(t, n)`` float64 ``block``, equal bit
+    for bit to ``np.ascontiguousarray(block.T).sum(axis=1)``; ``block``
+    is overwritten.
+
+    numpy sums each contiguous row of ``block.T`` pairwise: fewer than 8
+    terms in turn from 0; up to 128 in 8 running sums, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the
+    remainder in turn; more split at ``t // 2`` rounded down to a multiple
+    of 8 and add the sums of the two halves. Here each step adds whole
+    n-long rows, in the same order, so the sums run along contiguous
+    memory instead of across rows only t wide.
+    """
+    t, n = block.shape
+    if t < 8:
+        out = np.zeros(n)
+        for row in block:
+            out += row
+        return out
+    if t > 128:
+        half = t // 2 - (t // 2) % 8
+        out = _column_sums(block[:half])
+        out += _column_sums(block[half:])
+        return out
+    acc = block[:8]
+    tail = t - t % 8
+    for i in range(8, tail, 8):
+        acc += block[i:i + 8]
+    acc[0::2] += acc[1::2]
+    acc[0::4] += acc[2::4]
+    out = acc[0]
+    out += acc[4]
+    for row in block[tail:]:
+        out += row
+    out += 0.0  # numpy adds the sum to its identity, +0: a -0 sum comes out +0
+    return out
 
 
 def boundedme_topk(
@@ -198,7 +238,13 @@ def boundedme_topk(
     scaled by the data span per coordinate (compensating the data scaling)
     then by its max magnitude, and each contribution is
     ``(q'_t u'_t + 1) / 2``. A round computes them only for its
-    ``alive x new dimensions`` block.
+    ``new dimensions x alive`` block, gathered from the collection's
+    column-major copy (:attr:`Collection.columns`) so that every float64
+    pass and the sums run along rows as long as the survivors. The
+    accumulators hold twice the partial sums: every contribution and
+    partial sum is far inside float64's normal range, so halving is exact
+    and commutes with each rounding, and the thresholds, comparisons and
+    survivors are those of the halved sums.
 
     Returns the result plus diagnostics: ``products`` (the number of
     contributions accumulated), ``schedule`` (the dimension budget of each
@@ -214,7 +260,7 @@ def boundedme_topk(
         result = rescore(X, np.arange(m), q, k, DistanceKind.NEG_INNER_PRODUCT)
         return result, {"products": 0, "schedule": [], "rounds": 0}
 
-    mat = X.vectors
+    columns = X.columns
     lo, hi = X.column_range
     span = hi - lo
     span_safe = np.where(span > 0, span, 1.0)
@@ -227,7 +273,7 @@ def boundedme_topk(
     perm = rng.permutation(d)
 
     alive = np.arange(m, dtype=np.int64)
-    acc = np.zeros(m)
+    acc = np.zeros(m)  # twice the partial sums of the rows in ``alive``
     eps_i, delta_i = eps / 4.0, delta / 2.0
     t_prev = 0
     products = 0
@@ -238,22 +284,22 @@ def boundedme_topk(
         schedule.append(t_i)
         new_dims = perm[t_prev:t_i]
         if new_dims.size:
-            rows = mat if alive.size == m else mat[alive]
-            block = _contribution_block(np.take(rows, new_dims, axis=1), lo[new_dims],
-                                        span_safe[new_dims], q_scaled[new_dims])
-            acc[alive] += block.sum(axis=1)
+            block = np.take(columns, new_dims, axis=0)
+            if alive.size < m:  # two takes gather faster than one 2-d fancy index
+                block = block.take(alive, axis=1)
+            acc += _column_sums(_contribution_block(block, lo[new_dims], span_safe[new_dims],
+                                                    q_scaled[new_dims]))
             products += alive.size * new_dims.size
         t_prev = t_i
 
         gap = alive.size - k
         rank = math.ceil(gap / 2)  # threshold at the rank-th smallest score
-        alive_scores = acc[alive]
-        threshold = np.partition(alive_scores, rank - 1)[rank - 1]
-        survivors = alive[alive_scores > threshold]
-        if survivors.size < k:
+        threshold = np.partition(acc, rank - 1)[rank - 1]
+        keep = np.flatnonzero(acc > threshold)
+        if keep.size < k:
             # strict thresholding can over-kill on ties; refill by best scores
-            survivors = np.sort(alive[_smallest(-alive_scores, k, alive)])
-        alive = survivors
+            keep = np.sort(_smallest(-acc, k, alive))
+        alive, acc = alive[keep], acc[keep]
         eps_i *= 0.75
         delta_i /= 2.0
 

@@ -455,10 +455,56 @@ class TestCollectionDerivedData:
             assert lo.dtype == hi.dtype == np.float64
             assert np.array_equal(lo, mat.min(axis=0)) and np.array_equal(hi, mat.max(axis=0))
 
+    def test_columns_are_the_read_only_transpose(self):
+        rng = np.random.default_rng(16)
+        for m, d in ((1, 1), (1, 7), (5, 1), (300, 64)):
+            mat = rng.standard_normal((m, d)).astype(np.float32)
+            mat[0, 0] = -0.0
+            cols = Collection(mat).columns
+            assert cols.shape == (d, m) and cols.dtype == np.float32 and cols.flags.c_contiguous
+            assert cols.tobytes() == np.ascontiguousarray(mat.T).tobytes()
+            assert not cols.flags.writeable
+            with pytest.raises(ValueError):
+                cols[0, 0] = 1.0
+
+    def test_columns_of_empty_matrices(self):
+        # a Collection is never empty, but the helper takes any shape
+        for m, d in ((0, 4), (3, 0), (0, 0)):
+            cols = core._columns(np.zeros((m, d), dtype=np.float32))
+            assert cols.shape == (d, m) and cols.dtype == np.float32 and not cols.flags.writeable
+        with pytest.raises(ValueError):
+            Collection(np.zeros((0, 4), dtype=np.float32))
+
+    def test_columns_computed_once_per_collection(self):
+        from annkit.sampling import boundedme_topk
+
+        calls, columns = [], core._columns
+
+        def spy(mat):
+            calls.append(mat.shape)
+            return columns(mat)
+
+        rng = np.random.default_rng(17)
+        mats = [rng.standard_normal((400, 16)).astype(np.float32) for _ in range(2)]
+        with mock.patch.object(core, "_columns", spy):
+            for mat in mats:
+                X = Collection(mat)
+                for seed, q in enumerate(rng.standard_normal((8, 16))):
+                    boundedme_topk(X, q, 5, eps=0.3, delta=0.3, seed=seed)
+                assert X.columns is X.columns
+            two = Collection(mats[0][:2])
+            q = rng.standard_normal(16)
+            res, diag = boundedme_topk(two, q, 1, eps=0.3, delta=0.3)
+            assert diag["rounds"] == 1 and len(res) == 1
+            assert two.columns.shape == (16, 2)
+        assert calls == [(400, 16), (400, 16), (2, 16)]
+
     def test_sparse_collection_has_no_derived_data(self):
         X = Collection((SparseVector(indices=np.array([0]), values=np.array([1.0], dtype=np.float32), dim=3),))
         with pytest.raises(ValueError, match="dense"):
             X.screen_rows
+        with pytest.raises(ValueError, match="dense"):
+            X.columns
 
 
 def _search_entry_points():

@@ -1,4 +1,10 @@
+import hashlib
+import importlib.util
 import math
+import os
+from pathlib import Path
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from annkit import sampling
 from annkit.core import Collection, DistanceKind, brute_force_topk, recall, rescore
 from annkit.sampling import (
+    _column_sums,
     _contribution_block,
     alias_build,
     alias_sample,
@@ -42,10 +50,11 @@ def _contributions(X, q):
     return contrib
 
 
-def boundedme_reference(X, q, k, eps, delta, seed=0):
+def boundedme_reference(X, q, k, eps, delta, seed=0, round_sums=None):
     """Reference BoundedME over the full contribution matrix, gathering
     each round's ``alive x new dimensions`` block from it; returns the
-    result, the diagnostics and how many rounds took the refill branch."""
+    result, the diagnostics and how many rounds took the refill branch,
+    and appends each round's row sums to ``round_sums`` when given."""
     m, d = len(X), X.dim
     if k >= m:
         return rescore(X, np.arange(m), q, k, DistanceKind.NEG_INNER_PRODUCT), \
@@ -62,7 +71,10 @@ def boundedme_reference(X, q, k, eps, delta, seed=0):
         schedule.append(t_i)
         new_dims = perm[t_prev:t_i]
         if new_dims.size:
-            acc[alive] += contrib[np.ix_(alive, new_dims)].sum(axis=1)
+            sums = contrib[np.ix_(alive, new_dims)].sum(axis=1)
+            if round_sums is not None:
+                round_sums.append(sums)
+            acc[alive] += sums
             products += alive.size * new_dims.size
         t_prev = t_i
         rank = math.ceil((alive.size - k) / 2)
@@ -245,11 +257,28 @@ class TestBoundedMe:
         assert ok / runs >= 0.85
 
     def _assert_matches_reference(self, X, q, k, eps, delta, seed):
-        got, diag = boundedme_topk(X, q, k, eps=eps, delta=delta, seed=seed)
-        want, want_diag, refills = boundedme_reference(X, q, k, eps, delta, seed)
+        """Ids, score bits and diagnostics equal the reference's, and so
+        does every round's sums, halved (an ulp there rarely moves a
+        survivor, so the answers alone would not show it)."""
+        got_sums, want_sums, depth = [], [], [0]
+
+        def spy(block):  # records the outermost calls; the helper recurses above 128 rows
+            depth[0] += 1
+            try:
+                sums = _column_sums(block)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                got_sums.append(np.multiply(sums, 0.5))
+            return sums
+
+        with mock.patch.object(sampling, "_column_sums", spy):
+            got, diag = boundedme_topk(X, q, k, eps=eps, delta=delta, seed=seed)
+        want, want_diag, refills = boundedme_reference(X, q, k, eps, delta, seed, want_sums)
         assert np.array_equal(got.ids, want.ids)
         assert got.scores.tobytes() == want.scores.tobytes()
         assert diag == want_diag
+        assert [a.tobytes() for a in got_sums] == [b.tobytes() for b in want_sums]
         return refills
 
     @settings(max_examples=300, deadline=None)
@@ -314,6 +343,91 @@ class TestBoundedMe:
                 q_scaled = q_scaled / np.abs(q_scaled).max()
             rows = np.sort(rng.choice(m, size=max(1, m // 3), replace=False))
             dims = rng.permutation(d)[:max(1, d // 2)]
-            block = _contribution_block(np.take(X.vectors[rows], dims, axis=1), lo[dims],
+            block = _contribution_block(X.columns[dims[:, None], rows], lo[dims],
                                         np.where(span > 0, span, 1.0)[dims], q_scaled[dims])
-            assert block.tobytes() == full[np.ix_(rows, dims)].tobytes()
+            # the block holds twice each contribution, and halving it is exact
+            assert np.multiply(block, 0.5).T.tobytes() == full[np.ix_(rows, dims)].tobytes()
+
+    def test_column_sums_equal_numpy_row_sums(self):
+        """The column sums equal numpy's pairwise row sums of the
+        transpose bit for bit, across the sequential (t < 8), 8-way
+        (t <= 128) and split (t > 128) cases and magnitudes 1e-8..1e8."""
+        rng = np.random.default_rng(23)
+        for t in range(301):
+            block = rng.standard_normal((t, 40)) * 10.0 ** rng.uniform(-8, 8, size=(t, 40))
+            block[:, 0] = -0.0  # an all -0 column sums to +0
+            block[: t // 2, 1] = 0.0
+            want = np.ascontiguousarray(block.T).sum(axis=1)
+            got = _column_sums(block.copy())
+            assert got.tobytes() == want.tobytes(), t
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wide_rounds_equal_full_matrix_reference(self, data):
+        """As above, with up to 200 dimensions and small eps, so that a
+        round takes more than 8 and more than 128 new dimensions."""
+        m = data.draw(st.integers(2, 80), label="m")
+        d = data.draw(st.integers(9, 200), label="d")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="ties"):
+            mat = rng.integers(-2, 3, size=(m, d)).astype(np.float32)
+        else:
+            mat = (rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3, size=d)).astype(np.float32)
+        q = rng.standard_normal(d).astype(np.float32)
+        k = data.draw(st.integers(1, m), label="k")
+        eps = data.draw(st.sampled_from([0.02, 0.05, 0.3]), label="eps")
+        self._assert_matches_reference(Collection(mat), q, k, eps, 0.1, data.draw(st.integers(0, 5)))
+
+    def test_rounds_past_8_and_128_dimensions_match_reference(self):
+        rng = np.random.default_rng(24)
+        widest = 0
+        for d in (9, 64, 128, 129, 200):
+            X = rand_collection(150, d, 25 + d)
+            for seed, eps in enumerate((0.02, 0.05, 0.3)):
+                q = rng.standard_normal(d).astype(np.float32)
+                _, diag = boundedme_topk(X, q, 10, eps=eps, delta=0.1, seed=seed)
+                self._assert_matches_reference(X, q, 10, eps, 0.1, seed)
+                steps = np.diff([0] + diag["schedule"])
+                widest = max(widest, int(steps.max()))
+        assert widest > 128
+
+    def test_query_clustered_answers_match_pinned_digest(self):
+        """The 120 BoundedME answers at query-clustered's shape hash to the
+        digest that ``scripts/bench_queries.py`` pins."""
+        bench = _bench_queries_module()
+        data, queries = bench.mixture(1, 20000, max(bench.COUNTS.values()))
+        X = Collection(data)
+        digest = hashlib.sha256()
+        for q in queries[:bench.COUNTS["boundedme"]]:
+            res, _ = boundedme_topk(X, q, bench.K, eps=0.9, delta=0.9, seed=3)
+            digest.update(res.ids.tobytes() + res.scores.tobytes())
+        assert digest.hexdigest() == bench.PINNED["boundedme"]
+
+    def test_bench_check_compares_digests_and_writes_nothing(self, monkeypatch, capsys):
+        bench = _bench_queries_module()
+        out = Path(bench.__file__).resolve().parent.parent / "BENCH_queries.json"
+        before = out.read_bytes() if out.exists() else None
+        brute = lambda X: {"brute": lambda q: brute_force_topk(X, q, bench.K, DistanceKind.L2_SQUARED)}
+        monkeypatch.setattr(bench, "families", brute)
+        assert bench.main(["--check"]) == 0
+        monkeypatch.setitem(bench.PINNED, "brute", "0" * 64)
+        assert bench.main(["--check"]) == 1
+        assert "brute: p50" in capsys.readouterr().out
+        assert (out.read_bytes() if out.exists() else None) == before
+        with pytest.raises(SystemExit):
+            bench.main(["--check", "--label", "x"])
+
+
+def _bench_queries_module():
+    """``scripts/bench_queries.py`` as a module; the BLAS variables it sets
+    on import are put back."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_queries.py"
+    spec = importlib.util.spec_from_file_location("bench_queries", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = dict(os.environ)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+    return module
