@@ -384,12 +384,9 @@ def _columns(mat: np.ndarray) -> np.ndarray:
     (``np.ascontiguousarray(mat.T)``) it raised the query-clustered
     benchmark's peak resident set by about 13 MB instead of 5, having
     landed in a heap that earlier large frees had left behind (README,
-    BoundedME). A mapping cannot be empty, so an empty matrix gets a
-    plain array.
+    BoundedME).
     """
     m, d = mat.shape
-    if m == 0 or d == 0:
-        return _frozen(np.empty((d, m), dtype=np.float32))
     cols = np.frombuffer(mmap.mmap(-1, 4 * m * d), dtype=np.float32).reshape(d, m)
     cols[...] = mat.T
     return _frozen(cols)

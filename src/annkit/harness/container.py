@@ -463,15 +463,21 @@ def _encode_ivf(index: IvfIndex):
 
 
 def _decode_ivf(meta, arrays, X) -> IvfIndex:
+    centroids, ids = arrays["centroids"], arrays["assignment"]
+    _require(centroids.ndim == 2 and centroids.size and centroids.dtype.kind in "iuf"
+             and np.all(np.isfinite(centroids)), "centroids must be a non-empty (C, d) matrix of finite numbers")
+    C, dim = centroids.shape
+    _require(ids.dtype.kind in "iu" and (not ids.size or 0 <= ids.min() <= ids.max() < C),
+             f"assignment must hold cluster ids in [0, {C})")
+    if X is not None:
+        _require(dim == X.dim, f"the centroids have {dim} columns, the collection {X.dim}")
+        _require(ids.size == len(X), f"the assignment holds {ids.size} ids, the collection {len(X)}")
     model = KMeansModel(
-        centroids=arrays["centroids"],
-        assignment=arrays["assignment"],
+        centroids=centroids,
+        assignment=ids,
         objective_trace=_meta(meta, "objective_trace", [float]),
         kind=_meta(meta, "kmeans_kind", KMeansKind),
     )
-    C, ids = model.centroids.shape[0], model.assignment
-    _require(ids.dtype.kind in "iu" and (not ids.size or 0 <= ids.min() <= ids.max() < C),
-             f"assignment must hold cluster ids in [0, {C})")
     return IvfIndex(model=model, lists=inverted_lists(ids, C), kind=_meta(meta, "kind", DistanceKind))
 
 

@@ -10,21 +10,11 @@ direction rather than location.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from annkit.core import (
-    _DENSE_KINDS,
-    Collection,
-    DistanceKind,
-    SparseVector,
-    TopKResult,
-    _dense_scores,
-    _smallest,
-    pairwise_scores,
-    rescore,
-)
+from annkit.core import Collection, DistanceKind, TopKResult, _smallest, pairwise_scores, rescore
 
 __all__ = ["KMeansKind", "KMeansModel", "IvfIndex", "kmeans_train", "build_ivf", "inverted_lists", "route",
            "ivf_search"]
@@ -35,12 +25,23 @@ class KMeansKind(enum.Enum):
     SPHERICAL = "spherical"
 
 
-@dataclass
+@dataclass(frozen=True)
 class KMeansModel:
+    """A trained coarse quantizer. The centroids are checked and wrapped
+    in ``centroid_set`` once, when the model is made; ``centroids`` is
+    that Collection's read-only matrix. The fields cannot be reassigned,
+    so the two cannot drift apart."""
+
     centroids: np.ndarray  # (C, d) float32
     assignment: np.ndarray  # (m,) int64
     objective_trace: list
     kind: KMeansKind
+    centroid_set: Collection = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        centroid_set = Collection(self.centroids)
+        object.__setattr__(self, "centroid_set", centroid_set)
+        object.__setattr__(self, "centroids", centroid_set.vectors)
 
     @property
     def n_clusters(self) -> int:
@@ -248,18 +249,12 @@ def inverted_lists(assignment: np.ndarray, C: int) -> list:
 
 def route(index: IvfIndex, q: np.ndarray, ell: int) -> np.ndarray:
     """Top-ell clusters by the index's query kind over the centroids, in
-    ``(score, id)`` order. A dense query is scored by brute force's dense
-    kernel on the centroid matrix as it is, with no ``Collection`` or
-    ``TopKResult`` built per query."""
+    ``(score, id)`` order, scored against the model's own centroid
+    Collection, with no ``Collection`` or ``TopKResult`` built per query."""
     C = index.model.n_clusters
     if not 1 <= ell <= C:
         raise ValueError("need 1 <= ell <= C")
-    centroids = np.asarray(index.model.centroids, dtype=np.float32)
-    if isinstance(q, SparseVector) or index.kind not in _DENSE_KINDS:
-        scores = pairwise_scores(Collection(centroids), q, index.kind)
-    else:
-        scores = _dense_scores(centroids, q, index.kind)
-    return _smallest(scores, ell)
+    return _smallest(pairwise_scores(index.model.centroid_set, q, index.kind), ell)
 
 
 def ivf_search(index: IvfIndex, X: Collection, q: np.ndarray, k: int, ell: int) -> TopKResult:

@@ -516,6 +516,24 @@ class TestContainerInputChecks:
             load_index(path)
 
     @pytest.mark.parametrize("mangle,message", [
+        (lambda m, a: a["centroids"].put(5, np.nan), "centroids must be a non-empty (C, d) matrix of finite numbers"),
+        (lambda m, a: a["centroids"].put(0, -np.inf), "centroids must be a non-empty (C, d) matrix of finite numbers"),
+        (lambda m, a: a.update(centroids=a["centroids"].ravel()),
+         "centroids must be a non-empty (C, d) matrix of finite numbers"),
+        (lambda m, a: a.update(centroids=a["centroids"][:0]),
+         "centroids must be a non-empty (C, d) matrix of finite numbers"),
+        (lambda m, a: a.update(centroids=a["centroids"].astype("S4")),
+         "centroids must be a non-empty (C, d) matrix of finite numbers"),
+        (lambda m, a: a.update(centroids=a["centroids"][:, :5]), "the centroids have 5 columns, the collection 8"),
+        (lambda m, a: a.update(assignment=a["assignment"][:-1]), "the assignment holds 59 ids, the collection 60"),
+    ], ids=["nan", "inf", "flat", "no_rows", "bytes", "dimension", "short_assignment"])
+    def test_malformed_ivf_rejected(self, tmp_path, mangle, message):
+        path = tmp_path / "bad.akx"
+        _save_mangled(path, "ivf", build_ivf(FAMILY_X, 4, seed=1), mangle)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed ivf container: {message}")):
+            load_index(path, X=FAMILY_X)
+
+    @pytest.mark.parametrize("mangle,message", [
         (lambda m, a: a.update(level=a["level"][:-1]), "point, level and parent must be integer arrays of one length"),
         (lambda m, a: a["parent"].put(0, 0), "parent[0] must be -1 and every other parent an earlier node"),
         (lambda m, a: a["parent"].put(3, 999), "parent[0] must be -1 and every other parent an earlier node"),
@@ -929,7 +947,8 @@ class TestCli:
         assert out.returncode == 2 and out.stdout == ""
         assert "argument --k: must be at least 1" in out.stderr
 
-    @pytest.mark.parametrize("case", ["pq_subspaces", "query_dimension", "truncated_akx", "missing_file"])
+    @pytest.mark.parametrize("case", ["pq_subspaces", "query_dimension", "truncated_akx", "nan_centroid",
+                                      "missing_file"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, case):
         data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "kd.akx"
         save_vecs(data, rand_collection(50, 8, 63))
@@ -944,6 +963,10 @@ class TestCli:
         elif case == "truncated_akx":
             idx.write_bytes(idx.read_bytes()[:40])
             argv, message = query, f"{idx}: truncated"
+        elif case == "nan_centroid":
+            _save_mangled(idx, "ivf", build_ivf(load_vecs(data), 4, seed=1),
+                          lambda m, a: a["centroids"].put(3, np.nan))
+            argv, message = query, f"{idx}: malformed ivf container: centroids must be a non-empty"
         else:
             idx.unlink()
             argv, message = query, f"No such file or directory: '{idx}'"

@@ -1,13 +1,14 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annkit.core import Collection, DistanceKind, brute_force_topk, recall
+from annkit.core import Collection, DistanceKind, SparseVector, brute_force_topk, recall
 from annkit.harness.container import save_index
-from annkit.ivf import KMeansKind, _lloyd_means, build_ivf, ivf_search, kmeans_train, route
+from annkit.ivf import KMeansKind, KMeansModel, _lloyd_means, build_ivf, ivf_search, kmeans_train, route
 
 
 def rand_collection(m, d, seed):
@@ -199,6 +200,31 @@ class TestRoute:
         index = build_ivf(X, 8, seed=13)
         for c in range(8):
             assert route(index, index.model.centroids[c], 1)[0] == c
+
+    def test_route_is_the_brute_force_order_over_the_centroids(self):
+        X = rand_collection(300, 6, 18)
+        rng = np.random.default_rng(19)
+        sparse = SparseVector(indices=np.array([1, 4]), values=np.array([0.5, -2.0], dtype=np.float32), dim=6)
+        for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+            index = build_ivf(X, 9, kind, seed=20)
+            centroids = Collection(index.model.centroids.copy())
+            for q in [*rng.standard_normal((4, 6)).astype(np.float32), sparse]:
+                for ell in (1, 4, 9):
+                    assert route(index, q, ell).tolist() == brute_force_topk(centroids, q, ell, kind).ids.tolist()
+
+    def test_centroids_are_checked_and_wrapped_once(self):
+        X = rand_collection(200, 6, 21)
+        index = build_ivf(X, 8, seed=22)
+        model = index.model
+        assert model.centroid_set.vectors is model.centroids and not model.centroids.flags.writeable
+        with mock.patch.object(Collection, "__post_init__", side_effect=AssertionError("a Collection per query")):
+            for q in np.random.default_rng(23).standard_normal((5, 6)):
+                route(index, q, 3)
+                ivf_search(index, X, q, 5, 3)
+        bad = model.centroids.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            KMeansModel(centroids=bad, assignment=model.assignment, objective_trace=[], kind=model.kind)
 
     def test_hand_distance(self):
         X = Collection(np.array([[0, 0], [0.1, 0], [10, 0], [10.1, 0]], dtype=np.float32))
