@@ -112,10 +112,10 @@ def mixture_rows(seed: int, m: int) -> np.ndarray:
 
 
 def adjacency_sha256(G) -> str:
-    digest = hashlib.sha256()
-    for row in G.adjacency:
-        digest.update(np.int64(row.size).tobytes() + row.astype(np.int64).tobytes())
-    return digest.hexdigest()
+    """sha256 of the graph's rows in order, each as its int64 size followed
+    by its int64 ids."""
+    sized = np.insert(G.ids, G.offsets[:-1], np.diff(G.offsets))
+    return hashlib.sha256(sized.astype(np.int64).tobytes()).hexdigest()
 
 
 def akx_sha256(obj, workdir: Path) -> tuple[str, int]:

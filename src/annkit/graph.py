@@ -44,7 +44,8 @@ __all__ = [
 
 @dataclass
 class NeighborGraph:
-    adjacency: list  # per-id sorted int64 arrays of out-neighbors
+    offsets: np.ndarray  # int64 row bounds, m + 1 of them, from 0 to ids.size
+    ids: np.ndarray  # int64 out-neighbors: node u's are ids[offsets[u]:offsets[u + 1]], ascending
     directed: bool
     entry: int
     kind: DistanceKind = DistanceKind.L2_SQUARED
@@ -53,10 +54,15 @@ class NeighborGraph:
     construction: str = ""
 
     def __len__(self) -> int:
-        return len(self.adjacency)
+        return self.offsets.size - 1
 
     def out_degree(self) -> np.ndarray:
-        return np.array([a.size for a in self.adjacency], dtype=np.int64)
+        return np.diff(self.offsets)
+
+    @property
+    def adjacency(self) -> list:
+        """The rows as read-only views of ``ids``, for callers that take a list of rows."""
+        return np.split(np.lib.stride_tricks.as_strided(self.ids, writeable=False), self.offsets[1:-1])
 
 
 @dataclass
@@ -77,13 +83,14 @@ def build_knn_graph(X: Collection, k: int, kind: DistanceKind = DistanceKind.L2_
     m = len(X)
     if not 1 <= k < m:
         raise ValueError("need 1 <= k < m")
-    adjacency = []
+    table = np.empty((m, k), dtype=np.int64)
     for i in range(m):
         scores = score_rows(X, np.arange(m), X.vectors[i].astype(np.float64), kind)
         scores[i] = np.inf  # no self-loops
-        adjacency.append(np.sort(top_k_from_scores(scores, k).ids))
-    return NeighborGraph(adjacency=adjacency, directed=True, entry=medoid(X),
-                         kind=kind, construction="knn")
+        table[i] = top_k_from_scores(scores, k).ids
+    table.sort(axis=1)
+    return NeighborGraph(offsets=np.arange(m + 1, dtype=np.int64) * k, ids=table.reshape(-1), directed=True,
+                         entry=medoid(X), kind=kind, construction="knn")
 
 
 def greedy_search(
@@ -108,7 +115,7 @@ def greedy_search(
     if not 0 <= start < len(G):
         raise ValueError("entry must be a valid node id")
     q64 = np.asarray(q, dtype=np.float64)
-    adjacency, kind = G.adjacency, G.kind
+    offsets, ids, kind = G.offsets, G.ids, G.kind
     dense_l2 = kind is DistanceKind.L2_SQUARED and X.is_dense
     trace = SearchTrace()
     history = trace.best_history
@@ -126,7 +133,7 @@ def greedy_search(
             i += 1
             continue
         expanded.add(u)
-        adj = adjacency[u]
+        adj = ids[offsets.item(u):offsets.item(u + 1)]
         nbrs = adj[unscored[adj]]
         if nbrs.size:
             visited += nbrs.size
@@ -547,12 +554,9 @@ def build_alpha_sng_exact(X: Collection, alpha: float) -> NeighborGraph:
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
     m = len(X)
-    adjacency = []
-    all_ids = np.arange(m, dtype=np.int64)
-    for u in range(m):
-        cand = all_ids[all_ids != u]
-        adjacency.append(robust_prune(u, cand, alpha, cap=m, X=X))
-    return NeighborGraph(adjacency=adjacency, directed=True, entry=medoid(X),
+    rows = [robust_prune(u, np.arange(m), alpha, cap=m, X=X) for u in range(m)]  # the prune drops u itself
+    return NeighborGraph(offsets=np.cumsum([0] + [row.size for row in rows], dtype=np.int64),
+                         ids=np.concatenate(rows), directed=True, entry=medoid(X),
                          kind=DistanceKind.L2_SQUARED, alpha=alpha, construction="sng")
 
 
@@ -602,7 +606,7 @@ def build_vamana(
     Out-neighbors live in one fixed-width table plus a degree vector. A
     row's order never matters (the search sorts its beam by ``(score,
     id)``, the prune takes the unique candidates), so rows are sorted once,
-    at the end.
+    at the end, in one sort of the whole table.
     """
     m = len(X)
     if not 1 <= cap < m:
@@ -655,21 +659,18 @@ def build_vamana(
                           for v, lo, n in zip(over.tolist(), first[~fits].tolist(), count[~fits].tolist())])
     over = np.flatnonzero(deg > cap)
     relink(over, [table[u, :deg[u]] for u in over.tolist()])
-    return NeighborGraph(adjacency=[np.sort(table[u, :deg[u]]) for u in range(m)], directed=True,
+    table.sort(axis=1)  # the -1 pads first in each row
+    return NeighborGraph(offsets=np.concatenate(([0], np.cumsum(deg))), ids=table[table >= 0], directed=True,
                          entry=entry, kind=kind, alpha=alpha, degree_cap=cap, construction="vamana")
 
 
 def connectivity_check(G: NeighborGraph) -> tuple[float, int]:
-    """BFS from the entry node: (reachable fraction, unreachable count)."""
-    m = len(G)
-    seen = np.zeros(m, dtype=bool)
-    queue = [G.entry]
-    seen[G.entry] = True
+    """Search from the entry node: (reachable fraction, unreachable count)."""
+    offsets, ids = G.offsets.tolist(), G.ids.tolist()
+    seen, queue = {G.entry}, [G.entry]
     while queue:
         u = queue.pop()
-        for v in G.adjacency[u].tolist():
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    reachable = int(seen.sum())
-    return reachable / m, m - reachable
+        fresh = set(ids[offsets[u]:offsets[u + 1]]) - seen
+        seen |= fresh
+        queue += fresh
+    return len(seen) / len(G), len(G) - len(seen)

@@ -154,6 +154,14 @@ def _require(ok, message: str) -> None:
         raise _BadMeta(message)
 
 
+def _require_rows(X: Optional[Collection], rows: int, dim: int) -> None:
+    """With the collection given, require the rows and width the index
+    records to be the collection's."""
+    if X is not None:
+        _require((rows, dim) == (len(X), X.dim),
+                 f"the index covers {rows} rows of width {dim}, the collection {len(X)} of width {X.dim}")
+
+
 def _fits(value, kind) -> bool:
     if isinstance(kind, list):
         return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
@@ -273,6 +281,7 @@ def _decode_kd(meta, arrays, X) -> KdTree:
     _require(np.array_equal(np.sort(arrays["leaf_ids"]), np.arange(size)),
              f"leaf_ids must be a permutation of [0, {size})")
     _require(np.all((0 <= axis) & (axis < dim)), f"axis values must lie in [0, {dim})")
+    _require_rows(X, size, dim)
     return KdTree(root=root, leaf_capacity=_meta(meta, "leaf_capacity", int), dim=dim, size=size)
 
 
@@ -313,9 +322,12 @@ def _decode_rp_forest(meta, arrays, X, spill: bool = False) -> list:
     _require(len(seeds) == n_trees, f"seeds must hold one seed per tree ({n_trees})")
     _require_arrays(arrays, {f"t{i}_{name}" for i in range(n_trees)
                              for name in ("leaf_size", "leaf_ids", *_PROJ_ROWS)})
-    return [RpTree(root=_rebuild_proj_tree(arrays, f"t{i}_", dim, spill), leaf_capacity=leaf_capacity,
-                   dim=dim, seed=seed)
-            for i, seed in enumerate(seeds)]
+    forest = [RpTree(root=_rebuild_proj_tree(arrays, f"t{i}_", dim, spill), leaf_capacity=leaf_capacity,
+                     dim=dim, seed=seed)
+              for i, seed in enumerate(seeds)]
+    for tree in forest:
+        _require_rows(X, tree.root.size, dim)
+    return forest
 
 
 def _encode_spill_forest(forest):
@@ -420,7 +432,6 @@ def _decode_lsh(meta, arrays, X) -> LshIndex:
 
 
 def _encode_graph(graph: NeighborGraph):
-    ids, offsets = _pack_ragged(graph.adjacency, np.int64)
     meta = {
         "directed": graph.directed,
         "entry": graph.entry,
@@ -429,18 +440,25 @@ def _encode_graph(graph: NeighborGraph):
         "degree_cap": graph.degree_cap,
         "construction": graph.construction,
     }
-    return meta, {"offsets": offsets, "ids": ids}
+    return meta, {"offsets": graph.offsets, "ids": graph.ids}
 
 
 def _decode_graph(meta, arrays, X) -> NeighborGraph:
-    ids, entry = arrays["ids"], _meta(meta, "entry", int)
-    adjacency = _unpack_ragged(ids, arrays["offsets"])
-    n = len(adjacency)
+    offsets, ids, entry = arrays["offsets"], arrays["ids"], _meta(meta, "entry", int)
+    _require(offsets.ndim == ids.ndim == 1 and offsets.dtype.kind in "iu" and offsets.size
+             and offsets[0] == 0 and offsets[-1] == ids.size and np.all(offsets[1:] >= offsets[:-1]),
+             f"offsets must run from 0 up to {ids.size} without decreasing")
+    n = offsets.size - 1
     _require(ids.dtype.kind in "iu" and (not ids.size or 0 <= ids.min() <= ids.max() < n),
              f"neighbour ids must lie in [0, {n})")
+    # ids may fail to rise only where a row starts
+    _require(np.isin(np.flatnonzero(ids[1:] <= ids[:-1]) + 1, offsets).all(),
+             "each node's neighbour ids must be strictly ascending")
     _require(0 <= entry < n, f"entry {entry} must lie in [0, {n})")
+    if X is not None:
+        _require(n == len(X), f"the graph has {n} nodes, the collection {len(X)}")
     return NeighborGraph(
-        adjacency=adjacency,
+        offsets=offsets.astype(np.int64, copy=False), ids=ids.astype(np.int64, copy=False),
         directed=_meta(meta, "directed", bool),
         entry=entry,
         kind=_meta(meta, "kind", DistanceKind),
@@ -525,13 +543,16 @@ def _encode_wedge(index: WedgeIndex):
 
 
 def _decode_wedge(meta, arrays, X) -> WedgeIndex:
-    offsets = np.cumsum([0, *arrays["lengths"]], dtype=np.int64)
+    dim, lengths = _meta(meta, "dim", int), arrays["lengths"]
+    if X is not None:
+        _require(dim == X.dim, f"the index has width {dim}, the collection {X.dim}")
+        _require(np.all(lengths == len(X)), f"every table must hold one slot per row of the collection ({len(X)})")
+    offsets = np.cumsum([0, *lengths], dtype=np.int64)
     tables = [AliasTable(prob=prob, alias=alias, weight_sum=float(wsum))
               for prob, alias, wsum in zip(_unpack_ragged(arrays["prob"], offsets),
                                            _unpack_ragged(arrays["alias"], offsets),
                                            arrays["weight_sums"])]
-    return WedgeIndex(dims=arrays["dims"], tables=tables,
-                      column_sums=arrays["column_sums"], dim=_meta(meta, "dim", int))
+    return WedgeIndex(dims=arrays["dims"], tables=tables, column_sums=arrays["column_sums"], dim=dim)
 
 
 def _encode_jl(sketcher: JlSketcher):

@@ -22,6 +22,7 @@ from annkit.graph import (
     robust_prune,
     robust_prune_batch,
 )
+from script_module import load_script
 
 
 def rand_collection(m, d, seed):
@@ -113,6 +114,13 @@ def alpha_shortcut_violations(G, X, alpha):
     return violations
 
 
+def graph_of(rows, **fields):
+    """A directed ``NeighborGraph`` whose node u has the out-neighbors
+    ``rows[u]``, given ascending."""
+    return NeighborGraph(offsets=np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
+                         ids=np.concatenate(rows).astype(np.int64), directed=True, **fields)
+
+
 def adjacency_table(adjacency):
     """The graph's rows as one table, padded with -1."""
     table = np.full((len(adjacency), max(1, max(a.size for a in adjacency))), -1, dtype=np.int64)
@@ -130,9 +138,8 @@ def build_vamana_reference(X, alpha, cap, beam, seed, kind=DistanceKind.L2_SQUAR
     m = len(X)
     rng = np.random.default_rng(seed)
     slack = cap + max(8, cap // 2)
-    rows = list(graph._random_start(rng, m, cap))
-    G = NeighborGraph(adjacency=rows, directed=True, entry=medoid(X), kind=kind,
-                      alpha=alpha, degree_cap=cap, construction="vamana")
+    rows = [np.sort(row) for row in graph._random_start(rng, m, cap)]  # each kept ascending
+    fields = dict(entry=medoid(X), kind=kind, alpha=alpha, degree_cap=cap, construction="vamana")
 
     def relink(u, candidates):
         rows[u] = robust_prune(u, candidates, alpha, cap, X)
@@ -140,17 +147,16 @@ def build_vamana_reference(X, alpha, cap, beam, seed, kind=DistanceKind.L2_SQUAR
 
     for _ in range(passes):
         for u in rng.permutation(m).tolist():
-            result, _ = greedy_search(G, X, X.vectors[u], k=beam, beam=beam)
+            result, _ = greedy_search(graph_of(rows, **fields), X, X.vectors[u], k=beam, beam=beam)
             for v in relink(u, np.concatenate((result.ids, rows[u]))).tolist():
                 if u not in rows[v]:
-                    rows[v] = np.append(rows[v], u)
+                    rows[v] = np.insert(rows[v], np.searchsorted(rows[v], u), u)
                     if rows[v].size > slack:
                         relink(v, rows[v])
     for u in range(m):
         if rows[u].size > cap:
             relink(u, rows[u])
-    G.adjacency = [np.sort(row) for row in rows]
-    return G
+    return graph_of(rows, **fields)
 
 
 @st.composite
@@ -181,7 +187,7 @@ def batch_search_cases(draw):
 def assert_batch_equals_single(adjacency, X, Q, entries, beam, kind=DistanceKind.L2_SQUARED):
     """Row j of the batch search is ``greedy_search``'s beam for ``Q[j]``,
     ids and score bits, for k = 1 and k = beam."""
-    G = NeighborGraph(adjacency=adjacency, directed=True, entry=0, kind=kind)
+    G = graph_of(adjacency, entry=0, kind=kind)
     ids, scores = greedy_search_batch(adjacency_table(adjacency), X, Q, entries, beam, kind)
     assert ids.shape == scores.shape == (len(Q), beam)
     for j, q in enumerate(Q):
@@ -268,6 +274,17 @@ class TestKnnGraph:
         G = build_knn_graph(X, 5)
         for u in range(30):
             assert u not in G.adjacency[u]
+
+    def test_rows_are_read_only_views_of_the_csr_arrays(self):
+        G = build_knn_graph(rand_collection(30, 4, 3), 5)
+        assert G.offsets.dtype == G.ids.dtype == np.int64 and G.offsets.tolist() == list(range(0, 151, 5))
+        rows = G.adjacency
+        assert len(rows) == len(G) == 30
+        for u, row in enumerate(rows):
+            assert np.shares_memory(row, G.ids) and not row.flags.writeable
+            assert row.tolist() == G.ids[5 * u:5 * u + 5].tolist()
+        with pytest.raises(AttributeError):
+            G.adjacency = rows
 
 
 class TestGreedySearch:
@@ -594,6 +611,14 @@ class TestVamana:
         assert (digest.hexdigest(), hashlib.sha256((tmp_path / "graph.akx").read_bytes()).hexdigest()) \
             == VAMANA_SHA256[shape]
 
+    def test_construction_script_digest_equals_the_pinned_rows(self):
+        """``scripts/bench_construction.py`` hashes a graph's rows, read from
+        its CSR arrays, as the pinned row digest does."""
+        shape = (600, 8, 33, 2.0, 12, 24, 34)
+        m, d, data_seed, alpha, cap, beam, seed = shape
+        G = build_vamana(rand_collection(m, d, data_seed), alpha=alpha, cap=cap, beam=beam, seed=seed)
+        assert load_script("bench_construction").adjacency_sha256(G) == VAMANA_SHA256[shape][0]
+
     def test_recall_smoke(self):
         X = rand_collection(1000, 16, 25)
         G = build_vamana(X, alpha=1.2, cap=16, beam=32, seed=26)
@@ -614,8 +639,7 @@ class TestConnectivity:
         assert frac == 1.0 and missing == 0
 
     def test_two_isolated_cliques(self):
-        adjacency = [np.array([1]), np.array([0]), np.array([3]), np.array([2])]
-        G = NeighborGraph(adjacency=adjacency, directed=True, entry=0)
+        G = graph_of([[1], [0], [3], [2]], entry=0)
         frac, missing = connectivity_check(G)
         assert frac == 0.5 and missing == 2
 

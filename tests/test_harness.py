@@ -671,8 +671,11 @@ class TestContainerInputChecks:
         (lambda m, a: a["offsets"].put(-1, 239), "offsets must run from 0 up to 240 without decreasing"),
         (lambda m, a: m.update(entry=60), "entry 60 must lie in [0, 60)"),
         (lambda m, a: m.update(entry=-1), "entry -1 must lie in [0, 60)"),
+        (lambda m, a: a["ids"].put(6, a["ids"][5]), "each node's neighbour ids must be strictly ascending"),
+        (lambda m, a: a["ids"].put(np.arange(4, 8), a["ids"][7:3:-1].copy()),
+         "each node's neighbour ids must be strictly ascending"),
     ], ids=["id_999", "negative_id", "offsets_start", "offsets_decrease", "offsets_end", "entry_n",
-            "negative_entry"])
+            "negative_entry", "repeated_id", "falling_ids"])
     def test_malformed_graph_rejected(self, tmp_path, mangle, message):
         path = tmp_path / "bad.akx"
         _save_mangled(path, "graph", build_knn_graph(FAMILY_X, 4), mangle)
@@ -948,7 +951,7 @@ class TestCli:
         assert "argument --k: must be at least 1" in out.stderr
 
     @pytest.mark.parametrize("case", ["pq_subspaces", "query_dimension", "truncated_akx", "nan_centroid",
-                                      "missing_file"])
+                                      "repeated_neighbour", "missing_file"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, case):
         data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "kd.akx"
         save_vecs(data, rand_collection(50, 8, 63))
@@ -967,6 +970,10 @@ class TestCli:
             _save_mangled(idx, "ivf", build_ivf(load_vecs(data), 4, seed=1),
                           lambda m, a: a["centroids"].put(3, np.nan))
             argv, message = query, f"{idx}: malformed ivf container: centroids must be a non-empty"
+        elif case == "repeated_neighbour":  # in the entry's row, which every query expands
+            _save_mangled(idx, "graph", build_knn_graph(load_vecs(data), 4),
+                          lambda m, a: a["ids"].put(a["offsets"][m["entry"]] + 1, a["ids"][a["offsets"][m["entry"]]]))
+            argv, message = query, f"{idx}: malformed graph container: each node's neighbour ids must be strictly"
         else:
             idx.unlink()
             argv, message = query, f"No such file or directory: '{idx}'"
@@ -974,6 +981,21 @@ class TestCli:
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.startswith("annkit: error: ") and out.stderr.count("\n") == 1
         assert message in out.stderr
+
+    @pytest.mark.parametrize("family,rows,width", [
+        *((family, 20, 8) for family in ("kd", "rp_forest", "spill_forest", "graph", "wedge")),
+        *((family, 200, 9) for family in ("kd", "rp_forest", "spill_forest", "wedge")),
+    ])
+    def test_index_over_another_collection_exits_2(self, tmp_path, family, rows, width):
+        # a graph records no width, so it has no wider case
+        data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / f"{family}.akx"
+        save_index(idx, FAMILIES[family][1](rand_collection(200, 8, 67)))
+        save_vecs(data, rand_collection(rows, width, 68))
+        save_vecs(queries, rand_collection(2, width, 69))
+        out = run_cli("query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr.startswith(f"annkit: error: {idx}: malformed {family} container: ")
+        assert out.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("family", ["jl", "asym_set", "threshold_set"])
     def test_querying_a_sketch_container_exits_2(self, tmp_path, family):

@@ -1,7 +1,5 @@
 import hashlib
-import importlib.util
 import math
-import os
 from pathlib import Path
 
 from unittest import mock
@@ -26,6 +24,7 @@ from annkit.sampling import (
     sample_size_h,
     wedge_topk,
 )
+from script_module import load_script
 
 
 def rand_collection(m, d, seed):
@@ -394,7 +393,7 @@ class TestBoundedMe:
     def test_query_clustered_answers_match_pinned_digest(self):
         """The 120 BoundedME answers at query-clustered's shape hash to the
         digest that ``scripts/bench_queries.py`` pins."""
-        bench = _bench_queries_module()
+        bench = load_script("bench_queries")
         data, queries = bench.mixture(1, 20000, max(bench.COUNTS.values()))
         X = Collection(data)
         digest = hashlib.sha256()
@@ -404,7 +403,7 @@ class TestBoundedMe:
         assert digest.hexdigest() == bench.PINNED["boundedme"]
 
     def test_bench_check_compares_digests_and_writes_nothing(self, monkeypatch, capsys):
-        bench = _bench_queries_module()
+        bench = load_script("bench_queries")
         out = Path(bench.__file__).resolve().parent.parent / "BENCH_queries.json"
         before = out.read_bytes() if out.exists() else None
         brute = lambda X: {"brute": lambda q: brute_force_topk(X, q, bench.K, DistanceKind.L2_SQUARED)}
@@ -417,17 +416,3 @@ class TestBoundedMe:
         with pytest.raises(SystemExit):
             bench.main(["--check", "--label", "x"])
 
-
-def _bench_queries_module():
-    """``scripts/bench_queries.py`` as a module; the BLAS variables it sets
-    on import are put back."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_queries.py"
-    spec = importlib.util.spec_from_file_location("bench_queries", path)
-    module = importlib.util.module_from_spec(spec)
-    saved = dict(os.environ)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        os.environ.clear()
-        os.environ.update(saved)
-    return module
