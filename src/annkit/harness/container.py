@@ -33,8 +33,8 @@ from annkit.quant import AqCodebook, OpqModel, PqCodebook
 from annkit.sampling import AliasTable, WedgeIndex
 from annkit.sketch import AsymSketch, JlSketcher, ThresholdSketch
 from annkit.trees.cover import CoverTree
-from annkit.trees.kd import KdNode, KdTree
-from annkit.trees.rp import ProjNode, RpTree, SpillTree
+from annkit.trees.kd import KdTree
+from annkit.trees.rp import RpTree, SpillTree
 
 __all__ = ["family_of", "save_index", "load_index"]
 
@@ -206,36 +206,17 @@ def _unpack_ragged(flat: np.ndarray, offsets: np.ndarray) -> list:
     return [flat[offsets[i]:offsets[i + 1]].copy() for i in range(offsets.size - 1)]
 
 
-def _preorder(root) -> tuple[list, dict]:
-    """A binary tree's inner nodes in pre-order, plus its shape: per node in
-    pre-order, the leaf's size or -1 for an inner node, and the leaves' ids
-    in that order. Children are implicit: an inner node is followed by its
-    left subtree, then its right."""
-    inner, leaf_size, parts = [], [], []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            leaf_size.append(node.ids.size)
-            parts.append(node.ids)
-        else:
-            leaf_size.append(-1)
-            inner.append(node)
-            stack += (node.right, node.left)
-    return inner, {"leaf_size": np.array(leaf_size, dtype=np.int64), "leaf_ids": np.concatenate(parts)}
-
-
 def _require_arrays(arrays: dict, names: set) -> None:
     extra, missing = sorted(set(arrays) - names), sorted(names - set(arrays))
     _require(not extra and not missing,
              f"arrays differ from the pre-order tree layout: unexpected {extra}, missing {missing}")
 
 
-def _rebuild_tree(arrays: dict, prefix: str, rows: dict, leaf: Callable, inner: Callable):
-    """Invert the pre-order layout: ``leaf(ids)`` and ``inner(j)`` make the
-    nodes, ``j`` counting inner nodes in pre-order; children are attached
-    here. ``rows`` maps each array with one row per inner node to its
-    (dtype kinds, ndim)."""
+def _require_tree_shape(arrays: dict, prefix: str, rows: dict) -> None:
+    """Require a tree shape in pre-order (see :mod:`annkit.trees.preorder`):
+    ``leaf_size`` closing on exactly its nodes, leaf sizes summing to the
+    ``leaf_ids``, and each array of ``rows``, mapped to its (dtype kinds,
+    ndim), with one row per inner node."""
     leaf_size, leaf_ids = arrays[prefix + "leaf_size"], arrays[prefix + "leaf_ids"]
     _require(leaf_size.ndim == leaf_ids.ndim == 1 and leaf_size.dtype.kind == "i"
              and leaf_ids.dtype.kind in "iu", f"{prefix}leaf_size and {prefix}leaf_ids must be 1-D integer arrays")
@@ -252,37 +233,23 @@ def _rebuild_tree(arrays: dict, prefix: str, rows: dict, leaf: Callable, inner: 
         _require(a.ndim == ndim and a.dtype.kind in kinds and a.shape[0] == n_inner,
                  f"{prefix}{name} must be a {ndim}-D {'float' if kinds == 'f' else 'integer'} array "
                  f"with one row per inner node ({n_inner})")
-    # in reverse pre-order each inner node finds its left, then its right
-    # subtree on top of the stack
-    parts, stack = np.split(leaf_ids, np.cumsum(sizes)[:-1]), []
-    for node_is_inner in reversed(is_inner.tolist()):
-        if node_is_inner:
-            n_inner -= 1
-            node = inner(n_inner)
-            node.left, node.right = stack.pop(), stack.pop()
-        else:
-            node = leaf(parts.pop().copy())
-        stack.append(node)
-    return stack.pop()
 
 
 def _encode_kd(tree: KdTree):
-    layout = tree.layout
     return {"leaf_capacity": tree.leaf_capacity, "dim": tree.dim, "size": tree.size}, {
-        "leaf_size": layout.leaf_size, "leaf_ids": layout.leaf_ids, "axis": layout.axes, "split": layout.splits}
+        "leaf_size": tree.leaf_size, "leaf_ids": tree.leaf_ids, "axis": tree.axes, "split": tree.splits}
 
 
 def _decode_kd(meta, arrays, X) -> KdTree:
     dim, size = _meta(meta, "dim", int), _meta(meta, "size", int)
     _require_arrays(arrays, {"leaf_size", "leaf_ids", "axis", "split"})
-    axis, split = arrays["axis"], arrays["split"]
-    root = _rebuild_tree(arrays, "", {"axis": ("iu", 1), "split": ("f", 1)}, lambda ids: KdNode(ids=ids),
-                         lambda j: KdNode(axis=int(axis[j]), split_value=float(split[j])))
+    _require_tree_shape(arrays, "", {"axis": ("iu", 1), "split": ("f", 1)})
     _require(np.array_equal(np.sort(arrays["leaf_ids"]), np.arange(size)),
              f"leaf_ids must be a permutation of [0, {size})")
-    _require(np.all((0 <= axis) & (axis < dim)), f"axis values must lie in [0, {dim})")
+    _require(np.all((0 <= arrays["axis"]) & (arrays["axis"] < dim)), f"axis values must lie in [0, {dim})")
     _require_rows(X, size, dim)
-    return KdTree(root=root, leaf_capacity=_meta(meta, "leaf_capacity", int), dim=dim, size=size)
+    return KdTree(arrays["leaf_size"], arrays["leaf_ids"], arrays["axis"], arrays["split"],
+                  leaf_capacity=_meta(meta, "leaf_capacity", int), dim=dim, size=size)
 
 
 _PROJ_ROWS = {"dir": ("f", 2), "threshold": ("f", 1), "size": ("iu", 1)}
@@ -293,40 +260,36 @@ def _encode_rp_forest(forest):
             "leaf_capacity": forest[0].leaf_capacity, "seeds": [t.seed for t in forest]}
     arrays: dict = {}
     for i, tree in enumerate(forest):
-        inner, cols = _preorder(tree.root)
-        cols["dir"] = np.array([n.direction for n in inner], dtype=np.float64).reshape(len(inner), tree.dim)
-        cols["threshold"] = np.array([n.threshold for n in inner], dtype=np.float64)
-        cols["size"] = np.array([n.size for n in inner], dtype=np.int64)
-        arrays.update({f"t{i}_{name}": a for name, a in cols.items()})
+        arrays.update({f"t{i}_leaf_size": tree.leaf_size, f"t{i}_leaf_ids": tree.leaf_ids, f"t{i}_dir": tree.dirs,
+                       f"t{i}_threshold": tree.thresholds, f"t{i}_size": tree.sizes})
     return meta, arrays
 
 
-def _rebuild_proj_tree(arrays: dict, prefix: str, dim: int, spill: bool) -> ProjNode:
-    dirs, threshold, size = (arrays[prefix + name] for name in _PROJ_ROWS)
-    root = _rebuild_tree(arrays, prefix, _PROJ_ROWS, lambda ids: ProjNode(ids=ids, size=ids.size),
-                         lambda j: ProjNode(direction=dirs[j].copy(), threshold=float(threshold[j]),
-                                            size=int(size[j])))
-    _require(dirs.shape[1] == dim, f"{prefix}dir must have {dim} columns")
-    ids = arrays[prefix + "leaf_ids"]
-    if spill:
-        _require(0 <= ids.min() and ids.max() < root.size, f"{prefix}leaf_ids must lie in [0, {root.size})")
-    else:
-        _require(np.array_equal(np.sort(ids), np.arange(root.size)),
-                 f"{prefix}leaf_ids must be a permutation of [0, {root.size})")
-    return root
-
-
-def _decode_rp_forest(meta, arrays, X, spill: bool = False) -> list:
+def _decode_rp_forest(meta, arrays, X, alphas: Optional[list] = None) -> list:
+    """An RP forest, or given one alpha per tree a spill forest."""
     leaf_capacity, dim = _meta(meta, "leaf_capacity", int), _meta(meta, "dim", int)
     n_trees, seeds = _meta(meta, "n_trees", int), _meta(meta, "seeds", [int])
     _require(len(seeds) == n_trees, f"seeds must hold one seed per tree ({n_trees})")
+    _require(alphas is None or len(alphas) == n_trees, f"alphas must hold one alpha per tree ({n_trees})")
     _require_arrays(arrays, {f"t{i}_{name}" for i in range(n_trees)
                              for name in ("leaf_size", "leaf_ids", *_PROJ_ROWS)})
-    forest = [RpTree(root=_rebuild_proj_tree(arrays, f"t{i}_", dim, spill), leaf_capacity=leaf_capacity,
-                     dim=dim, seed=seed)
-              for i, seed in enumerate(seeds)]
-    for tree in forest:
-        _require_rows(X, tree.root.size, dim)
+    forest = []
+    for i, seed in enumerate(seeds):
+        prefix = f"t{i}_"
+        _require_tree_shape(arrays, prefix, _PROJ_ROWS)
+        dirs, sizes, ids = arrays[prefix + "dir"], arrays[prefix + "size"], arrays[prefix + "leaf_ids"]
+        _require(dirs.shape[1] == dim, f"{prefix}dir must have {dim} columns")
+        root_size = int(sizes[0]) if sizes.size else ids.size
+        if alphas is None:
+            _require(np.array_equal(np.sort(ids), np.arange(root_size)),
+                     f"{prefix}leaf_ids must be a permutation of [0, {root_size})")
+        else:  # a spill node's children overlap, so an id may sit in several leaves
+            _require(0 <= ids.min() and ids.max() < root_size, f"{prefix}leaf_ids must lie in [0, {root_size})")
+            _require(np.unique(ids).size == root_size, f"{prefix}leaf_ids must hold every id of [0, {root_size})")
+        _require_rows(X, root_size, dim)
+        fields = {"leaf_size": arrays[prefix + "leaf_size"], "leaf_ids": ids, "dirs": dirs, "sizes": sizes,
+                  "thresholds": arrays[prefix + "threshold"], "leaf_capacity": leaf_capacity, "dim": dim, "seed": seed}
+        forest.append(RpTree(**fields) if alphas is None else SpillTree(**fields, alpha=alphas[i]))
     return forest
 
 
@@ -337,11 +300,7 @@ def _encode_spill_forest(forest):
 
 
 def _decode_spill_forest(meta, arrays, X) -> list:
-    alphas = _meta(meta, "alphas", [float])
-    forest = _decode_rp_forest(meta, arrays, X, spill=True)
-    _require(len(alphas) == len(forest), f"alphas must hold one alpha per tree ({len(forest)})")
-    return [SpillTree(root=t.root, leaf_capacity=t.leaf_capacity, dim=t.dim, seed=t.seed, alpha=alpha)
-            for t, alpha in zip(forest, alphas)]
+    return _decode_rp_forest(meta, arrays, X, _meta(meta, "alphas", [float]))
 
 
 def _encode_cover(tree: CoverTree):
@@ -543,16 +502,21 @@ def _encode_wedge(index: WedgeIndex):
 
 
 def _decode_wedge(meta, arrays, X) -> WedgeIndex:
-    dim, lengths = _meta(meta, "dim", int), arrays["lengths"]
+    dim, dims, lengths = _meta(meta, "dim", int), arrays["dims"], arrays["lengths"]
+    _require(dims.ndim == 1 and dims.dtype.kind in "iu" and np.all((0 <= dims) & (dims < dim))
+             and np.all(dims[1:] > dims[:-1]), f"dims must be strictly ascending integers in [0, {dim})")
+    _require(lengths.shape == arrays["column_sums"].shape == arrays["weight_sums"].shape == dims.shape,
+             f"lengths, column_sums and weight_sums must hold one entry per dim ({dims.size})")
     if X is not None:
         _require(dim == X.dim, f"the index has width {dim}, the collection {X.dim}")
         _require(np.all(lengths == len(X)), f"every table must hold one slot per row of the collection ({len(X)})")
     offsets = np.cumsum([0, *lengths], dtype=np.int64)
+    aliases = _unpack_ragged(arrays["alias"], offsets)
+    _require(all(np.all((0 <= alias) & (alias < alias.size)) for alias in aliases),
+             "each table's alias ids must lie in [0, its length)")
     tables = [AliasTable(prob=prob, alias=alias, weight_sum=float(wsum))
-              for prob, alias, wsum in zip(_unpack_ragged(arrays["prob"], offsets),
-                                           _unpack_ragged(arrays["alias"], offsets),
-                                           arrays["weight_sums"])]
-    return WedgeIndex(dims=arrays["dims"], tables=tables, column_sums=arrays["column_sums"], dim=dim)
+              for prob, alias, wsum in zip(_unpack_ragged(arrays["prob"], offsets), aliases, arrays["weight_sums"])]
+    return WedgeIndex(dims=dims, tables=tables, column_sums=arrays["column_sums"], dim=dim)
 
 
 def _encode_jl(sketcher: JlSketcher):

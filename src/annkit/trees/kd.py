@@ -18,96 +18,39 @@ scores bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from functools import cached_property
 
 import numpy as np
 
 from annkit.core import _SCREEN_MIN_ROWS, Collection, DistanceKind, TopKResult, _screen, _smallest, score_rows
 from annkit.core import pairwise_scores  # noqa: F401 -- perfbench traces calls through this name
+from annkit.trees.preorder import grow, leaf_offsets, leaf_paths, node_view
 
-__all__ = ["KdNode", "KdTree", "kd_build", "kd_search_exact"]
-
-
-@dataclass
-class KdNode:
-    axis: int = -1
-    split_value: float = 0.0
-    left: Optional["KdNode"] = None
-    right: Optional["KdNode"] = None
-    ids: Optional[np.ndarray] = None  # leaf payload
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.ids is not None
-
-
-class _Layout(NamedTuple):
-    """Flat arrays derived from the nodes, for search. ``leaf_size``,
-    ``axes``, ``splits`` and ``leaf_ids`` are also the tree's saved form."""
-
-    leaf_size: np.ndarray  # (n_nodes,) pre-order: a leaf's size, -1 for an inner node
-    axes: np.ndarray  # (n_inner,) split axis per inner node, pre-order
-    splits: np.ndarray  # (n_inner,) split value per inner node
-    paths: np.ndarray  # (n_leaves, depth) ancestor slots per leaf, 2 * n_inner pads
-    offsets: np.ndarray  # (n_leaves + 1,) leaf i holds leaf_ids[offsets[i]:offsets[i + 1]]
-    leaf_ids: np.ndarray
-
-
-def _layout(root: KdNode) -> _Layout:
-    """Number inner nodes and leaves in pre-order. Each ancestor of a leaf
-    is recorded as the slot ``2 * node + side``, side 1 when the leaf lies
-    right of that node's split, 0 when left."""
-    leaf_size, axes, splits, paths, parts = [], [], [], [], []
-    stack = [(root, ())]
-    while stack:
-        node, path = stack.pop()
-        if node.is_leaf:
-            leaf_size.append(node.ids.size)
-            paths.append(path)
-            parts.append(node.ids)
-            continue
-        leaf_size.append(-1)
-        j = len(axes)
-        axes.append(node.axis)
-        splits.append(node.split_value)
-        stack.append((node.right, path + (2 * j + 1,)))
-        stack.append((node.left, path + (2 * j,)))
-    pad = np.full((len(paths), max(1, max(map(len, paths)))), 2 * len(axes), dtype=np.intp)
-    for row, path in zip(pad, paths):
-        row[:len(path)] = path
-    offsets = np.cumsum([0] + [ids.size for ids in parts], dtype=np.intp)
-    return _Layout(np.array(leaf_size, dtype=np.int64), np.array(axes, dtype=np.int64),
-                   np.array(splits, dtype=np.float64), pad, offsets, np.concatenate(parts))
+__all__ = ["KdTree", "kd_build", "kd_search_exact"]
 
 
 @dataclass
 class KdTree:
-    root: KdNode
+    """A k-d tree as its pre-order arrays (:mod:`annkit.trees.preorder`)."""
+
+    leaf_size: np.ndarray  # (n_nodes,) int64 pre-order: a leaf's size, -1 for an inner node
+    leaf_ids: np.ndarray  # int64, the leaves' ids in pre-order, each leaf's ascending
+    axes: np.ndarray  # (n_inner,) int64 split axis per inner node, pre-order
+    splits: np.ndarray  # (n_inner,) float64 split value per inner node
     leaf_capacity: int
     dim: int
     size: int
-    layout: _Layout = field(init=False, repr=False, compare=False)
+    paths: np.ndarray = field(init=False, repr=False, compare=False)  # see leaf_paths
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)  # see leaf_offsets
 
     def __post_init__(self):
-        self.layout = _layout(self.root)
+        self.paths = leaf_paths(self.leaf_size)
+        self.offsets = leaf_offsets(self.leaf_size)
 
-
-def _build(X: np.ndarray, ids: np.ndarray, depth: int, m0: int, d: int) -> KdNode:
-    if ids.size <= m0:
-        return KdNode(ids=np.sort(ids))
-    axis = depth % d
-    vals = X[ids, axis]
-    order = np.lexsort((ids, vals))
-    mid = (ids.size - 1) // 2
-    median_id = ids[order[mid]]
-    median_val = float(vals[order[mid]])
-    left_mask = (vals < median_val) | (ids == median_id)
-    left_ids = ids[left_mask]
-    right_ids = ids[~left_mask]
-    node = KdNode(axis=axis, split_value=median_val)
-    node.left = _build(X, left_ids, depth + 1, m0, d)
-    node.right = _build(X, right_ids, depth + 1, m0, d)
-    return node
+    @cached_property
+    def root(self):
+        """The tree as linked nodes, built on first read: see :func:`node_view`."""
+        return node_view(self.leaf_size, self.leaf_ids)
 
 
 def kd_build(X: Collection, leaf_capacity: int = 1) -> KdTree:
@@ -116,12 +59,23 @@ def kd_build(X: Collection, leaf_capacity: int = 1) -> KdTree:
         raise ValueError("k-d trees require dense vectors")
     if leaf_capacity < 1:
         raise ValueError("leaf capacity must be at least 1")
-    ids = np.arange(len(X), dtype=np.int64)
-    root = _build(X.vectors, ids, 0, leaf_capacity, X.dim)
-    return KdTree(root=root, leaf_capacity=leaf_capacity, dim=X.dim, size=len(X))
+    axes, splits = [], []
+
+    def split(ids, depth):
+        axis = depth % X.dim
+        vals = X.vectors[ids, axis]
+        mid = np.lexsort((ids, vals))[(ids.size - 1) // 2]
+        axes.append(axis)
+        splits.append(float(vals[mid]))
+        left = (vals < vals[mid]) | (ids == ids[mid])
+        return ids[left], ids[~left]
+
+    leaf_size, leaf_ids = grow(len(X), leaf_capacity, split)  # fills axes and splits
+    return KdTree(leaf_size, leaf_ids, np.array(axes, dtype=np.int64), np.array(splits, dtype=np.float64),
+                  leaf_capacity=leaf_capacity, dim=X.dim, size=len(X))
 
 
-def _leaf_bounds(layout: _Layout, q64: np.ndarray) -> np.ndarray:
+def _leaf_bounds(tree: KdTree, q64: np.ndarray) -> np.ndarray:
     """Lower bound on every score in each leaf.
 
     A leaf on the far side of a split at ``s`` on axis ``a`` holds only
@@ -132,13 +86,13 @@ def _leaf_bounds(layout: _Layout, q64: np.ndarray) -> np.ndarray:
     A NaN or infinite coordinate admits no such test, so every bound is 0.
     """
     if not np.isfinite(q64).all():
-        return np.zeros(layout.paths.shape[0])
-    diff = q64[layout.axes] - layout.splits
+        return np.zeros(tree.paths.shape[0])
+    diff = q64[tree.axes] - tree.splits
     sq = diff * diff
     far = np.zeros(2 * diff.size + 1)  # the last slot pads short paths
     far[0:-1:2] = np.where(diff > 0, sq, 0.0)  # leaves left of a split
     far[1:-1:2] = np.where(diff <= 0, sq, 0.0)  # leaves right of a split
-    return far[layout.paths].max(axis=1)
+    return far[tree.paths].max(axis=1)
 
 
 def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKResult:
@@ -157,8 +111,7 @@ def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKR
     q64 = np.asarray(q, dtype=np.float64)
     if q64.shape[0] != tree.dim:
         raise ValueError("query dimension mismatch")
-    layout = tree.layout
-    bounds = _leaf_bounds(layout, q64)
+    bounds = _leaf_bounds(tree, q64)
     order = np.argsort(bounds, kind="stable")
     sorted_bounds = bounds[order]
     best_ids = np.zeros(0, dtype=np.int64)
@@ -171,11 +124,11 @@ def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKR
             if stop <= start:
                 break
         leaves = order[start:stop]
-        first = layout.offsets[leaves]
-        counts = layout.offsets[leaves + 1] - first
+        first = tree.offsets[leaves]
+        counts = tree.offsets[leaves + 1] - first
         # the batch's leaves' runs of leaf_ids, back to back
         shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
-        ids = layout.leaf_ids[shift + np.arange(shift.size)]
+        ids = tree.leaf_ids[shift + np.arange(shift.size)]
         if ids.size >= _SCREEN_MIN_ROWS:
             kept = _screen(X, q64, k, DistanceKind.L2_SQUARED, ids, best_scores)
             if kept is not None:

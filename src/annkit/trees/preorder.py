@@ -1,0 +1,86 @@
+"""The pre-order arrays that are the k-d, RP and spill trees and their saved
+form: ``leaf_size``, one integer per node in pre-order (the leaf's size,
+or -1 for an inner node), ``leaf_ids``, the leaves' ids in that order, and
+arrays with one row per inner node, numbered in pre-order. An inner node
+is followed by its left subtree, then its right. What a search needs
+besides is derived here.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+
+
+def grow(m: int, leaf_capacity: int, split) -> tuple[np.ndarray, np.ndarray]:
+    """``leaf_size`` and ``leaf_ids`` of a tree over the ids ``0..m-1``. Nodes
+    are made in pre-order; one of more than ``leaf_capacity`` ids is inner,
+    and ``split(ids, depth) -> (left ids, right ids)`` records its rows."""
+    leaf_size, parts = [], []
+    stack = [(np.arange(m, dtype=np.int64), 0)]
+    while stack:
+        ids, depth = stack.pop()
+        if ids.size <= leaf_capacity:
+            leaf_size.append(ids.size)
+            parts.append(np.sort(ids))
+        else:
+            leaf_size.append(-1)
+            left, right = split(ids, depth)
+            stack += ((right, depth + 1), (left, depth + 1))
+    return np.array(leaf_size, dtype=np.int64), np.concatenate(parts)
+
+
+def leaf_offsets(leaf_size: np.ndarray) -> np.ndarray:
+    """Leaf i holds ``leaf_ids[offsets[i]:offsets[i + 1]]``."""
+    return np.concatenate(([0], np.cumsum(leaf_size[leaf_size >= 0])))
+
+
+def children(leaf_size: np.ndarray) -> tuple[list, list, int]:
+    """Each inner node's left and right child, and the root, as codes: inner
+    node j as j, leaf i as ``~i`` (below 0)."""
+    inner = leaf_size < 0
+    codes = np.where(inner, np.cumsum(inner) - 1, ~(np.cumsum(~inner) - 1))
+    left = codes[np.flatnonzero(inner) + 1].tolist()
+    # the node after a leaf is the right child of the latest inner node
+    # without one: that leaf ended the inner node's left subtree
+    right, pending = [0] * len(left), []
+    for prev, code in zip(codes.tolist(), codes[1:].tolist()):
+        if prev >= 0:
+            pending.append(prev)
+        else:
+            right[pending.pop()] = code
+    return left, right, int(codes[0])
+
+
+def leaf_paths(leaf_size: np.ndarray) -> np.ndarray:
+    """(n_leaves, depth): each leaf's ancestors as slots ``2 * j + side``, j
+    the ancestor's number and side 1 when the leaf lies right of its split;
+    shorter rows padded with ``2 * n_inner``."""
+    left, right, root = children(leaf_size)
+    paths, stack = [()] * (len(left) + 1), [(root, ())]
+    while stack:
+        code, path = stack.pop()
+        if code < 0:
+            paths[~code] = path
+        else:
+            stack += ((left[code], path + (2 * code,)), (right[code], path + (2 * code + 1,)))
+    width = max(1, max(map(len, paths)))
+    return np.array([path + (2 * len(left),) * (width - len(path)) for path in paths], dtype=np.intp)
+
+
+def node_view(leaf_size: np.ndarray, leaf_ids: np.ndarray, **rows) -> SimpleNamespace:
+    """The root of the tree as linked nodes: a leaf has
+    ``ids``, a read-only view of its run of ``leaf_ids``; an inner node has
+    ``ids`` None, ``left``, ``right`` and its row of each array in ``rows``.
+    It stays until the benchmark, which walks such nodes, reads the arrays
+    (ROADMAP item 8)."""
+    ids = np.lib.stride_tricks.as_strided(leaf_ids, writeable=False)
+    offsets = leaf_offsets(leaf_size).tolist()
+    left, right, root = children(leaf_size)
+    # nodes[code]: inner node j at j, leaf i at ~i, each made after its children
+    nodes = [None] * len(right) + [SimpleNamespace(ids=ids[a:b]) for a, b in zip(offsets, offsets[1:])][::-1]
+    for j in reversed(range(len(right))):
+        nodes[j] = SimpleNamespace(ids=None, left=nodes[left[j]], right=nodes[right[j]],
+                                   **{name: a[j] for name, a in rows.items()})
+    return nodes[root]

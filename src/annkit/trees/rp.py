@@ -9,15 +9,16 @@ while queries are routed by the median.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence, Union
 
 import numpy as np
 
 from annkit.core import Collection, DistanceKind, TopKResult, rescore
+from annkit.trees.preorder import children, grow, leaf_offsets, node_view
 
 __all__ = [
-    "ProjNode",
     "RpTree",
     "SpillTree",
     "rp_build",
@@ -28,25 +29,28 @@ __all__ = [
 
 
 @dataclass
-class ProjNode:
-    direction: Optional[np.ndarray] = None
-    threshold: float = 0.0
-    left: Optional["ProjNode"] = None
-    right: Optional["ProjNode"] = None
-    ids: Optional[np.ndarray] = None
-    size: int = 0  # points under the node; the children of a spill node overlap
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.ids is not None
-
-
-@dataclass
 class RpTree:
-    root: ProjNode
+    """A random-projection tree as its pre-order arrays (:mod:`annkit.trees.preorder`)."""
+
+    leaf_size: np.ndarray  # (n_nodes,) int64 pre-order: a leaf's size, -1 for an inner node
+    leaf_ids: np.ndarray  # int64, the leaves' ids in pre-order, each leaf's ascending
+    dirs: np.ndarray  # (n_inner, dim) float64 unit split direction per inner node, pre-order
+    thresholds: np.ndarray  # (n_inner,) float64: a query goes left when q @ dir <= threshold
+    sizes: np.ndarray  # (n_inner,) int64 points under each inner node; a spill node's children overlap
     leaf_capacity: int
     dim: int
     seed: int
+    # _route_to_leaf's walk as Python lists: children, rows of dirs, thresholds, leaf offsets
+    _route: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._route = (*children(self.leaf_size), list(self.dirs), self.thresholds.tolist(),
+                       leaf_offsets(self.leaf_size).tolist())
+
+    @cached_property
+    def root(self):
+        """The tree as linked nodes, built on first read: see :func:`node_view`."""
+        return node_view(self.leaf_size, self.leaf_ids, direction=self.dirs, threshold=self.thresholds)
 
 
 @dataclass
@@ -54,62 +58,42 @@ class SpillTree(RpTree):
     alpha: float = 0.0
 
 
-def _unit_direction(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    return v.astype(np.float64)
+def _grow(X: np.ndarray, leaf_capacity: int, rng: np.random.Generator, cut) -> tuple:
+    """A tree's arrays in the order of :class:`RpTree`'s fields. An inner
+    node draws a unit direction and sorts its ids by their projections onto
+    it; ``cut(sorted projections) -> (threshold, hi, lo)`` sends the first
+    ``hi`` left and those from ``lo`` on right."""
+    dirs, thresholds, sizes = [], [], []
 
+    def split(ids, depth):
+        direction = rng.standard_normal(X.shape[1])
+        direction /= np.linalg.norm(direction)
+        proj = X[ids].astype(np.float64) @ direction
+        order = np.lexsort((ids, proj))
+        threshold, hi, lo = cut(proj[order])
+        dirs.append(direction)
+        thresholds.append(threshold)
+        sizes.append(ids.size)
+        return ids[order[:hi]], ids[order[lo:]]
 
-def _sorted_by_projection(X: np.ndarray, ids: np.ndarray, direction: np.ndarray) -> tuple:
-    proj = X[ids].astype(np.float64) @ direction
-    order = np.lexsort((ids, proj))
-    return ids[order], proj[order]
-
-
-def _build_rp(X, ids, m0, rng) -> ProjNode:
-    n = ids.size
-    if n <= m0:
-        return ProjNode(ids=np.sort(ids), size=n)
-    direction = _unit_direction(rng, X.shape[1])
-    beta = rng.uniform(0.25, 0.75)
-    sorted_ids, proj = _sorted_by_projection(X, ids, direction)
-    # clamp the cut index so both child fractions stay inside [1/4, 3/4]
-    j = int(np.ceil(beta * n))
-    j = max(int(np.ceil(n / 4)), min(j, n - int(np.ceil(n / 4))))
-    j = max(1, min(j, n - 1))
-    threshold = 0.5 * (proj[j - 1] + proj[j])
-    node = ProjNode(direction=direction, threshold=float(threshold), size=n)
-    node.left = _build_rp(X, sorted_ids[:j], m0, rng)
-    node.right = _build_rp(X, sorted_ids[j:], m0, rng)
-    return node
+    return (*grow(X.shape[0], leaf_capacity, split), np.array(dirs).reshape(len(dirs), X.shape[1]),
+            np.array(thresholds, dtype=np.float64), np.array(sizes, dtype=np.int64))
 
 
 def rp_build(X: Collection, leaf_capacity: int, seed: int) -> RpTree:
     if leaf_capacity < 1:
         raise ValueError("leaf capacity must be at least 1")
     rng = np.random.default_rng(seed)
-    root = _build_rp(X.vectors, np.arange(len(X), dtype=np.int64), leaf_capacity, rng)
-    return RpTree(root=root, leaf_capacity=leaf_capacity, dim=X.dim, seed=seed)
 
+    def cut(proj):
+        n = proj.size
+        # clamp the cut index so both child fractions stay inside [1/4, 3/4]
+        j = int(np.ceil(rng.uniform(0.25, 0.75) * n))
+        j = max(int(np.ceil(n / 4)), min(j, n - int(np.ceil(n / 4))))
+        j = max(1, min(j, n - 1))
+        return float(0.5 * (proj[j - 1] + proj[j])), j, j
 
-def _build_spill(X, ids, m0, alpha, rng) -> ProjNode:
-    n = ids.size
-    if n <= m0:
-        return ProjNode(ids=np.sort(ids), size=n)
-    direction = _unit_direction(rng, X.shape[1])
-    sorted_ids, proj = _sorted_by_projection(X, ids, direction)
-    hi = int(np.ceil((0.5 + alpha) * n))
-    lo = n - hi
-    if hi >= n or lo <= 0:
-        # overlap would stop the node from shrinking; fall back to a median cut
-        hi = (n + 1) // 2
-        lo = n - hi
-    mid = (n - 1) // 2
-    threshold = float(proj[mid] if n % 2 == 1 else 0.5 * (proj[mid] + proj[mid + 1]))
-    node = ProjNode(direction=direction, threshold=threshold, size=n)
-    node.left = _build_spill(X, sorted_ids[:hi], m0, alpha, rng)
-    node.right = _build_spill(X, sorted_ids[lo:], m0, alpha, rng)
-    return node
+    return RpTree(*_grow(X.vectors, leaf_capacity, rng, cut), leaf_capacity=leaf_capacity, dim=X.dim, seed=seed)
 
 
 def spill_build(X: Collection, leaf_capacity: int, alpha: float, seed: int) -> SpillTree:
@@ -117,17 +101,27 @@ def spill_build(X: Collection, leaf_capacity: int, alpha: float, seed: int) -> S
         raise ValueError("spill overlap alpha must lie in [0, 1/2)")
     if leaf_capacity < 1:
         raise ValueError("leaf capacity must be at least 1")
-    rng = np.random.default_rng(seed)
-    root = _build_spill(X.vectors, np.arange(len(X), dtype=np.int64), leaf_capacity, alpha, rng)
-    return SpillTree(root=root, leaf_capacity=leaf_capacity, dim=X.dim, seed=seed, alpha=alpha)
+
+    def cut(proj):
+        n = proj.size
+        hi = int(np.ceil((0.5 + alpha) * n))
+        if hi >= n:  # overlap would stop the node from shrinking; fall back to a median cut
+            hi = (n + 1) // 2
+        mid = (n - 1) // 2
+        return float(proj[mid] if n % 2 == 1 else 0.5 * (proj[mid] + proj[mid + 1])), hi, n - hi
+
+    return SpillTree(*_grow(X.vectors, leaf_capacity, np.random.default_rng(seed), cut),
+                     leaf_capacity=leaf_capacity, dim=X.dim, seed=seed, alpha=alpha)
 
 
 def _route_to_leaf(tree: RpTree, q: np.ndarray) -> np.ndarray:
-    node = tree.root
+    """The ids of the leaf that ``q`` routes to: from the root, left while
+    ``q @ dir <= threshold``, one 1-D product per level."""
+    left, right, node, dirs, thresholds, offsets = tree._route
     q64 = np.asarray(q, dtype=np.float64)
-    while not node.is_leaf:
-        node = node.left if q64 @ node.direction <= node.threshold else node.right
-    return node.ids
+    while node >= 0:
+        node = left[node] if q64 @ dirs[node] <= thresholds[node] else right[node]
+    return tree.leaf_ids[offsets[~node]:offsets[~node + 1]]
 
 
 def defeatist_search(

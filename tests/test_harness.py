@@ -55,6 +55,10 @@ FAMILY_X = rand_collection(60, 8, 50)
 # the container layout that stored child pointers and leaf ranges per node
 TREE_ANSWERS_SHA256 = "18ec44cad29e9f6336de88c8f3e8e987c50eb76d0378d015540c39a46255fe6d"
 
+# sha256 of the CSV of `annkit bench forest` in test_bench_forest_csv_pinned,
+# taken while the trees were node objects
+BENCH_FOREST_SHA256 = "9c206242b9d20532db6011ab7caaf99396da4119eef560f1c81010037e217d60"
+
 
 def assert_same_object(a, b, where: str = "obj") -> None:
     """Two index objects equal field by field: dataclasses, lists and dicts
@@ -594,6 +598,8 @@ class TestContainerInputChecks:
         ("rp_forest", lambda m, a: a["t0_size"].put(0, 59), "t0_leaf_ids must be a permutation of [0, 59)"),
         ("spill_forest", lambda m, a: a["t0_leaf_ids"].put(3, 60), "t0_leaf_ids must lie in [0, 60)"),
         ("spill_forest", lambda m, a: a["t1_leaf_ids"].put(3, -1), "t1_leaf_ids must lie in [0, 60)"),
+        ("spill_forest", lambda m, a: np.place(a["t0_leaf_ids"], a["t0_leaf_ids"] == 7, 8),
+         "t0_leaf_ids must hold every id of [0, 60)"),
         ("rp_forest", lambda m, a: m.update(seeds=[0]), "seeds must hold one seed per tree (2)"),
         ("spill_forest", lambda m, a: m.update(alphas=[0.1]), "alphas must hold one alpha per tree (2)"),
         ("rp_forest", lambda m, a: m.update(n_trees=3, seeds=[0, 1, 2]),
@@ -604,7 +610,8 @@ class TestContainerInputChecks:
             "kd_short_axis", "kd_int_split", "rp_short_threshold", "spill_long_size", "kd_empty_leaf",
             "kd_short_ids", "spill_long_ids", "kd_repeated_id", "kd_id_out_of_range", "kd_size_meta",
             "kd_axis_dim", "kd_negative_axis", "rp_dir_columns", "spill_dir_3d", "rp_repeated_id",
-            "rp_root_size", "spill_id_out_of_range", "spill_negative_id", "rp_seeds", "spill_alphas",
+            "rp_root_size", "spill_id_out_of_range", "spill_negative_id", "spill_missing_id", "rp_seeds",
+            "spill_alphas",
             "rp_n_trees", "kd_extra_array"])
     def test_malformed_tree_rejected(self, tmp_path, family, mangle, message):
         path = tmp_path / "bad.akx"
@@ -898,6 +905,16 @@ class TestCli:
         assert out.returncode == 0
         assert len(out.stdout.strip().split("\n")) == 5  # header + 4 rows
 
+    def test_bench_forest_csv_pinned(self, tmp_path):
+        """The cost column counts the ids of the leaves each query routes to."""
+        data, queries = tmp_path / "d.vecs", tmp_path / "q.vecs"
+        run_cli("generate", "--m", "400", "--d", "8", "--seed", "31", "--out", str(data))
+        run_cli("generate", "--m", "6", "--d", "8", "--seed", "32", "--out", str(queries))
+        out = run_cli("bench", "forest", "--data", str(data), "--queries", str(queries), "--k", "5",
+                      "--leaf-capacity", "16", "--sweep-trees", "1,2,4,8", "--seed", "33")
+        assert out.returncode == 0, out.stderr
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == BENCH_FOREST_SHA256
+
     def test_experiment_row_count(self):
         out = run_cli("experiment", "coincidence", "--dist", "gaussian",
                       "--m", "300", "--dims", "2,4,8,16")
@@ -996,6 +1013,23 @@ class TestCli:
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr.startswith(f"annkit: error: {idx}: malformed {family} container: ")
         assert out.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda m, a: a["alias"].fill(500), "each table's alias ids must lie in [0, its length)"),
+        (lambda m, a: a.update(dims=a["dims"] + 1), "dims must be strictly ascending integers in [0, 4)"),
+        (lambda m, a: a.update(dims=np.insert(a["dims"], 2, 2)),
+         "lengths, column_sums and weight_sums must hold one entry per dim (4)"),
+    ], ids=["aliases_500", "dims_shifted", "dim_without_table"])
+    def test_malformed_wedge_exits_2(self, tmp_path, mangle, message):
+        data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "wedge.akx"
+        X = np.random.default_rng(70).standard_normal((50, 4)).astype(np.float32)
+        X[:, 2] = 0  # dimension 2 has no table
+        save_vecs(data, Collection(X))
+        save_vecs(queries, rand_collection(2, 4, 71))
+        _save_mangled(idx, "wedge", build_wedge_index(load_vecs(data)), mangle)
+        out = run_cli("query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == f"annkit: error: {idx}: malformed wedge container: {message}\n"
 
     @pytest.mark.parametrize("family", ["jl", "asym_set", "threshold_set"])
     def test_querying_a_sketch_container_exits_2(self, tmp_path, family):

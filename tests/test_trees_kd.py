@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from annkit.core import Collection, DistanceKind, brute_force_topk
 from annkit.harness.container import load_index, save_index
 from annkit.trees import kd_build, kd_search_exact
+from tree_reader import Inner, leaves, read_tree
 
 
 # sha256 of the seeded container in test_kd_container_bytes_pinned, in the
@@ -22,69 +23,60 @@ def rand_collection(m, d, seed):
     return Collection(np.random.default_rng(seed).standard_normal((m, d)).astype(np.float32))
 
 
-def leaves_of(node, acc):
-    if node.is_leaf:
-        acc.append(node)
-    else:
-        leaves_of(node.left, acc)
-        leaves_of(node.right, acc)
-    return acc
-
-
 class TestBuild:
-    def test_single_point_is_leaf(self):
+    def test_single_point_is_one_leaf(self):
         tree = kd_build(Collection(np.array([[1, 2]], dtype=np.float32)), 1)
-        assert tree.root.is_leaf
-        assert tree.root.ids.tolist() == [0]
+        root = read_tree(tree)
+        assert not isinstance(root, Inner)
+        assert root.tolist() == [0]
 
     def test_hand_construction_collinear(self):
         X = Collection(np.array([[0, 0], [1, 0], [2, 0], [3, 0]], dtype=np.float32))
         tree = kd_build(X, 1)
-        root = tree.root
-        assert root.axis == 0
-        assert root.split_value == 1.0  # lower median along axis 0
-        leaves = leaves_of(root, [])
-        assert sorted(leaf.ids.tolist()[0] for leaf in leaves) == [0, 1, 2, 3]
-        assert all(leaf.ids.size == 1 for leaf in leaves)
+        root = read_tree(tree)
+        assert tree.axes[root.j] == 0
+        assert tree.splits[root.j] == 1.0  # lower median along axis 0
+        leaf_ids = leaves(root)
+        assert sorted(ids.tolist()[0] for ids in leaf_ids) == [0, 1, 2, 3]
+        assert all(ids.size == 1 for ids in leaf_ids)
 
     def test_duplicates_terminate(self):
         X = Collection(np.ones((9, 3), dtype=np.float32))
         tree = kd_build(X, 1)
-        leaves = leaves_of(tree.root, [])
-        collected = sorted(i for leaf in leaves for i in leaf.ids.tolist())
+        collected = sorted(i for ids in leaves(read_tree(tree)) for i in ids.tolist())
         assert collected == list(range(9))
 
     def test_leaves_partition_ids(self):
         X = rand_collection(257, 6, 0)
         tree = kd_build(X, 8)
-        leaves = leaves_of(tree.root, [])
-        collected = sorted(i for leaf in leaves for i in leaf.ids.tolist())
+        leaf_ids = leaves(read_tree(tree))
+        collected = sorted(i for ids in leaf_ids for i in ids.tolist())
         assert collected == list(range(257))
-        assert all(leaf.ids.size <= 8 for leaf in leaves)
+        assert all(ids.size <= 8 for ids in leaf_ids)
 
     def test_round_robin_axes(self):
         X = rand_collection(64, 3, 1)
         tree = kd_build(X, 4)
 
         def walk(node, depth):
-            if node.is_leaf:
+            if not isinstance(node, Inner):
                 return
-            assert node.axis == depth % 3
+            assert tree.axes[node.j] == depth % 3
             walk(node.left, depth + 1)
             walk(node.right, depth + 1)
 
-        walk(tree.root, 0)
+        walk(read_tree(tree), 0)
 
     def test_balanced_depth(self):
         X = rand_collection(128, 4, 2)
         tree = kd_build(X, 1)
 
         def depth(node):
-            if node.is_leaf:
+            if not isinstance(node, Inner):
                 return 0
             return 1 + max(depth(node.left), depth(node.right))
 
-        assert depth(tree.root) <= int(np.ceil(np.log2(128))) + 1
+        assert depth(read_tree(tree)) <= int(np.ceil(np.log2(128))) + 1
 
 
 class TestSearchExact:
@@ -163,9 +155,9 @@ class TestSearchExact:
         where = data.draw(st.sampled_from(["grid", "row", "split"]), label="query")
         if where == "row":
             q = X.vectors[rng.integers(m)].astype(np.float64)
-        elif where == "split" and tree.layout.splits.size:
-            axis = rng.integers(tree.layout.axes.size)
-            q[tree.layout.axes[axis]] = tree.layout.splits[axis]
+        elif where == "split" and tree.splits.size:
+            axis = rng.integers(tree.axes.size)
+            q[tree.axes[axis]] = tree.splits[axis]
         q += data.draw(st.sampled_from([0.0, 0.5, 1e-9]), label="offset")
         for k in range(1, m + 3):
             got = kd_search_exact(tree, X, q, k)
@@ -183,8 +175,8 @@ class TestSearchExact:
 
 class TestContainerBytes:
     def test_kd_container_bytes_pinned(self, tmp_path):
-        """A seeded tree's container is its search layout's pre-order
-        arrays (leaf sizes, leaf ids, axes, splits) and nothing else, and
+        """A seeded tree's container is its pre-order arrays (leaf sizes,
+        leaf ids, axes, splits) and nothing else, and
         re-saving a loaded tree gives the same bytes."""
         rng = np.random.default_rng(11)
         X = Collection(rng.integers(-3, 4, size=(300, 5)).astype(np.float32))

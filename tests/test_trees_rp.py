@@ -5,7 +5,9 @@ import pytest
 
 from annkit.core import Collection, DistanceKind, brute_force_topk, recall
 from annkit.harness.container import load_index, save_index
-from annkit.trees import defeatist_search, potential_phi, rp_build, spill_build
+from annkit.trees import defeatist_search, kd_build, potential_phi, rp_build, spill_build
+from annkit.trees.rp import _route_to_leaf
+from tree_reader import Inner, n_points, read_tree
 
 
 # sha256 of the seeded containers in test_forest_container_bytes_pinned, in
@@ -20,7 +22,7 @@ def rand_collection(m, d, seed):
 
 
 def internal_nodes(node, acc):
-    if not node.is_leaf:
+    if isinstance(node, Inner):
         acc.append(node)
         internal_nodes(node.left, acc)
         internal_nodes(node.right, acc)
@@ -28,11 +30,11 @@ def internal_nodes(node, acc):
 
 
 def leaf_ids(node, acc):
-    if node.is_leaf:
-        acc.extend(node.ids.tolist())
-    else:
+    if isinstance(node, Inner):
         leaf_ids(node.left, acc)
         leaf_ids(node.right, acc)
+    else:
+        acc.extend(node.tolist())
     return acc
 
 
@@ -42,30 +44,30 @@ class TestRpBuild:
         a, b = rp_build(X, 16, seed=7), rp_build(X, 16, seed=7)
 
         def same(x, y):
-            if x.is_leaf != y.is_leaf:
+            if isinstance(x, Inner) != isinstance(y, Inner):
                 return False
-            if x.is_leaf:
-                return np.array_equal(x.ids, y.ids)
-            return (np.array_equal(x.direction, y.direction)
-                    and x.threshold == y.threshold
+            if not isinstance(x, Inner):
+                return np.array_equal(x, y)
+            return (np.array_equal(a.dirs[x.j], b.dirs[y.j])
+                    and a.thresholds[x.j] == b.thresholds[y.j]
                     and same(x.left, y.left) and same(x.right, y.right))
 
-        assert same(a.root, b.root)
+        assert same(read_tree(a), read_tree(b))
 
     def test_directions_unit_norm(self):
         tree = rp_build(rand_collection(300, 8, 1), 16, seed=3)
-        for node in internal_nodes(tree.root, []):
-            assert abs(np.linalg.norm(node.direction) - 1.0) < 1e-6
+        for node in internal_nodes(read_tree(tree), []):
+            assert abs(np.linalg.norm(tree.dirs[node.j]) - 1.0) < 1e-6
 
     def test_child_fraction_bounds(self):
         tree = rp_build(rand_collection(500, 8, 2), 8, seed=5)
-        for node in internal_nodes(tree.root, []):
-            for count in (node.left.size, node.right.size):
-                assert node.size / 4 <= count <= 3 * node.size / 4 + 1e-9
+        for node in internal_nodes(read_tree(tree), []):
+            for count in (n_points(node.left), n_points(node.right)):
+                assert n_points(node) / 4 <= count <= 3 * n_points(node) / 4 + 1e-9
 
     def test_leaves_partition(self):
         tree = rp_build(rand_collection(321, 5, 3), 16, seed=1)
-        assert sorted(leaf_ids(tree.root, [])) == list(range(321))
+        assert sorted(leaf_ids(read_tree(tree), [])) == list(range(321))
 
 
 class TestSpillBuild:
@@ -76,21 +78,21 @@ class TestSpillBuild:
     def test_zero_alpha_matches_median_split_sizes(self):
         X = rand_collection(256, 6, 5)
         tree = spill_build(X, 16, alpha=0.0, seed=9)
-        for node in internal_nodes(tree.root, []):
-            assert node.left.size == int(np.ceil(node.size / 2))
-            assert node.right.size == int(np.ceil(node.size / 2))
+        for node in internal_nodes(read_tree(tree), []):
+            assert n_points(node.left) == int(np.ceil(n_points(node) / 2))
+            assert n_points(node.right) == int(np.ceil(n_points(node) / 2))
 
     def test_duplication_when_spilling(self):
         X = rand_collection(1024, 8, 6)
         tree = spill_build(X, 16, alpha=0.1, seed=2)
-        total = len(leaf_ids(tree.root, []))
+        total = len(leaf_ids(read_tree(tree), []))
         assert total >= 1024  # boundary points live in both children
 
     def test_child_size_bounds(self):
         tree = spill_build(rand_collection(400, 6, 7), 8, alpha=0.15, seed=3)
-        for node in internal_nodes(tree.root, []):
-            n = node.size
-            for count in (node.left.size, node.right.size):
+        for node in internal_nodes(read_tree(tree), []):
+            n = n_points(node)
+            for count in (n_points(node.left), n_points(node.right)):
                 assert np.ceil(n / 2) <= count <= np.ceil((0.5 + 0.15) * n) + 1e-9
 
 
@@ -146,6 +148,47 @@ class TestDefeatist:
             res = defeatist_search(tree, X, X.vectors[qid], 1)
             hits += res.ids[0] == qid
         assert hits / trials >= 0.95
+
+
+class TestRootView:
+    """``root`` is the linked-node view of a tree that the benchmark walks:
+    ``leaves`` and ``route`` mirror its ``workloads.leaves`` and
+    ``oracle.route_rp_leaf``."""
+
+    @staticmethod
+    def leaves(node) -> list:
+        out, stack = [], [node]
+        while stack:
+            n = stack.pop()
+            if n.ids is not None:
+                out.append(n.ids)
+            else:
+                stack.extend((n.left, n.right))
+        return out
+
+    @staticmethod
+    def route(root, q) -> np.ndarray:
+        node, q64 = root, np.asarray(q, dtype=np.float64)
+        while node.ids is None:
+            node = node.left if q64 @ node.direction <= node.threshold else node.right
+        return np.asarray(node.ids, dtype=np.int64)
+
+    def test_view_leaves_are_the_leaf_arrays(self):
+        X = rand_collection(300, 6, 13)
+        trees = [kd_build(X, 8), spill_build(X, 16, 0.1, seed=5), *(rp_build(X, 16, seed=t) for t in range(3))]
+        for tree in trees:
+            got = self.leaves(tree.root)[::-1]  # the walk pops the right child first
+            want = np.split(tree.leaf_ids, np.cumsum(tree.leaf_size[tree.leaf_size >= 0])[:-1])
+            assert [ids.tolist() for ids in got] == [ids.tolist() for ids in want]
+
+    def test_view_routes_as_route_to_leaf(self):
+        X = rand_collection(500, 8, 14)
+        rng = np.random.default_rng(15)
+        queries = np.concatenate((rng.standard_normal((40, 8)), X.vectors[:20])).astype(np.float32)
+        for tree in [rp_build(X, 16, seed=t) for t in range(4)]:
+            root = tree.root
+            for q in queries:
+                assert np.array_equal(self.route(root, q), _route_to_leaf(tree, q))
 
 
 class TestPotential:
