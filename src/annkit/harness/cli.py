@@ -1,37 +1,24 @@
 """Command-line harness: generate / build / query / bench / experiment /
 selftest.
 
-`build` looks its --index name up in one table (``_BUILDS``), `query` the
-loaded container's family in another (``_QUERIES``). Every run with the
-same flags and seed writes byte-identical output (benchmark wall-clock
-columns appear only behind --timings). Exit codes: 0 ok, 1 test failure,
-2 usage error or bad input (a ValueError or OSError, printed as one
-``annkit: error:`` line).
+`build` looks its --index name up, and `query` the loaded container's
+family, in the one family registry (``container._FAMILIES``). A process
+imports only the family modules its command uses: `generate` none, `build`
+and `query` their family's. Every run with the same flags and seed writes
+byte-identical output (benchmark wall-clock columns appear only behind
+--timings). Exit codes: 0 ok, 1 test failure, 2 usage error or bad input
+(a ValueError or OSError, printed as one ``annkit: error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk, top_k_from_scores
-from annkit.graph import build_knn_graph, build_alpha_sng_exact, build_vamana, greedy_search
-from annkit.ivf import build_ivf, ivf_search, route
-from annkit.lsh import FamilyKind, HashFamily, build_index as lsh_build, lsh_topk
-from annkit.quant import (
-    AqCodebook, OpqModel, PqCodebook, adc_offsets, aq_adc_scan, aq_encode, aq_train,
-    opq_train, pq_adc, pq_adc_scan, pq_decode, pq_encode_all, pq_train,
-)
-from annkit.sampling import build_wedge_index, wedge_topk
-from annkit.trees import (
-    cover_build, cover_nn, defeatist_search, kd_build, kd_search_exact, rp_build, spill_build,
-)
-from annkit.trees.rp import _route_to_leaf
-from annkit.harness.container import family_of, load_index, save_index
-from annkit.harness.experiments import ExperimentReport, benchmark, experiment_coincidence, experiment_instability
+from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk
+from annkit.harness.container import _FAMILIES, family_of, load_index, save_index
 from annkit.harness.io import load_vecs, save_vecs
 from annkit.harness.synth import Distribution, SyntheticSpec, generate
 
@@ -42,6 +29,22 @@ _KINDS = {
     "ip": DistanceKind.NEG_INNER_PRODUCT,
     "angular": DistanceKind.ANGULAR,
 }
+
+# --family choices: the values of annkit.lsh.FamilyKind, which only an lsh build imports
+_LSH_FAMILIES = ["bit", "hyperplane", "cross_polytope", "pstable"]
+
+# --index name -> build(cli, X, args), in registry order: a view of the registry
+_BUILDS = {name: build for family in _FAMILIES.values() for name, build in family.builds.items()}
+
+
+def __getattr__(name):
+    """The quantizer functions the registry's adapters call through this
+    module, imported on first use; rebinding one here reaches them."""
+    if name in ("pq_train", "opq_train", "pq_encode_all", "aq_encode"):
+        from annkit import quant
+
+        return getattr(quant, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -85,104 +88,24 @@ def _clusters(args) -> int:
     return 0 if args.clusters == "auto" else int(args.clusters)
 
 
-# --index name -> build(X, args), in --index choice order. Entries look up
-# library functions on this module at call time, so rebinding them reaches here.
-_BUILDS = {
-    "kd": lambda X, a: kd_build(X, a.leaf_capacity),
-    "rp": lambda X, a: [rp_build(X, a.leaf_capacity, seed=a.seed + t) for t in range(a.trees)],
-    "spill": lambda X, a: [spill_build(X, a.leaf_capacity, a.overlap, seed=a.seed + t)
-                           for t in range(a.trees)],
-    "cover": lambda X, a: cover_build(X),
-    "lsh": lambda X, a: lsh_build(X, HashFamily(FamilyKind(a.family), seed=a.seed, d=X.dim, r=a.radius),
-                                  a.ell, a.tables, eps=a.eps),
-    "knn": lambda X, a: build_knn_graph(X, a.k, _KINDS[a.kind]),
-    "sng": lambda X, a: build_alpha_sng_exact(X, a.alpha),
-    "vamana": lambda X, a: build_vamana(X, alpha=a.alpha, cap=a.degree, beam=a.beam or 2 * a.degree,
-                                        seed=a.seed),
-    "ivf": lambda X, a: build_ivf(X, _clusters(a), _KINDS[a.kind], max_iters=a.iters, seed=a.seed),
-    "pq": lambda X, a: pq_train(X, a.subspaces, a.codewords, seed=a.seed),
-    "opq": lambda X, a: opq_train(X, a.subspaces, a.codewords, iters=a.iters, seed=a.seed),
-    "aq": lambda X, a: aq_train(X, a.codebooks, a.codewords, beam=a.beam or a.codebooks,
-                                iters=a.iters, seed=a.seed)[0],
-    "wedge": lambda X, a: build_wedge_index(X),
-}
-
-
 def _cmd_build(args) -> int:
-    save_index(args.out, _BUILDS[args.index](load_vecs(args.data), args))
+    save_index(args.out, _BUILDS[args.index](sys.modules[__name__], load_vecs(args.data), args))
     return 0
-
-
-class _Query(NamedTuple):
-    """How `annkit query` searches one container family. Quantizers
-    ``prepare`` X once per process, so that every query is one table-lookup
-    scan: ADC offsets for PQ and OPQ (X rotated first), plus stored norms
-    for AQ."""
-
-    search: Optional[Callable]  # (obj, X, q, k, args, prepared) -> TopKResult; None: `query` refuses it
-    prepare: Callable = lambda obj, X: None  # (obj, X) -> prepared
-
-
-def _prepare_pq(cb: PqCodebook, X: Collection):
-    return adc_offsets(pq_encode_all(cb, X), cb.n_codewords)
-
-
-def _prepare_opq(model: OpqModel, X: Collection):
-    rot = model.rotation.astype(np.float64)
-    return _prepare_pq(model.codebook,
-                       Collection((X.vectors.astype(np.float64) @ rot.T).astype(np.float32)))
-
-
-def _search_opq(model: OpqModel, X, q, k, args, prepared) -> TopKResult:
-    rq = model.rotation.astype(np.float64) @ np.asarray(q, dtype=np.float64)
-    return top_k_from_scores(pq_adc_scan(pq_adc(model.codebook, rq), prepared), k)
-
-
-def _prepare_aq(cb: AqCodebook, X: Collection):
-    codes = [aq_encode(cb, X.vectors[i]) for i in range(len(X))]
-    offsets = adc_offsets(np.stack([c.codes for c in codes]), cb.n_codewords)
-    return offsets, np.array([c.norm_sq for c in codes])
-
-
-_FOREST = _Query(lambda obj, X, q, k, a, p: defeatist_search(obj, X, q, k))
-
-# container family name -> _Query
-_QUERIES = {
-    "kd": _Query(lambda obj, X, q, k, a, p: kd_search_exact(obj, X, q, k)),
-    "rp_forest": _FOREST,
-    "spill_forest": _FOREST,
-    "cover": _Query(lambda obj, X, q, k, a, p: cover_nn(obj, q, k)),
-    "lsh": _Query(lambda obj, X, q, k, a, p: lsh_topk(obj, X, q, k, _KINDS[a.kind])),
-    "graph": _Query(lambda obj, X, q, k, a, p: greedy_search(
-        obj, X, q, k, entry=None if a.entry < 0 else a.entry, beam=a.beam)[0]),
-    "ivf": _Query(lambda obj, X, q, k, a, p: ivf_search(
-        obj, X, q, k, a.ell or max(1, obj.model.n_clusters // 10))),
-    "pq": _Query(lambda obj, X, q, k, a, p: top_k_from_scores(pq_adc_scan(pq_adc(obj, q), p), k),
-                 _prepare_pq),
-    "opq": _Query(_search_opq, _prepare_opq),
-    "aq": _Query(lambda obj, X, q, k, a, p: top_k_from_scores(aq_adc_scan(obj, q, *p), k),
-                 _prepare_aq),
-    "wedge": _Query(lambda obj, X, q, k, a, p: wedge_topk(
-        obj, X, q, samples=a.samples, k=k, k_prime=a.k_prime, seed=a.seed)),
-    "jl": _Query(None),
-    "asym_set": _Query(None),
-    "threshold_set": _Query(None),
-}
 
 
 def _query_index(obj, X, q, k, args, prepared) -> TopKResult:
     """One query against a loaded index; ``prepared`` is what its family's
     ``prepare`` returned for ``obj`` and ``X``."""
-    return _QUERIES[family_of(obj)].search(obj, X, q, k, args, prepared)
+    return _FAMILIES[family_of(obj)].search(sys.modules[__name__], obj, X, q, k, args, prepared)
 
 
 def _cmd_query(args) -> int:
     X, queries = _load_data_and_queries(args)
     obj = load_index(args.index_file, X=X)
     family = family_of(obj)
-    if _QUERIES[family].search is None:
+    if _FAMILIES[family].search is None:
         raise ValueError(f"{args.index_file}: a {family} container is a sketch, not a searchable index")
-    prepared = _QUERIES[family].prepare(obj, X)
+    prepared = _FAMILIES[family].prepare(sys.modules[__name__], obj, X)
     lines = ["query_id,rank,id,score"]
     for qi in range(len(queries)):
         result = _query_index(obj, X, queries.vectors[qi], args.k, args, prepared)
@@ -193,10 +116,14 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from annkit.harness.experiments import benchmark
+
     X, queries = _load_data_and_queries(args)
     queries = queries.vectors
     kind = _KINDS[args.kind]
     if args.target == "ivf":
+        from annkit.ivf import build_ivf, ivf_search, route
+
         index = build_ivf(X, _clusters(args), kind, seed=args.seed)
         sweep = _ints(args.sweep_l)
 
@@ -209,6 +136,8 @@ def _cmd_bench(args) -> int:
 
         report = benchmark("ivf", X, queries, args.k, kind, sweep, run, timings=args.timings)
     elif args.target == "vamana":
+        from annkit.graph import build_vamana, greedy_search
+
         G = build_vamana(X, alpha=args.alpha, cap=args.degree, beam=args.beam, seed=args.seed)
         sweep = _ints(args.sweep_beam)
 
@@ -218,6 +147,8 @@ def _cmd_bench(args) -> int:
 
         report = benchmark("vamana", X, queries, args.k, kind, sweep, run, timings=args.timings)
     elif args.target == "forest":
+        from annkit.trees.rp import _route_to_leaf, defeatist_search, rp_build
+
         sweep = _ints(args.sweep_trees)
         forest = [rp_build(X, args.leaf_capacity, seed=args.seed + t) for t in range(max(sweep))]
 
@@ -250,6 +181,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from annkit.harness.experiments import experiment_coincidence, experiment_instability
+
     dist = Distribution(args.dist)
     if args.what == "coincidence":
         report = experiment_coincidence(dist, m=args.m, dims=_ints(args.dims), seed=args.seed)
@@ -266,6 +199,7 @@ def _cmd_experiment(args) -> int:
 
 def _sketch_statistics(args) -> "ExperimentReport":
     """Per-seed (estimate, truth) rows for the unbiased sketch estimators."""
+    from annkit.harness.experiments import ExperimentReport
     from annkit.sketch import JlSketcher, ThresholdSketcher, jl_ip_estimate, jl_project, threshold_ip_estimate
 
     rng = np.random.default_rng(args.seed)
@@ -285,6 +219,11 @@ def _sketch_statistics(args) -> "ExperimentReport":
 
 
 def _cmd_selftest(args) -> int:
+    from annkit.ivf import build_ivf, ivf_search
+    from annkit.lsh import FamilyKind, HashFamily, build_index as lsh_build
+    from annkit.quant import adc_offsets, pq_adc, pq_adc_scan, pq_decode, pq_encode_all, pq_train
+    from annkit.trees import cover_build, cover_nn, kd_build, kd_search_exact
+
     failures = []
     rng = np.random.default_rng(args.seed)
 
@@ -371,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", type=int, default=1)
     p.add_argument("--alpha", type=float, default=1.2, help="prune slack for sng/vamana")
     p.add_argument("--overlap", type=float, default=0.1, help="spill tree overlap fraction")
-    p.add_argument("--family", choices=[f.value for f in FamilyKind], default="hyperplane")
+    p.add_argument("--family", choices=_LSH_FAMILIES, default="hyperplane")
     p.add_argument("--ell", type=int, default=4)
     p.add_argument("--tables", type=int, default=8)
     p.add_argument("--radius", type=float, default=1.0)

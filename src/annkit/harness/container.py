@@ -11,32 +11,55 @@ as ``u1``), or at its own 8-byte dtype when none does. Reading widens
 every 1-, 2- or 4-byte integer array to int64, so decoders see the int64
 arrays of the earlier all-int64 layout, whose files still load.
 
-Each family is one ``_FAMILIES`` entry: its pinned tag, the exact type of
-its index object, and an adjacent encode/decode pair.
+Each family is one ``_FAMILIES`` entry, the only family table: its pinned
+tag, the module and name of its index object's exact type, its
+encode/decode pair, and the `annkit build` and `annkit query` adapters
+:mod:`annkit.harness.cli` runs. A family's module is imported only when
+a process first builds, loads, saves or searches that family:
+:func:`family_of` matches type names and imports nothing.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib
 import json
 import math
 import struct
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind
-from annkit.graph import NeighborGraph
-from annkit.ivf import IvfIndex, KMeansKind, KMeansModel, inverted_lists
-from annkit.lsh import FamilyKind, HashFamily, LshIndex
-from annkit.quant import AqCodebook, OpqModel, PqCodebook
-from annkit.sampling import AliasTable, WedgeIndex
-from annkit.sketch import AsymSketch, JlSketcher, ThresholdSketch
-from annkit.trees.cover import CoverTree
-from annkit.trees.kd import KdTree
-from annkit.trees.rp import RpTree, SpillTree
+from annkit.core import Collection, DistanceKind, top_k_from_scores
+
+if TYPE_CHECKING:  # for annotations only: family modules load on demand
+    from annkit.graph import NeighborGraph
+    from annkit.ivf import IvfIndex
+    from annkit.lsh import LshIndex
+    from annkit.quant import AqCodebook, OpqModel, PqCodebook
+    from annkit.sampling import WedgeIndex
+    from annkit.sketch import JlSketcher
+    from annkit.trees.cover import CoverTree
+    from annkit.trees.kd import KdTree
 
 __all__ = ["family_of", "save_index", "load_index"]
+
+
+class _Lazy:
+    """A module imported on its first attribute read, so that a process
+    loads only the families it handles."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self.name), attr)
+
+
+_kd, _rp, _cover = _Lazy("annkit.trees.kd"), _Lazy("annkit.trees.rp"), _Lazy("annkit.trees.cover")
+_preorder = _Lazy("annkit.trees.preorder")
+_lsh, _graph, _ivf = _Lazy("annkit.lsh"), _Lazy("annkit.graph"), _Lazy("annkit.ivf")
+_quant, _sampling, _sketch = _Lazy("annkit.quant"), _Lazy("annkit.sampling"), _Lazy("annkit.sketch")
 
 _MAGIC = b"AKIX"
 _VERSION = 1
@@ -248,8 +271,8 @@ def _decode_kd(meta, arrays, X) -> KdTree:
              f"leaf_ids must be a permutation of [0, {size})")
     _require(np.all((0 <= arrays["axis"]) & (arrays["axis"] < dim)), f"axis values must lie in [0, {dim})")
     _require_rows(X, size, dim)
-    return KdTree(arrays["leaf_size"], arrays["leaf_ids"], arrays["axis"], arrays["split"],
-                  leaf_capacity=_meta(meta, "leaf_capacity", int), dim=dim, size=size)
+    return _kd.KdTree(arrays["leaf_size"], arrays["leaf_ids"], arrays["axis"], arrays["split"],
+                      leaf_capacity=_meta(meta, "leaf_capacity", int), dim=dim, size=size)
 
 
 _PROJ_ROWS = {"dir": ("f", 2), "threshold": ("f", 1), "size": ("iu", 1)}
@@ -286,10 +309,16 @@ def _decode_rp_forest(meta, arrays, X, alphas: Optional[list] = None) -> list:
         else:  # a spill node's children overlap, so an id may sit in several leaves
             _require(0 <= ids.min() and ids.max() < root_size, f"{prefix}leaf_ids must lie in [0, {root_size})")
             _require(np.unique(ids).size == root_size, f"{prefix}leaf_ids must hold every id of [0, {root_size})")
+        leaf_size = arrays[prefix + "leaf_size"]
+        offsets = _preorder.leaf_offsets(leaf_size)
+        first, stop = (offsets[s] for s in _preorder.subtree_leaves(leaf_size))
+        beneath = stop - first if alphas is None else [np.unique(ids[a:b]).size for a, b in zip(first, stop)]
+        _require(np.array_equal(sizes, beneath),
+                 f"{prefix}size must count the distinct leaf ids beneath each inner node")
         _require_rows(X, root_size, dim)
-        fields = {"leaf_size": arrays[prefix + "leaf_size"], "leaf_ids": ids, "dirs": dirs, "sizes": sizes,
+        fields = {"leaf_size": leaf_size, "leaf_ids": ids, "dirs": dirs, "sizes": sizes,
                   "thresholds": arrays[prefix + "threshold"], "leaf_capacity": leaf_capacity, "dim": dim, "seed": seed}
-        forest.append(RpTree(**fields) if alphas is None else SpillTree(**fields, alpha=alphas[i]))
+        forest.append(_rp.RpTree(**fields) if alphas is None else _rp.SpillTree(**fields, alpha=alphas[i]))
     return forest
 
 
@@ -342,7 +371,7 @@ def _decode_cover(meta, arrays, X) -> CoverTree:
              "the root's level must be root_level")
     _require(np.all(level[1:] < level[parent[1:]]), "a node's level must be below its parent's")
     _require(not n or level.max() <= 1022, "levels must not exceed 1022, where the radius 2^(level + 1) overflows")
-    tree = CoverTree(X=X, root=int(point[0]) if n else None, root_level=root_level, size=n)
+    tree = _cover.CoverTree(X=X, root=int(point[0]) if n else None, root_level=root_level, size=n)
     for i in range(1, n):
         tree.link(int(point[i]), int(point[parent[i]]), int(level[i]))
     return tree
@@ -365,10 +394,10 @@ def _encode_lsh(index: LshIndex):
 
 
 def _decode_lsh(meta, arrays, X) -> LshIndex:
-    fam = HashFamily(_meta(meta, "kind", FamilyKind), seed=_meta(meta, "seed", int), d=_meta(meta, "d", int),
-                     r=_meta(meta, "r", float))
-    index = LshIndex(family=fam, ell=_meta(meta, "ell", int), big_l=_meta(meta, "big_l", int), tables=[],
-                     eps=_meta(meta, "eps", float))
+    fam = _lsh.HashFamily(_meta(meta, "kind", _lsh.FamilyKind), seed=_meta(meta, "seed", int),
+                          d=_meta(meta, "d", int), r=_meta(meta, "r", float))
+    index = _lsh.LshIndex(family=fam, ell=_meta(meta, "ell", int), big_l=_meta(meta, "big_l", int), tables=[],
+                          eps=_meta(meta, "eps", float))
     keys, ids, offsets = arrays["keys"], arrays["ids"], arrays["offsets"]
     buckets = _unpack_ragged(ids, offsets)
     sizes = _meta(meta, "table_sizes", [int])
@@ -416,7 +445,7 @@ def _decode_graph(meta, arrays, X) -> NeighborGraph:
     _require(0 <= entry < n, f"entry {entry} must lie in [0, {n})")
     if X is not None:
         _require(n == len(X), f"the graph has {n} nodes, the collection {len(X)}")
-    return NeighborGraph(
+    return _graph.NeighborGraph(
         offsets=offsets.astype(np.int64, copy=False), ids=ids.astype(np.int64, copy=False),
         directed=_meta(meta, "directed", bool),
         entry=entry,
@@ -449,13 +478,13 @@ def _decode_ivf(meta, arrays, X) -> IvfIndex:
     if X is not None:
         _require(dim == X.dim, f"the centroids have {dim} columns, the collection {X.dim}")
         _require(ids.size == len(X), f"the assignment holds {ids.size} ids, the collection {len(X)}")
-    model = KMeansModel(
+    model = _ivf.KMeansModel(
         centroids=centroids,
         assignment=ids,
         objective_trace=_meta(meta, "objective_trace", [float]),
-        kind=_meta(meta, "kmeans_kind", KMeansKind),
+        kind=_meta(meta, "kmeans_kind", _ivf.KMeansKind),
     )
-    return IvfIndex(model=model, lists=inverted_lists(ids, C), kind=_meta(meta, "kind", DistanceKind))
+    return _ivf.IvfIndex(model=model, lists=_ivf.inverted_lists(ids, C), kind=_meta(meta, "kind", DistanceKind))
 
 
 def _encode_pq(cb: PqCodebook):
@@ -464,7 +493,7 @@ def _encode_pq(cb: PqCodebook):
 
 
 def _decode_pq(meta, arrays, X) -> PqCodebook:
-    return PqCodebook(codewords=arrays["codewords"])
+    return _quant.PqCodebook(codewords=arrays["codewords"])
 
 
 def _encode_opq(model: OpqModel):
@@ -476,7 +505,7 @@ def _encode_opq(model: OpqModel):
 
 
 def _decode_opq(meta, arrays, X) -> OpqModel:
-    return OpqModel(rotation=arrays["rotation"], codebook=PqCodebook(codewords=arrays["codewords"]))
+    return _quant.OpqModel(rotation=arrays["rotation"], codebook=_quant.PqCodebook(codewords=arrays["codewords"]))
 
 
 def _encode_aq(cb: AqCodebook):
@@ -485,7 +514,7 @@ def _encode_aq(cb: AqCodebook):
 
 
 def _decode_aq(meta, arrays, X) -> AqCodebook:
-    return AqCodebook(codewords=arrays["codewords"], beam_width=_meta(meta, "beam", int))
+    return _quant.AqCodebook(codewords=arrays["codewords"], beam_width=_meta(meta, "beam", int))
 
 
 def _encode_wedge(index: WedgeIndex):
@@ -514,9 +543,11 @@ def _decode_wedge(meta, arrays, X) -> WedgeIndex:
     aliases = _unpack_ragged(arrays["alias"], offsets)
     _require(all(np.all((0 <= alias) & (alias < alias.size)) for alias in aliases),
              "each table's alias ids must lie in [0, its length)")
-    tables = [AliasTable(prob=prob, alias=alias, weight_sum=float(wsum))
+    _require(arrays["prob"].dtype.kind == "f" and np.all((0 <= arrays["prob"]) & (arrays["prob"] <= 1)),
+             "prob must hold acceptance probabilities in [0, 1]")
+    tables = [_sampling.AliasTable(prob=prob, alias=alias, weight_sum=float(wsum))
               for prob, alias, wsum in zip(_unpack_ragged(arrays["prob"], offsets), aliases, arrays["weight_sums"])]
-    return WedgeIndex(dims=dims, tables=tables, column_sums=arrays["column_sums"], dim=dim)
+    return _sampling.WedgeIndex(dims=dims, tables=tables, column_sums=arrays["column_sums"], dim=dim)
 
 
 def _encode_jl(sketcher: JlSketcher):
@@ -524,7 +555,7 @@ def _encode_jl(sketcher: JlSketcher):
 
 
 def _decode_jl(meta, arrays, X) -> JlSketcher:
-    return JlSketcher(out_dim=_meta(meta, "out_dim", int), seed=_meta(meta, "seed", int))
+    return _sketch.JlSketcher(out_dim=_meta(meta, "out_dim", int), seed=_meta(meta, "seed", int))
 
 
 def _encode_asym_set(sketches):
@@ -558,7 +589,7 @@ def _decode_asym_set(meta, arrays, X) -> list:
              and lower.dtype.kind == "f", f"upper and lower must be 2-D float arrays of one shape "
              f"with one row per sketch ({n})")
     _require(len(nzs) == n, f"nz_offsets must hold one part per sketch ({n})")
-    return [AsymSketch(nz=nzs[i] if has_nz[i] else None, upper=upper[i].copy(),
+    return [_sketch.AsymSketch(nz=nzs[i] if has_nz[i] else None, upper=upper[i].copy(),
                        lower=lower[i].copy() if has_lower[i] else None, h=h, seed=seed, dim=dim)
             for i, dim in enumerate(dims)]
 
@@ -572,10 +603,43 @@ def _encode_threshold_set(sketches):
 
 def _decode_threshold_set(meta, arrays, X) -> list:
     out_dim = _meta(meta, "out_dim", int)
-    return [ThresholdSketch(indices=idx, values=vals, norm_sq=norm, out_dim=out_dim)
+    return [_sketch.ThresholdSketch(indices=idx, values=vals, norm_sq=norm, out_dim=out_dim)
             for idx, vals, norm in zip(_unpack_ragged(arrays["indices"], arrays["offsets"]),
                                        _unpack_ragged(arrays["values"], arrays["offsets"]),
                                        _meta(meta, "norms", [float]))]
+
+
+# ---------------------------------------------------------------------------
+# `annkit build` and `annkit query` adapters. Each takes first ``cli``, the
+# running CLI module: its flag vocabulary, and pq_train, opq_train,
+# pq_encode_all and aq_encode, called through it so that rebinding them
+# there reaches every build and query.
+
+
+def _prepare_pq(cli, cb: PqCodebook, X: Collection):
+    return _quant.adc_offsets(cli.pq_encode_all(cb, X), cb.n_codewords)
+
+
+def _prepare_opq(cli, model: OpqModel, X: Collection):
+    rot = model.rotation.astype(np.float64)
+    return _prepare_pq(cli, model.codebook,
+                       Collection((X.vectors.astype(np.float64) @ rot.T).astype(np.float32)))
+
+
+def _search_opq(cli, model: OpqModel, X, q, k, args, prepared):
+    rq = model.rotation.astype(np.float64) @ np.asarray(q, dtype=np.float64)
+    return top_k_from_scores(_quant.pq_adc_scan(_quant.pq_adc(model.codebook, rq), prepared), k)
+
+
+def _prepare_aq(cli, cb: AqCodebook, X: Collection):
+    encode = cli.aq_encode
+    codes = [encode(cb, X.vectors[i]) for i in range(len(X))]
+    offsets = _quant.adc_offsets(np.stack([c.codes for c in codes]), cb.n_codewords)
+    return offsets, np.array([c.norm_sq for c in codes])
+
+
+def _search_forest(cli, forest, X, q, k, args, prepared):
+    return _rp.defeatist_search(forest, X, q, k)
 
 
 # ---------------------------------------------------------------------------
@@ -583,36 +647,83 @@ def _decode_threshold_set(meta, arrays, X) -> list:
 
 
 class _Family(NamedTuple):
+    """Everything annkit knows of one container family. Quantizers
+    ``prepare`` X once per `annkit query` process, so that every query is
+    one table-lookup scan: ADC offsets for PQ and OPQ (X rotated first),
+    plus stored norms for AQ."""
+
     tag: int  # written into every container; never renumber
-    type: object  # exact type of the index object; list[T] for a list or tuple of T
+    module: _Lazy  # the module defining the index object's type, by path in ``module.name``
+    type_name: str  # the index object's exact type, by name
     encode: Callable  # obj -> (meta, arrays)
     decode: Callable  # (meta, arrays, X or None) -> obj
+    builds: dict  # `annkit build --index` name -> build(cli, X, args)
+    search: Optional[Callable] = None  # (cli, obj, X, q, k, args, prepared) -> TopKResult; None: a sketch
+    prepare: Callable = lambda cli, obj, X: None  # (cli, obj, X) -> prepared
+    listed: bool = False  # the index object is a list or tuple of ``type_name``
 
 
 _FAMILIES = {
-    "kd": _Family(1, KdTree, _encode_kd, _decode_kd),
-    "rp_forest": _Family(2, list[RpTree], _encode_rp_forest, _decode_rp_forest),
-    "spill_forest": _Family(3, list[SpillTree], _encode_spill_forest, _decode_spill_forest),
-    "cover": _Family(4, CoverTree, _encode_cover, _decode_cover),
-    "lsh": _Family(5, LshIndex, _encode_lsh, _decode_lsh),
-    "graph": _Family(6, NeighborGraph, _encode_graph, _decode_graph),
-    "ivf": _Family(7, IvfIndex, _encode_ivf, _decode_ivf),
-    "pq": _Family(8, PqCodebook, _encode_pq, _decode_pq),
-    "opq": _Family(9, OpqModel, _encode_opq, _decode_opq),
-    "aq": _Family(10, AqCodebook, _encode_aq, _decode_aq),
-    "wedge": _Family(11, WedgeIndex, _encode_wedge, _decode_wedge),
-    "jl": _Family(12, JlSketcher, _encode_jl, _decode_jl),
-    "asym_set": _Family(13, list[AsymSketch], _encode_asym_set, _decode_asym_set),
-    "threshold_set": _Family(14, list[ThresholdSketch], _encode_threshold_set, _decode_threshold_set),
+    "kd": _Family(1, _kd, "KdTree", _encode_kd, _decode_kd,
+                  {"kd": lambda cli, X, a: _kd.kd_build(X, a.leaf_capacity)},
+                  lambda cli, obj, X, q, k, a, p: _kd.kd_search_exact(obj, X, q, k)),
+    "rp_forest": _Family(2, _rp, "RpTree", _encode_rp_forest, _decode_rp_forest, {
+        "rp": lambda cli, X, a: [_rp.rp_build(X, a.leaf_capacity, seed=a.seed + t) for t in range(a.trees)],
+    }, _search_forest, listed=True),
+    "spill_forest": _Family(3, _rp, "SpillTree", _encode_spill_forest, _decode_spill_forest, {
+        "spill": lambda cli, X, a: [_rp.spill_build(X, a.leaf_capacity, a.overlap, seed=a.seed + t)
+                                    for t in range(a.trees)],
+    }, _search_forest, listed=True),
+    "cover": _Family(4, _cover, "CoverTree", _encode_cover, _decode_cover,
+                     {"cover": lambda cli, X, a: _cover.cover_build(X)},
+                     lambda cli, obj, X, q, k, a, p: _cover.cover_nn(obj, q, k)),
+    "lsh": _Family(5, _lsh, "LshIndex", _encode_lsh, _decode_lsh, {
+        "lsh": lambda cli, X, a: _lsh.build_index(
+            X, _lsh.HashFamily(_lsh.FamilyKind(a.family), seed=a.seed, d=X.dim, r=a.radius),
+            a.ell, a.tables, eps=a.eps),
+    }, lambda cli, obj, X, q, k, a, p: _lsh.lsh_topk(obj, X, q, k, cli._KINDS[a.kind])),
+    "graph": _Family(6, _graph, "NeighborGraph", _encode_graph, _decode_graph, {
+        "knn": lambda cli, X, a: _graph.build_knn_graph(X, a.k, cli._KINDS[a.kind]),
+        "sng": lambda cli, X, a: _graph.build_alpha_sng_exact(X, a.alpha),
+        "vamana": lambda cli, X, a: _graph.build_vamana(X, alpha=a.alpha, cap=a.degree,
+                                                        beam=a.beam or 2 * a.degree, seed=a.seed),
+    }, lambda cli, obj, X, q, k, a, p: _graph.greedy_search(
+        obj, X, q, k, entry=None if a.entry < 0 else a.entry, beam=a.beam)[0]),
+    "ivf": _Family(7, _ivf, "IvfIndex", _encode_ivf, _decode_ivf, {
+        "ivf": lambda cli, X, a: _ivf.build_ivf(X, cli._clusters(a), cli._KINDS[a.kind], max_iters=a.iters,
+                                                seed=a.seed),
+    }, lambda cli, obj, X, q, k, a, p: _ivf.ivf_search(obj, X, q, k, a.ell or max(1, obj.model.n_clusters // 10))),
+    "pq": _Family(8, _quant, "PqCodebook", _encode_pq, _decode_pq,
+                  {"pq": lambda cli, X, a: cli.pq_train(X, a.subspaces, a.codewords, seed=a.seed)},
+                  lambda cli, obj, X, q, k, a, p: top_k_from_scores(_quant.pq_adc_scan(_quant.pq_adc(obj, q), p), k),
+                  _prepare_pq),
+    "opq": _Family(9, _quant, "OpqModel", _encode_opq, _decode_opq, {
+        "opq": lambda cli, X, a: cli.opq_train(X, a.subspaces, a.codewords, iters=a.iters, seed=a.seed),
+    }, _search_opq, _prepare_opq),
+    "aq": _Family(10, _quant, "AqCodebook", _encode_aq, _decode_aq, {
+        "aq": lambda cli, X, a: _quant.aq_train(X, a.codebooks, a.codewords, beam=a.beam or a.codebooks,
+                                                iters=a.iters, seed=a.seed)[0],
+    }, lambda cli, obj, X, q, k, a, p: top_k_from_scores(_quant.aq_adc_scan(obj, q, *p), k), _prepare_aq),
+    "wedge": _Family(11, _sampling, "WedgeIndex", _encode_wedge, _decode_wedge,
+                     {"wedge": lambda cli, X, a: _sampling.build_wedge_index(X)},
+                     lambda cli, obj, X, q, k, a, p: _sampling.wedge_topk(
+                         obj, X, q, samples=a.samples, k=k, k_prime=a.k_prime, seed=a.seed)),
+    "jl": _Family(12, _sketch, "JlSketcher", _encode_jl, _decode_jl, {}),
+    "asym_set": _Family(13, _sketch, "AsymSketch", _encode_asym_set, _decode_asym_set, {}, listed=True),
+    "threshold_set": _Family(14, _sketch, "ThresholdSketch", _encode_threshold_set, _decode_threshold_set, {},
+                             listed=True),
 }
 _NAME_OF_TAG = {f.tag: name for name, f in _FAMILIES.items()}
-_NAME_OF_TYPE = {f.type: name for name, f in _FAMILIES.items()}
+_NAME_OF_TYPE = {(f.module.name, f.type_name, f.listed): name for name, f in _FAMILIES.items()}
 
 
 def family_of(obj) -> str:
-    """The container family name of an index object: keyed on its exact
-    type, or on its first element's type for a forest or sketch set."""
-    key = list[type(obj[0])] if isinstance(obj, (list, tuple)) and obj else type(obj)
+    """The container family name of an index object, matched on its exact
+    type's module and name, or its first element's for a forest or sketch
+    set; no family module is imported."""
+    listed = isinstance(obj, (list, tuple)) and bool(obj)
+    cls = type(obj[0]) if listed else type(obj)
+    key = (cls.__module__, cls.__qualname__, listed)
     if key not in _NAME_OF_TYPE:
         raise TypeError(f"no container encoding for {type(obj).__name__}")
     return _NAME_OF_TYPE[key]

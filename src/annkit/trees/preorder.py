@@ -53,6 +53,17 @@ def children(leaf_size: np.ndarray) -> tuple[list, list, int]:
     return left, right, int(codes[0])
 
 
+def subtree_leaves(leaf_size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves beneath each inner node, a run in pre-order: inner node j
+    holds leaves ``first[j]`` up to ``stop[j] - 1``."""
+    left, right, _ = children(leaf_size)
+    first, stop = [0] * len(left), [0] * len(left)
+    for j in reversed(range(len(left))):  # inner children are numbered after their parent
+        first[j] = ~left[j] if left[j] < 0 else first[left[j]]
+        stop[j] = ~right[j] + 1 if right[j] < 0 else stop[right[j]]
+    return np.array(first, dtype=np.int64), np.array(stop, dtype=np.int64)
+
+
 def leaf_paths(leaf_size: np.ndarray) -> np.ndarray:
     """(n_leaves, depth): each leaf's ancestors as slots ``2 * j + side``, j
     the ancestor's number and side 1 when the leaf lies right of its split;

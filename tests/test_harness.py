@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import re
 import struct
@@ -427,9 +428,15 @@ class TestContainerRoundTrips:
     def test_resave_is_identical_and_tag_pinned(self, tmp_path, containers, family):
         first, again = tmp_path / "first.akx", tmp_path / "again.akx"
         first.write_bytes(containers[family])
-        save_index(again, load_index(first, X=FAMILY_X))
+        loaded = load_index(first, X=FAMILY_X)
+        save_index(again, loaded)
         assert again.read_bytes() == containers[family]
         assert struct.unpack_from("<H", containers[family], 6)[0] == FAMILIES[family][0]
+        # the registry names the class by strings, which family_of matches without importing
+        spec = container._FAMILIES[family]
+        cls = type(loaded[0]) if spec.listed else type(loaded)
+        assert container.family_of(loaded) == family
+        assert getattr(importlib.import_module(spec.module.name), spec.type_name) is cls
 
 
 def _blob(version=1, tag=8, meta=b"{}", dtype=b"<f4", shape=(2,), data=b"\0" * 8, name=b"codewords"):
@@ -606,13 +613,17 @@ class TestContainerInputChecks:
          "arrays differ from the pre-order tree layout: unexpected [], missing ['t2_dir'"),
         ("kd", lambda m, a: a.update(left=a["leaf_size"]),
          "arrays differ from the pre-order tree layout: unexpected ['left'], missing []"),
+        ("rp_forest", lambda m, a: a["t0_size"].put(2, 999),
+         "t0_size must count the distinct leaf ids beneath each inner node"),
+        ("spill_forest", lambda m, a: a["t1_size"].put(1, a["t1_size"][1] - 1),
+         "t1_size must count the distinct leaf ids beneath each inner node"),
     ], ids=["kd_extra_node", "kd_missing_node", "rp_root_leaf", "kd_size_minus_two", "kd_float_sizes",
             "kd_short_axis", "kd_int_split", "rp_short_threshold", "spill_long_size", "kd_empty_leaf",
             "kd_short_ids", "spill_long_ids", "kd_repeated_id", "kd_id_out_of_range", "kd_size_meta",
             "kd_axis_dim", "kd_negative_axis", "rp_dir_columns", "spill_dir_3d", "rp_repeated_id",
             "rp_root_size", "spill_id_out_of_range", "spill_negative_id", "spill_missing_id", "rp_seeds",
             "spill_alphas",
-            "rp_n_trees", "kd_extra_array"])
+            "rp_n_trees", "kd_extra_array", "rp_inner_size", "spill_inner_size"])
     def test_malformed_tree_rejected(self, tmp_path, family, mangle, message):
         path = tmp_path / "bad.akx"
         _save_mangled(path, family, FAMILIES[family][1](FAMILY_X), mangle)
@@ -883,6 +894,25 @@ def run_cli(*argv):
     return proc
 
 
+def cli_modules(*argv) -> set:
+    """The annkit modules a run of ``python -m annkit.harness.cli`` has
+    imported when it exits."""
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['annkit', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('annkit.harness.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as stop:\n"
+            "    assert not stop.code, stop.code\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('annkit')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+FAMILY_MODULES = {"annkit.graph", "annkit.ivf", "annkit.lsh", "annkit.quant", "annkit.sampling",
+                  "annkit.sketch", "annkit.transforms", "annkit.trees"}
+
+
 class TestCli:
     def test_generate_query_deterministic(self, tmp_path):
         data = tmp_path / "d.vecs"
@@ -1019,7 +1049,9 @@ class TestCli:
         (lambda m, a: a.update(dims=a["dims"] + 1), "dims must be strictly ascending integers in [0, 4)"),
         (lambda m, a: a.update(dims=np.insert(a["dims"], 2, 2)),
          "lengths, column_sums and weight_sums must hold one entry per dim (4)"),
-    ], ids=["aliases_500", "dims_shifted", "dim_without_table"])
+        (lambda m, a: a["prob"].fill(np.nan), "prob must hold acceptance probabilities in [0, 1]"),
+        (lambda m, a: a["prob"].put(0, 1.5), "prob must hold acceptance probabilities in [0, 1]"),
+    ], ids=["aliases_500", "dims_shifted", "dim_without_table", "prob_nan", "prob_above_one"])
     def test_malformed_wedge_exits_2(self, tmp_path, mangle, message):
         data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "wedge.akx"
         X = np.random.default_rng(70).standard_normal((50, 4)).astype(np.float32)
@@ -1078,6 +1110,7 @@ class TestCli:
     def test_build_index_choices(self):
         out = run_cli("build", "--help")
         assert "--index {kd,rp,spill,cover,lsh,knn,sng,vamana,ivf,pq,opq,aq,wedge}" in out.stdout
+        assert "--family {" + ",".join(f.value for f in FamilyKind) + "}" in out.stdout
 
     def test_import_does_not_load_scipy_integrate(self):
         out = subprocess.run(
@@ -1087,6 +1120,40 @@ class TestCli:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout == "False\n"
+
+    def test_generate_imports_no_family(self, tmp_path):
+        loaded = cli_modules("generate", "--m", "10", "--d", "4", "--out", str(tmp_path / "d.vecs"))
+        assert "annkit.harness.synth" in loaded
+        # run as __main__, the CLI is never imported a second time by name
+        assert not loaded & (FAMILY_MODULES | {"annkit.harness.experiments", "annkit.harness.cli"})
+
+    def test_pq_query_imports_only_its_family(self, tmp_path):
+        data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "pq.akx"
+        save_vecs(data, rand_collection(50, 8, 72))
+        save_vecs(queries, rand_collection(2, 8, 73))
+        save_index(idx, pq_train(load_vecs(data), 2, 4, seed=1))
+        loaded = cli_modules("query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries),
+                             "--out", str(tmp_path / "pq.csv"))
+        assert "annkit.quant" in loaded
+        assert not loaded & {"annkit.graph", "annkit.lsh", "annkit.trees", "annkit.sampling", "annkit.sketch"}
+
+    def test_quantizer_names_rebound_on_the_cli_reach_builds_and_queries(self, tmp_path, monkeypatch):
+        """A traced benchmark run wraps these names on the CLI module."""
+        data, queries = tmp_path / "d.vecs", tmp_path / "q.vecs"
+        save_vecs(data, rand_collection(60, 8, 74))
+        save_vecs(queries, rand_collection(2, 8, 75))
+        calls = []
+        for name in ("pq_train", "opq_train", "pq_encode_all"):
+            def traced(*args, _name=name, _orig=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(cli, name, traced)
+        for index in ("pq", "opq"):
+            assert cli.main(["build", "--index", index, "--data", str(data), "--out", str(tmp_path / f"{index}.akx"),
+                             "--codewords", "4", "--iters", "1"]) == 0
+        assert cli.main(["query", "--index-file", str(tmp_path / "pq.akx"), "--data", str(data),
+                         "--queries", str(queries), "--out", str(tmp_path / "pq.csv")]) == 0
+        assert calls == ["pq_train", "opq_train", "pq_encode_all"]
 
     @pytest.mark.parametrize("index,extra", [
         ("pq", ["--subspaces", "4", "--codewords", "8"]),
