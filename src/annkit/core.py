@@ -333,7 +333,7 @@ def _rescore(X: Collection, ids: np.ndarray, q: Vector, k: int, kind: DistanceKi
     return TopKResult(ids=ids[pos], scores=scores[pos], k=k)
 
 
-# Fewest candidate rows that rescore (and a k-d leaf batch) screens first.
+# Fewest candidate rows that rescore screens first.
 # Below it, the screen's fixed cost (about a dozen numpy calls) exceeds the
 # float64 rows it saves: at d = 64 the two paths broke even near 192 rows
 # for L2 and 256 for inner product (README, "Search contract").
@@ -401,7 +401,6 @@ _F32_MAX = float(np.finfo(np.float32).max)
 _U32 = 2.0 ** -24  # unit roundoff of float32
 _TINY64 = 2.0 ** -1074  # smallest float64 subnormal
 _SCREEN_KINDS = (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT)
-_NO_SCORES = _frozen(np.zeros(0))
 
 
 def _gamma32(d: int) -> Optional[float]:
@@ -441,16 +440,15 @@ def _screen_rows(mat: np.ndarray) -> Optional[_ScreenRows]:
     return _ScreenRows(_frozen(c), _frozen(n - w), _frozen(n + w), float(c.max()))
 
 
-def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind, ids: Optional[np.ndarray] = None,
-            known: np.ndarray = _NO_SCORES) -> Optional[np.ndarray]:
+def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind,
+            ids: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
     """Rows of ``ids`` (all rows by default) that may hold the exact top-k,
     from a certified float32 scan; None where the screen does not apply.
-    ``known`` are exact scores of other rows, competing for the same k.
 
     Each row i gets a float32-fast estimate ``a_i`` of its exact score
     ``s_i`` (the float64 value :func:`score_rows` returns) and a bound
-    ``e_i >= |a_i - s_i|``. With ``T`` the k-th smallest of ``known`` and
-    the ``a_i + e_i``, every row scoring at most the k-th exact score of
+    ``e_i >= |a_i - s_i|``. With ``T`` the k-th smallest of the
+    ``a_i + e_i``, every row scoring at most the k-th exact score of
     all of them, ties included, satisfies ``a_i - e_i <= s_i <= T``. So
     the rows ``a_i - e_i <= T`` hold those of the top-k, and rescoring them
     gives brute force's answer bit for bit.
@@ -500,16 +498,16 @@ def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind, ids: Optional[
     ``|q|`` reaches float32's largest value, a row norm overflows float32,
     or ``b max_i c_i`` exceeds half that value (every float32 partial sum
     of ``p_i`` is at most ``(1 + gamma_d) c_i b`` in size, so none
-    overflows); also when there are no more than k rows and known scores
-    together, for other kinds (ANGULAR keeps its zero-row check), sparse
-    vectors, and a query of the wrong shape (the full path raises).
+    overflows); also when there are no more than k rows, for other kinds
+    (ANGULAR keeps its zero-row check), sparse vectors, and a query of the
+    wrong shape (the full path raises).
     """
     if kind not in _SCREEN_KINDS or not X.is_dense or isinstance(q, SparseVector):
         return None
     mat = X.vectors
     m, d = mat.shape
     qv = _as_f64(q)
-    if k >= (m if ids is None else ids.size) + known.size or qv.shape != (d,):
+    if k >= (m if ids is None else ids.size) or qv.shape != (d,):
         return None
     qq = float(qv @ qv)
     rows = X.screen_rows
@@ -539,8 +537,6 @@ def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind, ids: Optional[
         lin += d * 2.0 ** -150 * (1.0 + g)
         hi = v + lin
         lo = v - lin
-    if known.size:
-        hi = np.concatenate((known, hi))
     kth = np.partition(hi, k - 1)[k - 1]
     keep = np.flatnonzero(lo <= kth)
     return keep if ids is None else ids[keep]

@@ -492,8 +492,28 @@ def _encode_pq(cb: PqCodebook):
     return meta, {"codewords": cb.codewords.astype(np.float32)}
 
 
+def _codewords(meta, arrays, width: Optional[int] = None) -> np.ndarray:
+    """The codewords: a non-empty ``(L, C, width)`` float array of finite
+    values, with L and C as meta records them (and any width if None)."""
+    cw, L, C = arrays["codewords"], _meta(meta, "L", int), _meta(meta, "C", int)
+    _require(cw.ndim == 3 and cw.size and cw.dtype.kind == "f" and cw.shape[:2] == (L, C)
+             and (width is None or cw.shape[2] == width) and np.all(np.isfinite(cw)),
+             f"codewords must be a non-empty ({L}, {C}, {'d' if width is None else width}) "
+             "float array of finite values")
+    return cw
+
+
+def _require_width(X: Optional[Collection], width: int) -> None:
+    """With the collection given, require the index's vector width to be
+    the collection's."""
+    if X is not None:
+        _require(width == X.dim, f"the index has width {width}, the collection {X.dim}")
+
+
 def _decode_pq(meta, arrays, X) -> PqCodebook:
-    return _quant.PqCodebook(codewords=arrays["codewords"])
+    cw = _codewords(meta, arrays, _meta(meta, "d_sub", int))
+    _require_width(X, cw.shape[0] * cw.shape[2])
+    return _quant.PqCodebook(codewords=cw)
 
 
 def _encode_opq(model: OpqModel):
@@ -505,7 +525,12 @@ def _encode_opq(model: OpqModel):
 
 
 def _decode_opq(meta, arrays, X) -> OpqModel:
-    return _quant.OpqModel(rotation=arrays["rotation"], codebook=_quant.PqCodebook(codewords=arrays["codewords"]))
+    cw, rot = _codewords(meta, arrays), arrays["rotation"]
+    d = cw.shape[0] * cw.shape[2]
+    _require(rot.shape == (d, d) and rot.dtype.kind == "f" and np.all(np.isfinite(rot)),
+             f"rotation must be a ({d}, {d}) float array of finite values, d = L * d_sub")
+    _require_width(X, d)
+    return _quant.OpqModel(rotation=rot, codebook=_quant.PqCodebook(codewords=cw))
 
 
 def _encode_aq(cb: AqCodebook):
@@ -514,7 +539,10 @@ def _encode_aq(cb: AqCodebook):
 
 
 def _decode_aq(meta, arrays, X) -> AqCodebook:
-    return _quant.AqCodebook(codewords=arrays["codewords"], beam_width=_meta(meta, "beam", int))
+    beam, cw = _meta(meta, "beam", int), _codewords(meta, arrays)
+    _require(beam >= 1, f"beam must be at least 1, not {beam}")
+    _require_width(X, cw.shape[2])
+    return _quant.AqCodebook(codewords=cw, beam_width=beam)
 
 
 def _encode_wedge(index: WedgeIndex):
@@ -602,11 +630,11 @@ def _encode_threshold_set(sketches):
 
 
 def _decode_threshold_set(meta, arrays, X) -> list:
-    out_dim = _meta(meta, "out_dim", int)
+    out_dim, norms = _meta(meta, "out_dim", int), _meta(meta, "norms", [float])
+    indices = _unpack_ragged(arrays["indices"], arrays["offsets"])
+    _require(len(norms) == len(indices), f"norms must hold one norm per sketch ({len(indices)})")
     return [_sketch.ThresholdSketch(indices=idx, values=vals, norm_sq=norm, out_dim=out_dim)
-            for idx, vals, norm in zip(_unpack_ragged(arrays["indices"], arrays["offsets"]),
-                                       _unpack_ragged(arrays["values"], arrays["offsets"]),
-                                       _meta(meta, "norms", [float]))]
+            for idx, vals, norm in zip(indices, _unpack_ragged(arrays["values"], arrays["offsets"]), norms)]
 
 
 # ---------------------------------------------------------------------------

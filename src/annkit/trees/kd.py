@@ -1,4 +1,4 @@
-"""k-d tree with exact best-first search under squared L2.
+"""k-d tree with exact bound-pruned search under squared L2.
 
 Axes rotate round-robin with depth and each split happens at the lower
 median. Every point whose split-axis value ties the median is routed right,
@@ -6,13 +6,14 @@ except the median element itself, which stays left; this keeps both sides
 non-empty even when the collection contains duplicates, so construction
 always terminates.
 
-Search visits leaves in order of a certified lower bound on their scores
-(Arya & Mount's priority search, made exact): a leaf's bound is the largest
+Search orders the leaves by a certified lower bound on their scores (as
+in Arya & Mount's priority search, made exact): a leaf's bound is the largest
 squared plane distance over the ancestors whose split puts it on the far
-side from the query. Leaves are scored in growing batches until the next
-bound exceeds the k-th best score, each large batch through the certified
-float32 screen of brute force, so the answer equals brute force's, ids and
-scores bit for bit.
+side from the query. The rows of the fewest leaves in bound order that
+hold k rows are rescored first; their k-th score ``t`` is at least the
+true k-th score, so every leaf whose bound exceeds ``t`` is skipped and
+the rest are rescored, by brute force when none is skipped. The answer
+equals brute force's, ids and scores bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from annkit.core import _SCREEN_MIN_ROWS, Collection, DistanceKind, TopKResult, _screen, _smallest, score_rows
+from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk, rescore
 from annkit.core import pairwise_scores  # noqa: F401 -- perfbench traces calls through this name
 from annkit.trees.preorder import grow, leaf_offsets, leaf_paths, node_view
 
@@ -95,16 +96,24 @@ def _leaf_bounds(tree: KdTree, q64: np.ndarray) -> np.ndarray:
     return far[tree.paths].max(axis=1)
 
 
-def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKResult:
-    """Exact top-k: leaves in ``(bound, leaf)`` order, scored in batches of
-    1, 4, 16, ... leaves until the next bound exceeds the k-th best score.
+def _leaf_rows(tree: KdTree, leaves: np.ndarray) -> np.ndarray:
+    """The rows of ``leaves``: their runs of ``leaf_ids``, back to back."""
+    first = tree.offsets[leaves]
+    counts = tree.offsets[leaves + 1] - first
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return tree.leaf_ids[shift + np.arange(shift.size)]
 
-    Matches :func:`annkit.core.brute_force_topk` on ids and scores: a leaf
-    is skipped only when its bound alone certifies that nothing in it can
-    improve (or tie) the best set. Within a batch of ``_SCREEN_MIN_ROWS``
-    rows or more, :func:`annkit.core._screen` drops the rows whose float32
-    lower bound exceeds the k-th smallest of the best scores and the
-    batch's upper bounds, so only the rest are scored in float64.
+
+def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKResult:
+    """Exact top-k in two rescores: the fewest leaves, in ``(bound, leaf)``
+    order, that hold k rows give a k-th score ``t``; then the rows of every
+    leaf whose bound is not above ``t`` are rescored, or brute force
+    answers when that is every leaf.
+
+    Matches :func:`annkit.core.brute_force_topk` on ids and scores: every
+    row of a skipped leaf scores at least its bound, which exceeds ``t``,
+    and ``t`` is at least the true k-th score. ``t`` is +inf when there are
+    fewer than k rows, and a NaN ``t`` keeps every leaf.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -113,30 +122,10 @@ def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKR
         raise ValueError("query dimension mismatch")
     bounds = _leaf_bounds(tree, q64)
     order = np.argsort(bounds, kind="stable")
-    sorted_bounds = bounds[order]
-    best_ids = np.zeros(0, dtype=np.int64)
-    best_scores = np.zeros(0)
-    start, batch = 0, 1
-    while start < order.size:
-        stop = min(start + batch, order.size)
-        if best_ids.size == k:
-            stop = min(stop, int(np.searchsorted(sorted_bounds, best_scores[-1], side="right")))
-            if stop <= start:
-                break
-        leaves = order[start:stop]
-        first = tree.offsets[leaves]
-        counts = tree.offsets[leaves + 1] - first
-        # the batch's leaves' runs of leaf_ids, back to back
-        shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
-        ids = tree.leaf_ids[shift + np.arange(shift.size)]
-        if ids.size >= _SCREEN_MIN_ROWS:
-            kept = _screen(X, q64, k, DistanceKind.L2_SQUARED, ids, best_scores)
-            if kept is not None:
-                ids = kept
-        scores = score_rows(X, ids, q64, DistanceKind.L2_SQUARED)
-        ids = np.concatenate((best_ids, ids))
-        scores = np.concatenate((best_scores, scores))
-        pos = _smallest(scores, k, ids)
-        best_ids, best_scores = ids[pos], scores[pos]
-        start, batch = stop, batch * 4
-    return TopKResult(ids=best_ids, scores=best_scores, k=k)
+    first = order[:int(np.searchsorted(np.cumsum(np.diff(tree.offsets)[order]), k)) + 1]
+    seed = rescore(X, _leaf_rows(tree, first), q64, k, DistanceKind.L2_SQUARED)
+    t = seed.scores[k - 1] if len(seed) == k else np.inf
+    kept = np.flatnonzero(~(bounds > t))
+    if kept.size == bounds.size:
+        return brute_force_topk(X, q64, k, DistanceKind.L2_SQUARED)
+    return rescore(X, _leaf_rows(tree, kept), q64, k, DistanceKind.L2_SQUARED)

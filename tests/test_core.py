@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import annkit.core as core
-import annkit.trees.kd as kd_module
 from annkit.core import (
     Collection,
     DistanceKind,
@@ -362,7 +361,7 @@ class TestScreenedPaths:
         X, q = case
         tree = kd_build(X, data.draw(st.integers(1, 4)))
         k = data.draw(st.integers(1, len(X) + 2))
-        with mock.patch.object(kd_module, "_SCREEN_MIN_ROWS", 1):
+        with mock.patch.object(core, "_SCREEN_MIN_ROWS", 1):
             got = kd_search_exact(tree, X, q, k)
         assert_same_topk(got, unscreened(X, np.arange(len(X)), q, k, DistanceKind.L2_SQUARED))
 
@@ -370,8 +369,7 @@ class TestScreenedPaths:
     def test_overflow_gives_up_and_equals_unscreened(self, case):
         X, q = overflow_cases()[case]
         ids = np.array([3, 0, 2, 1])
-        with mock.patch.object(core, "_SCREEN_MIN_ROWS", 1), \
-                mock.patch.object(kd_module, "_SCREEN_MIN_ROWS", 1):
+        with mock.patch.object(core, "_SCREEN_MIN_ROWS", 1):
             for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
                 assert core._screen(X, q, 1, kind, ids) is None
                 for k in range(1, 6):
@@ -412,7 +410,7 @@ class TestScreenedPaths:
             scored.append(len(ids))
             return score_rows(X, ids, q, kind)
 
-        with mock.patch.object(kd_module, "score_rows", spy):
+        with mock.patch.object(core, "score_rows", spy):
             got = kd_search_exact(tree, X, q, 10)
         assert_same_topk(got, brute_force_topk(X, q, 10, DistanceKind.L2_SQUARED))
         # the screen leaves few of the 4000 rows to the float64 score

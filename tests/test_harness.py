@@ -1031,10 +1031,11 @@ class TestCli:
 
     @pytest.mark.parametrize("family,rows,width", [
         *((family, 20, 8) for family in ("kd", "rp_forest", "spill_forest", "graph", "wedge")),
-        *((family, 200, 9) for family in ("kd", "rp_forest", "spill_forest", "wedge")),
+        *((family, 200, 9) for family in ("kd", "rp_forest", "spill_forest", "wedge", "pq", "opq", "aq")),
     ])
     def test_index_over_another_collection_exits_2(self, tmp_path, family, rows, width):
-        # a graph records no width, so it has no wider case
+        # a graph records no width, so it has no wider case; a quantizer
+        # records no rows, so it has no shorter one
         data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / f"{family}.akx"
         save_index(idx, FAMILIES[family][1](rand_collection(200, 8, 67)))
         save_vecs(data, rand_collection(rows, width, 68))
@@ -1062,6 +1063,49 @@ class TestCli:
         out = run_cli("query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries))
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr == f"annkit: error: {idx}: malformed wedge container: {message}\n"
+
+    @pytest.mark.parametrize("family,mangle,message", [
+        ("pq", lambda m, a: a["codewords"].put(3, np.nan), "codewords must be a non-empty (2, 4, 4) "
+         "float array of finite values"),
+        ("pq", lambda m, a: a["codewords"].put(0, np.inf), "codewords must be a non-empty (2, 4, 4) "
+         "float array of finite values"),
+        ("pq", lambda m, a: a.update(codewords=a["codewords"][0]), "codewords must be a non-empty (2, 4, 4) "
+         "float array of finite values"),
+        ("pq", lambda m, a: a.update(codewords=a["codewords"].astype(np.int64)),
+         "codewords must be a non-empty (2, 4, 4) float array of finite values"),
+        ("pq", lambda m, a: m.update(C=3), "codewords must be a non-empty (2, 3, 4) float array of finite values"),
+        ("pq", lambda m, a: m.update(d_sub=2), "codewords must be a non-empty (2, 4, 2) float array of finite values"),
+        ("pq", lambda m, a: (m.update(L=1, d_sub=2), a.update(codewords=a["codewords"][:1, :, :2])),
+         "the index has width 2, the collection 8"),
+        ("opq", lambda m, a: a["codewords"].put(5, np.nan), "codewords must be a non-empty (2, 4, d) "
+         "float array of finite values"),
+        ("opq", lambda m, a: m.update(L=3), "codewords must be a non-empty (3, 4, d) float array of finite values"),
+        ("opq", lambda m, a: a["rotation"].put(9, np.nan), "rotation must be a (8, 8) float array of finite values, "
+         "d = L * d_sub"),
+        ("opq", lambda m, a: a.update(rotation=a["rotation"][:6, :6]), "rotation must be a (8, 8) float array "
+         "of finite values, d = L * d_sub"),
+        ("opq", lambda m, a: a.update(rotation=a["rotation"].ravel()), "rotation must be a (8, 8) float array "
+         "of finite values, d = L * d_sub"),
+        ("opq", lambda m, a: a.update(codewords=a["codewords"][:, :, :3], rotation=a["rotation"][:6, :6]),
+         "the index has width 6, the collection 8"),
+        ("aq", lambda m, a: m.update(beam=0), "beam must be at least 1, not 0"),
+        ("aq", lambda m, a: m.update(beam=-2), "beam must be at least 1, not -2"),
+        ("aq", lambda m, a: a["codewords"].put(7, -np.inf), "codewords must be a non-empty (2, 4, d) "
+         "float array of finite values"),
+        ("aq", lambda m, a: a.update(codewords=a["codewords"][:, :, :5]), "the index has width 5, the collection 8"),
+        ("threshold_set", lambda m, a: m.update(norms=m["norms"][:1]), "norms must hold one norm per sketch (3)"),
+        ("threshold_set", lambda m, a: m.update(norms=m["norms"] + [1.0]), "norms must hold one norm per sketch (3)"),
+    ], ids=["pq_nan", "pq_inf", "pq_2d", "pq_int", "pq_meta_C", "pq_meta_d_sub", "pq_narrow", "opq_nan",
+            "opq_meta_L", "opq_rotation_nan", "opq_rotation_small", "opq_rotation_flat", "opq_narrow", "aq_beam_0",
+            "aq_beam_negative", "aq_inf", "aq_narrow", "threshold_short_norms", "threshold_long_norms"])
+    def test_malformed_quantizer_or_threshold_set_exits_2(self, tmp_path, family, mangle, message):
+        data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / f"{family}.akx"
+        save_vecs(data, rand_collection(50, 8, 72))
+        save_vecs(queries, rand_collection(2, 8, 73))
+        _save_mangled(idx, family, FAMILIES[family][1](load_vecs(data)), mangle)
+        out = run_cli("query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == f"annkit: error: {idx}: malformed {family} container: {message}\n"
 
     @pytest.mark.parametrize("family", ["jl", "asym_set", "threshold_set"])
     def test_querying_a_sketch_container_exits_2(self, tmp_path, family):

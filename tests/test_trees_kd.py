@@ -1,12 +1,15 @@
 import hashlib
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import annkit.core as core
+import annkit.trees.kd as kd_module
 from annkit.core import Collection, DistanceKind, brute_force_topk
 from annkit.harness.container import load_index, save_index
 from annkit.trees import kd_build, kd_search_exact
@@ -164,6 +167,28 @@ class TestSearchExact:
             want = brute_force_topk(X, q, k, DistanceKind.L2_SQUARED)
             assert np.array_equal(got.ids, want.ids)
             assert got.scores.tobytes() == want.scores.tobytes()
+
+    def test_prunes_on_low_dimensional_data(self):
+        """Where leaf bounds prune, the tree path is taken: a few leaves' rows
+        are scored, brute force is not called, and the answer is its bits."""
+        rng = np.random.default_rng(8)
+        X = Collection(rng.uniform(-1, 1, size=(5000, 2)).astype(np.float32))
+        tree = kd_build(X, 8)
+        score_rows, scored = core.score_rows, []
+
+        def spy(X, ids, q, kind):
+            scored.append(len(ids))
+            return score_rows(X, ids, q, kind)
+
+        for q in rng.uniform(-1, 1, size=(20, 2)):
+            want = brute_force_topk(X, q, 10, DistanceKind.L2_SQUARED)
+            scored.clear()
+            with mock.patch.object(core, "score_rows", spy), \
+                    mock.patch.object(kd_module, "brute_force_topk", side_effect=AssertionError("brute force")):
+                got = kd_search_exact(tree, X, q, 10)
+            assert np.array_equal(got.ids, want.ids)
+            assert got.scores.tobytes() == want.scores.tobytes()
+            assert 10 <= sum(scored) < 250, scored
 
     def test_rejects_sparse(self):
         from annkit.core import SparseVector
