@@ -2,13 +2,16 @@
 """Time graph, cover-tree and k-means construction, and cover-tree search,
 and check their pinned outputs.
 
-Eight rows, each repeated:
+Ten rows, each repeated:
 
 * ``vamana-build-gaussian``: ``build_vamana`` at the build-gaussian
   benchmark's shape (5000 x 64 iid Gaussian rows, alpha 1.2, degree cap 16,
   build beam 32, 2 passes, data of benchmark seed 1);
 * ``vamana-criterion-07``: ``build_vamana`` at acceptance criterion 07's
   shape (5000 x 32, alpha 1.2, cap 32, beam 64, its first seed);
+* ``sng-300x8`` and ``sng-1500x32``: ``build_alpha_sng_exact`` at alpha 1.2
+  over acceptance criterion 06's data (300 x 8 Gaussian rows, seed 601) and
+  over 1500 x 32 Gaussian rows (seed 1500);
 * ``cover-2000x64``: ``cover_build`` over the first 2000 rows of the
   build-gaussian data;
 * ``cover-nn-2000x64``: ``cover_nn`` top-10 for the build-gaussian
@@ -25,11 +28,12 @@ Eight rows, each repeated:
 Every row's output is hashed (the sized adjacency rows and the ``.akx``
 bytes for graphs, the ``(id, score)`` answers for the cover search, the
 ``.akx`` bytes for the rest) and compared with pinned digests; a mismatch
-fails the run. The graph digests are pinned from the batch Vamana build,
-the others from the per-cluster Lloyd loop and the cover search over node
+fails the run. The Vamana digests are pinned from the batch build, the
+SNG digests from the single-node prune with certified Gram blocks, the
+others from the per-cluster Lloyd loop and the cover search over node
 dicts; every ``.akx`` digest from the container that stores each integer
 array at its narrowest width. Beside each ``.akx`` digest goes the file's
-size in bytes, ``akx_bytes``, and beside a graph's digests its recall@10
+size in bytes, ``akx_bytes``, and beside a Vamana graph's digests its recall@10
 for 300 Gaussian queries (the build-gaussian benchmark's first 300, or
 seed 800 at criterion 07's shape), searched by ``greedy_search`` at beam
 64.
@@ -61,7 +65,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from annkit.core import Collection, DistanceKind, brute_force_topk, recall  # noqa: E402
-from annkit.graph import build_vamana, greedy_search  # noqa: E402
+from annkit.graph import build_alpha_sng_exact, build_vamana, greedy_search  # noqa: E402
 from annkit.harness.container import save_index  # noqa: E402
 from annkit.ivf import build_ivf  # noqa: E402
 from annkit.quant import opq_train, pq_train  # noqa: E402
@@ -77,6 +81,12 @@ PINNED = {
     "vamana-criterion-07": (
         "cce9d258f048385172e7e2795478bb685a68e67fd58db187cca8d6196dd83cbe",
         "5745c8f1c27df167171328b2c846c1ff38abde1e7d8ec6cad9cab68096b286e1"),
+    "sng-300x8": (
+        "99b1aadb71d043023f69ca890e5a80dca056ef7d77bf70067094e8a0c5e3fc61",
+        "7d3f6a74afd82ca1191a7b576983b91c0be56a15bf473e9b59f785464bba0bea"),
+    "sng-1500x32": (
+        "d586a5c6aac1b8f98d85945f2d65522ab0d3b8fcdd55142a82890fe9fa4161ee",
+        "d76a9320b12a944994a07c9df09a414c9b6ed8ab375d91559b641df723ee6d32"),
     "cover-2000x64": (
         None,
         "55a0eae9ac1432e3377bdcec1526eec821c5cea2b21f3b340336565500e0830f"),
@@ -159,6 +169,8 @@ def rows():
     bq = rng.standard_normal((2000, 64)).astype(np.float32)[:300]
     c07 = Collection(gaussian_rows(700, 5000, 32))
     c07q = gaussian_rows(800, 300, 32)
+    c06 = Collection(gaussian_rows(601, 300, 8))
+    s1500 = Collection(gaussian_rows(1500, 1500, 32))
     cf = Collection(gaussian_rows(0, 10000, 64))
     qc = Collection(mixture_rows(1, 20000))
     return {
@@ -167,6 +179,8 @@ def rows():
             lambda X: build_vamana(X, alpha=1.2, cap=16, beam=32, seed=5, passes=2), graph_digests, bq),
         "vamana-criterion-07": (
             lambda: c07, lambda X: build_vamana(X, alpha=1.2, cap=32, beam=64, seed=0), graph_digests, c07q),
+        "sng-300x8": (lambda: c06, lambda X: build_alpha_sng_exact(X, 1.2), graph_digests, None),
+        "sng-1500x32": (lambda: s1500, lambda X: build_alpha_sng_exact(X, 1.2), graph_digests, None),
         "cover-2000x64": (lambda: Collection(bg[:2000]), cover_build, index_digests, None),
         "cover-nn-2000x64": (
             lambda: cover_build(Collection(bg[:2000])),

@@ -21,7 +21,6 @@ from annkit.core import (
     Collection,
     DistanceKind,
     TopKResult,
-    _smallest,
     pairwise_scores,
     score_rows,
     top_k_from_scores,
@@ -281,17 +280,12 @@ def _search_block(table: np.ndarray, X: Collection, Q64: np.ndarray, entries: np
 
 
 _U64 = 2.0 ** -53  # unit roundoff of float64
-# pairs of the cover masks worked out at a time, as rows of every column:
-# one block holds every row of a Vamana prune (tens of candidates), and an
-# exact-SNG prune, which keeps a few of thousands of candidates, works out
-# few rows that it never visits
-_COVER_PAIRS = 4096
 
 
 def _cover_thresholds(cmat: np.ndarray, d_u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Squared row norms ``n`` of ``cmat`` and the per-column thresholds
     ``[lo, hi]`` (a leading axis of 2) for the Gram test of
-    :func:`_cover_rows`. Leading axes of ``cmat`` and ``d_u`` are a batch of
+    :func:`_prune_chunk`. Leading axes of ``cmat`` and ``d_u`` are a batch of
     independent prunes, zero rows padding a prune's candidates.
 
     Candidate v covers w when ``d_u[w] > fl(alpha * fl(sqrt(S_vw)))``,
@@ -334,21 +328,6 @@ def _covered(w_rows: np.ndarray, v_rows: np.ndarray, d_uw: np.ndarray, alpha: fl
     return d_uw > alpha * np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def _cover_rows(rows: list, cmat: np.ndarray, cmat_t: np.ndarray, n: np.ndarray,
-                thresholds: np.ndarray) -> bytes:
-    """Masks ``[covers, maybe]`` of the rows ``rows`` against every column,
-    packed little-endian row by row: v covers w for sure where
-    ``s_vw < lo_w``, and may cover it where ``s_vw < hi_w``.
-    ``cmat_t`` is a contiguous copy of ``cmat.T``, so that the product is
-    a plain matmul."""
-    rows = np.array(rows)
-    gram = cmat[rows] @ cmat_t
-    s = n[rows, None] + n
-    gram *= 2.0
-    s -= gram
-    return np.packbits(s < thresholds[:, None, :], axis=2, bitorder="little").tobytes()
-
-
 def robust_prune(
     u: int,
     candidates: np.ndarray,
@@ -362,71 +341,9 @@ def robust_prune(
     The alpha comparison multiplies true (unsquared) L2 distances; squared
     values would silently rescale alpha. Candidate v covers w when
     ``d(u, w) > alpha * d(v, w)``, with ``d(v, w)`` as one diff-einsum pass
-    computes it. A Gram block settles almost every pair
-    (:func:`_cover_thresholds`); only the pairs it leaves open are computed
-    by the diff-einsum itself, so the kept set is the row-by-row prune's,
-    bit for bit. The keep loop holds the candidates still in the running
-    and each row of the cover masks as ints, bit w for candidate w, and
-    works out the rows it reaches in blocks of the next alive candidates.
+    computes it. The one-node case of :func:`robust_prune_batch`.
     """
-    if alpha < 1.0:
-        raise ValueError("alpha must be at least 1")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    # np.unique would hash the ids first: 11 us more on a Vamana prune's ~36
-    # ids, 95 us more on the exact alpha-SNG's 999
-    cand = np.sort(np.asarray(candidates, dtype=np.int64))
-    fresh = cand != u
-    fresh[1:] &= cand[1:] != cand[:-1]
-    cand = cand[fresh]
-    if cand.size == 0:
-        return cand
-    u64 = X.vectors[u].astype(np.float64)
-    d_u = np.sqrt(score_rows(X, cand, u64, DistanceKind.L2_SQUARED))
-    order = _smallest(d_u, cand.size, cand)  # the keep loop goes in (distance, id) order
-    cand, d_u = cand[order], d_u[order]
-    cmat = X.vectors[cand].astype(np.float64)
-    sq_norms, thresholds = _cover_thresholds(cmat, d_u, alpha)
-    cmat_t = cmat.T.copy()
-    width = (cand.size + 7) // 8  # bytes per packed row
-    rows = max(8, _COVER_PAIRS // cand.size)  # per block
-    block: list[int] = []  # the candidates whose mask rows are in ``packed``, ascending
-    kept: list[int] = []
-    alive = (1 << cand.size) - 1
-    while alive:
-        v = (alive & -alive).bit_length() - 1
-        kept.append(v)
-        if len(kept) >= cap:
-            break
-        # v was alive when the block was made, so it is in the block unless
-        # it lies past it; then the next block starts at v and holds the next
-        # ``rows`` alive candidates, or every row from v on if they fit
-        if not block or v > block[-1]:
-            block = list(range(v, cand.size)) if cand.size - v <= rows else _low_bits(alive, rows)
-            packed = _cover_rows(block, cmat, cmat_t, sq_norms, thresholds)
-        j, size = bisect_left(block, v), len(block)
-        covers_row = packed[j * width:(j + 1) * width]
-        maybe_row = packed[(size + j) * width:(size + j + 1) * width]
-        covers = int.from_bytes(covers_row, "little")
-        alive &= ~(covers | 1 << v)
-        if maybe_row == covers_row:
-            continue
-        unsure = int.from_bytes(maybe_row, "little") & ~covers & alive  # left open by the bounds: rare
-        if unsure:
-            ws = np.array(_low_bits(unsure, cand.size))
-            for w in ws[_covered(cmat[ws], cmat[v], d_u[ws], alpha)].tolist():
-                alive &= ~(1 << w)
-    return np.sort(cand[kept])
-
-
-def _low_bits(mask: int, count: int) -> list:
-    """Positions of the lowest ``count`` set bits of ``mask``, ascending."""
-    out = []
-    while mask and len(out) < count:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return robust_prune_batch(np.array([u]), [candidates], alpha, cap, X)[0]
 
 
 # a batch prune pads its nodes' candidates into (B, n_max, d) float64 blocks
@@ -443,8 +360,8 @@ def robust_prune_batch(
     cap: int,
     X: Collection,
 ) -> list:
-    """:func:`robust_prune` for many nodes at once: entry i equals
-    ``robust_prune(us[i], candidate_lists[i], alpha, cap, X)`` bit for bit.
+    """:func:`robust_prune` for many nodes at once: entry i is the prune of
+    node ``us[i]`` over ``candidate_lists[i]``.
 
     The nodes are pruned independently. One sort of ``node * m + id`` keys
     takes the unique candidates of every list. The nodes, ordered by
@@ -550,11 +467,35 @@ def _prune_chunk(us: np.ndarray, ids: np.ndarray, first: np.ndarray, count: np.n
 
 
 def build_alpha_sng_exact(X: Collection, alpha: float) -> NeighborGraph:
-    """Exact alpha-shortcut neighborhood graph by the full O(m^3) prune."""
+    """Exact alpha-shortcut neighborhood graph by the full O(m^3) prune.
+
+    Each node prunes every other node by :func:`robust_prune`'s rule: keep
+    the live candidate with the smallest ``(distance, id)`` (``argmin``
+    takes the lowest id of a tie), drop every w it covers,
+    ``d(u, w) > alpha * d(v, w)``, repeat. All distances come from one
+    ``(m, m)`` float64 matrix, 8 m^2 bytes, filled row by row with
+    :func:`pairwise_scores`' diff-einsum, so each has the prune's bits.
+    """
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
     m = len(X)
-    rows = [robust_prune(u, np.arange(m), alpha, cap=m, X=X) for u in range(m)]  # the prune drops u itself
+    dist = np.empty((m, m))
+    for v in range(m):
+        dist[v] = pairwise_scores(X, X.vectors[v], DistanceKind.L2_SQUARED)
+    np.sqrt(dist, out=dist)
+    rows = []
+    for u in range(m):
+        d_u, kept = dist[u], []
+        live = d_u.copy()  # d_u of the live candidates, +inf elsewhere: every distance is finite
+        live[u] = np.inf
+        while True:
+            v = int(live.argmin())
+            if live[v] == np.inf:
+                break
+            kept.append(v)
+            live[d_u > alpha * dist[v]] = np.inf
+            live[v] = np.inf  # v covers itself, unless it duplicates u
+        rows.append(np.sort(np.array(kept, dtype=np.int64)))
     return NeighborGraph(offsets=np.cumsum([0] + [row.size for row in rows], dtype=np.int64),
                          ids=np.concatenate(rows), directed=True, entry=medoid(X),
                          kind=DistanceKind.L2_SQUARED, alpha=alpha, construction="sng")

@@ -394,10 +394,15 @@ def _encode_lsh(index: LshIndex):
 
 
 def _decode_lsh(meta, arrays, X) -> LshIndex:
-    fam = _lsh.HashFamily(_meta(meta, "kind", _lsh.FamilyKind), seed=_meta(meta, "seed", int),
-                          d=_meta(meta, "d", int), r=_meta(meta, "r", float))
+    try:
+        fam = _lsh.HashFamily(_meta(meta, "kind", _lsh.FamilyKind), seed=_meta(meta, "seed", int),
+                              d=_meta(meta, "d", int), r=_meta(meta, "r", float))
+    except ValueError as err:  # a bucket width the family refuses
+        raise _BadMeta(str(err)) from None
+    _require_width(X, fam.d)
     index = _lsh.LshIndex(family=fam, ell=_meta(meta, "ell", int), big_l=_meta(meta, "big_l", int), tables=[],
                           eps=_meta(meta, "eps", float))
+    _require(index.ell >= 1 and index.big_l >= 1, "ell and big_l must be at least 1")
     keys, ids, offsets = arrays["keys"], arrays["ids"], arrays["offsets"]
     buckets = _unpack_ragged(ids, offsets)
     sizes = _meta(meta, "table_sizes", [int])

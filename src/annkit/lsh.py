@@ -92,6 +92,10 @@ class HashFamily:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)  # function -> parameters
     _stacks: dict = field(default_factory=dict, repr=False, compare=False)  # (first, count) -> stacked
 
+    def __post_init__(self):
+        if self.kind is FamilyKind.P_STABLE_L2 and not (math.isfinite(self.r) and self.r > 0.0):
+            raise ValueError(f"p-stable bucket width r must be finite and positive, not {self.r}")
+
     def _rng(self, func_index: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(entropy=(self.seed, func_index)))
 

@@ -88,15 +88,15 @@ def cover_insert(tree: CoverTree, point_id: int) -> None:
     The parent is the closest candidate at the level where the descent
     bottomed out; picking the closest among the valid parents is our
     convention (any candidate within the cover radius would satisfy the
-    invariants).
+    invariants). A point equal, element for element, to one of the tree's
+    points is refused as :func:`cover_build` refuses it, naming the lowest
+    such id.
     """
     if tree.root is not None:
-        # candidate pruning during descent can skip a deep duplicate, so the
-        # presence check must be an exact search
-        nearest = cover_nn(tree, tree.X.vectors[point_id], 1)
-        if nearest.scores[0] == 0.0:
-            raise DuplicatePointError(
-                f"point {point_id} duplicates point {int(nearest.ids[0])}")
+        ids = np.concatenate([[tree.root]] + [tree.links(level)[0] for level in tree.by_level])
+        equal = ids[(tree.X.vectors[ids] == tree.X.vectors[point_id]).all(axis=1)]
+        if equal.size:
+            raise DuplicatePointError(f"point {point_id} duplicates point {int(equal.min())}")
     _insert(tree, point_id)
 
 
@@ -129,8 +129,6 @@ def _insert(tree: CoverTree, point_id: int) -> None:
         kids = _children(tree, member, q_ids, level - 1)
         cand_ids = np.concatenate((q_ids, kids))
         cand_dists = np.concatenate((q_dists, tree._dist_many(q64, kids)))
-        if np.any(cand_dists == 0.0):
-            raise DuplicatePointError(f"point {point_id} duplicates an indexed point")
         radius = 2.0 ** level
         if float(cand_dists.min()) > radius:
             break  # no parent below this level

@@ -132,8 +132,8 @@ def adjacency_table(adjacency):
 def build_vamana_reference(X, alpha, cap, beam, seed, kind=DistanceKind.L2_SQUARED, passes=2):
     """Node-by-node Vamana: each node, in a seeded random order, is searched
     for with ``greedy_search`` on the graph as it stands, re-linked by
-    ``robust_prune``, and adds its reverse edges one target at a time,
-    re-pruning a target that overflows its slack. The oracle for
+    ``robust_prune_reference``, and adds its reverse edges one target at a
+    time, re-pruning a target that overflows its slack. The oracle for
     ``build_vamana`` with one node per batch."""
     m = len(X)
     rng = np.random.default_rng(seed)
@@ -142,7 +142,7 @@ def build_vamana_reference(X, alpha, cap, beam, seed, kind=DistanceKind.L2_SQUAR
     fields = dict(entry=medoid(X), kind=kind, alpha=alpha, degree_cap=cap, construction="vamana")
 
     def relink(u, candidates):
-        rows[u] = robust_prune(u, candidates, alpha, cap, X)
+        rows[u] = robust_prune_reference(u, candidates, alpha, cap, X)
         return rows[u]
 
     for _ in range(passes):
@@ -408,10 +408,9 @@ class TestRobustPrune:
         X = Collection(np.arange(9, dtype=np.float32)[:, None])
         cmat = X.vectors[1:].astype(np.float64)
         d_u = np.arange(1.0, 9.0)
-        n, thresholds = graph._cover_thresholds(cmat, d_u, alpha)
-        packed = np.frombuffer(graph._cover_rows(list(range(8)), cmat, cmat.T.copy(), n, thresholds),
-                               dtype=np.uint8)  # one byte per row: 8 candidates
-        covers, maybe = np.unpackbits(packed, bitorder="little").reshape(2, 8, 8).astype(bool)
+        n, (lo, hi) = graph._cover_thresholds(cmat, d_u, alpha)
+        s = (n[:, None] + n) - 2.0 * (cmat @ cmat.T)  # the Gram value of every pair (v, w)
+        covers, maybe = s < lo, s < hi
         exact = alpha * np.abs(d_u[None, :] - d_u[:, None])
         ties = d_u == exact
         assert ties.any()
@@ -424,8 +423,7 @@ class TestRobustPrune:
 
     @pytest.mark.parametrize("style", ["int", "gauss"])
     def test_equals_reference_past_the_first_block(self, style):
-        # with 300 candidates the cover masks are worked out a few rows at a
-        # time, the later blocks from the candidates still alive
+        # 300 candidates, all of a collection, pruned to the cap or to the end
         rng = np.random.default_rng(40)
         if style == "int":
             rows = rng.integers(-6, 7, size=(301, 2)).astype(np.float32)
@@ -436,18 +434,6 @@ class TestRobustPrune:
             for alpha, cap in ((1.0, 301), (1.2, 301), (1.2, 40)):
                 assert np.array_equal(robust_prune(u, np.arange(301), alpha, cap, X),
                                       robust_prune_reference(u, np.arange(301), alpha, cap, X))
-
-    def test_orders_candidates_with_smallest(self, monkeypatch):
-        calls = []
-
-        def spy(scores, k, ids=None):
-            calls.append(k)
-            return smallest(scores, k, ids)
-
-        smallest = graph._smallest
-        monkeypatch.setattr(graph, "_smallest", spy)
-        robust_prune(0, np.arange(1, 20), 1.2, 4, rand_collection(20, 3, 14))
-        assert calls == [19]
 
 
 class TestRobustPruneBatch:
@@ -504,6 +490,41 @@ class TestRobustPruneBatch:
             robust_prune_batch(np.array(us), lists, alpha, cap, rand_collection(5, 2, 57))
 
 
+def sng_collection(style, m, d, seed):
+    """Gaussian rows, or rows of the integer grid [-3, 3]^d, with exact
+    distance ties and duplicate rows."""
+    rng = np.random.default_rng(seed)
+    if style == "gauss":
+        return Collection(rng.standard_normal((m, d)).astype(np.float32))
+    return Collection(rng.integers(-3, 4, size=(m, d)).astype(np.float32))
+
+
+# (data style, m, d, data seed, alpha) -> sha256 of the sized rows and of
+# the .akx file, pinned from the single-node prune with certified Gram
+# blocks that built the exact alpha-SNG before the plain distance-matrix
+# prune; the integer grid holds 22 duplicate rows
+SNG_SHA256 = {
+    ("gauss", 200, 6, 90, 1.0): (
+        "822dda72edc1f8f1b9422989ea8103d1b7820c218a96d02d833d9c64492ad98b",
+        "2d515ff586b586b0ac16ce08b5919f0668b54989ee923806d8b37e45f9721618"),
+    ("gauss", 200, 6, 90, 1.2): (
+        "9c4543304080d760deca848bab76ad4a9dee1675fbcd730f2b7ef55537f41fd4",
+        "8f5b4f510f9be17b818b5a152bc79617448b6012e41ea4622051b3393d898d9e"),
+    ("gauss", 200, 6, 90, 2.0): (
+        "9c1e01eba43f47690d4c5aaf1bed82963773ceda9f8221c862fb8e402d1ad51a",
+        "3c477e9c2c152fb151c959b64348e297bce3fc58495c268975f37120d7f510d0"),
+    ("int", 150, 3, 91, 1.0): (
+        "65853375b7cdd2fd766086b019923980e71fe7ac29ef9c282660211bc5a5b253",
+        "d1d56902f2fd960b43fac23a731d546c7aafda4cb5424197c7fbdb3f3b61723c"),
+    ("int", 150, 3, 91, 1.2): (
+        "219fc5d90877508672f4aacad6c57f034b6ae1aa5d7a92c50c6915b8e6d0416d",
+        "b119154461f96654face109faf124b9d7fb072cd69c9e3be275151f3e8f27395"),
+    ("int", 150, 3, 91, 2.0): (
+        "40cf85d82c7f545e240605c3009ae7a50bb99d0cf51ac62dde479894c63213be",
+        "4ebdf4275205bd251700fa14fe72dd150852c4a311e1ad1e14ca3552ea1f2500"),
+}
+
+
 class TestAlphaSng:
     def test_two_points_mutual_edge(self):
         X = rand_collection(2, 3, 14)
@@ -539,6 +560,27 @@ class TestAlphaSng:
             for entry in range(0, 60, 7):
                 res, _ = greedy_search(G, X, X.vectors[j], k=1, entry=entry, beam=1)
                 assert res.ids[0] == j
+
+    @settings(max_examples=200, deadline=None)
+    @given(prune_cases())
+    def test_rows_equal_the_reference_prune(self, case):
+        _, _, alpha, _, X = case
+        m = len(X)
+        G = build_alpha_sng_exact(X, alpha)
+        for u in range(m):
+            assert np.array_equal(G.adjacency[u], robust_prune_reference(u, np.arange(m), alpha, m, X))
+
+    @pytest.mark.parametrize("shape", sorted(SNG_SHA256))
+    def test_pinned_rows_and_container(self, shape, tmp_path):
+        style, m, d, data_seed, alpha = shape
+        G = build_alpha_sng_exact(sng_collection(style, m, d, data_seed), alpha)
+        digest = hashlib.sha256()
+        for row in G.adjacency:
+            assert row.dtype == np.int64 and np.all(np.diff(row) > 0)
+            digest.update(np.int64(row.size).tobytes() + row.tobytes())
+        save_index(tmp_path / "sng.akx", G)
+        assert (digest.hexdigest(), hashlib.sha256((tmp_path / "sng.akx").read_bytes()).hexdigest()) \
+            == SNG_SHA256[shape]
 
 
 # (m, d, data seed, alpha, cap, beam, seed) -> sha256 of the sized rows and

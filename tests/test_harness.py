@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import re
 import struct
 import subprocess
@@ -1106,6 +1107,42 @@ class TestCli:
         out = run_cli("query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries))
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr == f"annkit: error: {idx}: malformed {family} container: {message}\n"
+
+    def test_lsh_over_a_wider_collection_exits_2(self, tmp_path):
+        data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "lsh.akx"
+        save_index(idx, FAMILIES["lsh"][1](rand_collection(50, 8, 74)))
+        save_vecs(data, rand_collection(50, 16, 75))
+        save_vecs(queries, rand_collection(2, 16, 76))
+        out = run_cli("query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == f"annkit: error: {idx}: malformed lsh container: the index has width 8, the collection 16\n"
+
+    @pytest.mark.parametrize("mangle,message", [
+        (lambda m, a: m.update(r=0.0), "p-stable bucket width r must be finite and positive, not 0.0"),
+        (lambda m, a: m.update(r=-1.0), "p-stable bucket width r must be finite and positive, not -1.0"),
+        (lambda m, a: m.update(r=math.inf), "p-stable bucket width r must be finite and positive, not inf"),
+        (lambda m, a: m.update(ell=0), "ell and big_l must be at least 1"),
+        (lambda m, a: m.update(big_l=0, table_sizes=[]), "ell and big_l must be at least 1"),
+    ], ids=["r_0", "r_negative", "r_inf", "ell_0", "big_l_0"])
+    def test_malformed_pstable_lsh_exits_2(self, tmp_path, mangle, message):
+        data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "lsh.akx"
+        save_vecs(data, rand_collection(50, 8, 77))
+        save_vecs(queries, rand_collection(2, 8, 78))
+        _save_mangled(idx, "lsh", build_index(load_vecs(data), HashFamily(FamilyKind.P_STABLE_L2, seed=1, d=8),
+                                              2, 3), mangle)
+        out = run_cli("query", "--index-file", str(idx), "--data", str(data), "--queries", str(queries))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == f"annkit: error: {idx}: malformed lsh container: {message}\n"
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf"])
+    def test_pstable_radius_not_finite_and_positive_exits_2(self, tmp_path, radius):
+        data, idx = tmp_path / "d.vecs", tmp_path / "lsh.akx"
+        save_vecs(data, rand_collection(50, 8, 79))
+        out = run_cli("build", "--index", "lsh", "--family", "pstable", "--radius", radius,
+                      "--data", str(data), "--out", str(idx))
+        assert out.returncode == 2 and out.stdout == "" and not idx.exists()
+        assert out.stderr == (f"annkit: error: p-stable bucket width r must be finite and positive, "
+                              f"not {float(radius)}\n")
 
     @pytest.mark.parametrize("family", ["jl", "asym_set", "threshold_set"])
     def test_querying_a_sketch_container_exits_2(self, tmp_path, family):

@@ -72,6 +72,12 @@ class TestHashFamilies:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(fam, field, value)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+    def test_pstable_width_must_be_finite_and_positive(self, r):
+        with pytest.raises(ValueError, match="p-stable bucket width r must be finite and positive"):
+            HashFamily(FamilyKind.P_STABLE_L2, seed=1, d=3, r=r)
+        HashFamily(FamilyKind.HYPERPLANE, seed=1, d=3, r=r)  # only the p-stable family reads r
+
     def test_hyperplane_antipodal_never_collides(self):
         fam = HashFamily(FamilyKind.HYPERPLANE, seed=0, d=6)
         u = np.random.default_rng(1).standard_normal(6)

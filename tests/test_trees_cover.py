@@ -135,6 +135,21 @@ class TestBuildAndInvariants:
             with pytest.raises(DuplicatePointError, match="^point 3 duplicates point 1$"):
                 build(Collection(rows))
 
+    def test_insert_names_the_equal_point_of_the_tree(self):
+        rows = np.random.default_rng(13).standard_normal((8, 3)).astype(np.float32)
+        rows[6], rows[7] = rows[2], -0.0
+        rows[5, 0] = 0.0
+        rows[7, 1:] = rows[5, 1:]
+        tree = CoverTree(X=Collection(rows))
+        for i in (4, 2, 0, 5, 3):  # out of id order
+            cover_insert(tree, i)
+        for point, message in ((6, "point 6 duplicates point 2"), (7, "point 7 duplicates point 5"),
+                               (2, "point 2 duplicates point 2")):
+            with pytest.raises(DuplicatePointError, match=f"^{message}$"):
+                cover_insert(tree, point)
+        cover_insert(tree, 1)
+        assert tree.size == 6
+
     def test_invariant_scan_uniform(self):
         X = Collection(np.random.default_rng(0).uniform(0, 1, size=(256, 8)).astype(np.float32))
         tree = cover_build(X)
