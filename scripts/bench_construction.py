@@ -43,6 +43,11 @@ one machine sit side by side, and builds of the two can be run in turn:
 
     PYTHONPATH=src python scripts/bench_construction.py --label after
 
+``--check`` builds every row once, compares the digests and writes
+nothing; the exit code is 1 if any digest differs:
+
+    PYTHONPATH=src python scripts/bench_construction.py --check
+
 BLAS is pinned to one thread unless the environment says otherwise.
 """
 
@@ -194,10 +199,18 @@ def rows():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--label", help="key of this run in the output file")
+    parser.add_argument("--check", action="store_true",
+                        help="only compare every digest with its pin; write nothing")
+    parser.add_argument("--repeats", type=int, help="repeats per row (default 3, 1 with --check)")
     parser.add_argument("--only", action="append", help="run only the named row (repeatable)")
     args = parser.parse_args(argv)
+    if args.check == bool(args.label):
+        parser.error("give exactly one of --label and --check")
+    if args.repeats is None:
+        args.repeats = 1 if args.check else 3
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
 
     results, ok = {}, True
     with tempfile.TemporaryDirectory() as tmp:
@@ -218,12 +231,14 @@ def main(argv=None) -> int:
             if akx_bytes is not None:
                 results[name]["akx_bytes"] = akx_bytes
             quality = ""
-            if queries is not None:
+            if queries is not None and not args.check:
                 results[name]["recall_at_10"] = round(graph_recall(out, given, queries), 4)
                 quality = f", recall@10 {results[name]['recall_at_10']:.4f}"
             print(f"{name}: median {statistics.median(seconds):.3f} s over {args.repeats}, "
                   f"digests {'match' if match else 'DIFFER'}{quality}", flush=True)
 
+    if args.check:
+        return 0 if ok else 1
     out_path = Path(__file__).resolve().parent.parent / "BENCH_construction.json"
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
     run = doc.setdefault("runs", {}).setdefault(args.label, {})

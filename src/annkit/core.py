@@ -128,7 +128,7 @@ class Collection:
     @functools.cached_property
     def screen_rows(self) -> Optional["_ScreenRows"]:
         """The float32 screen's data-only row terms, from the row norms
-        (see :func:`_screen`); None where the screen cannot use them.
+        (see :func:`_score_bounds`); None where the bound cannot use them.
         Computed on first use, by :func:`_screen_rows`."""
         return _screen_rows(self._dense())
 
@@ -404,17 +404,17 @@ _SCREEN_KINDS = (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT)
 
 
 def _gamma32(d: int) -> Optional[float]:
-    """``g = gamma_{d+2}`` in float32 (see :func:`_screen`); None where it
-    is not defined, d + 2 >= 2^23."""
+    """``g = gamma_{d+2}`` in float32 (see :func:`_score_bounds`); None
+    where it is not defined, d + 2 >= 2^23."""
     nu = (d + 2) * _U32
     return None if nu >= 0.5 else nu / (1.0 - nu)
 
 
 class _ScreenRows(NamedTuple):
-    """The float32 screen's data-only row terms (see :func:`_screen`), one
-    read-only float64 entry per row: ``c_i = sqrt(n_i + d 2^-149) (1 + g)
-    >= |x_i|`` and ``n_i -+ g c_i^2``, where ``n_i = fl32(|x_i|^2)``; and
-    the largest ``c_i``."""
+    """The float32 screen's data-only row terms (see
+    :func:`_score_bounds`), one read-only float64 entry per row:
+    ``c_i = sqrt(n_i + d 2^-149) (1 + g) >= |x_i|`` and ``n_i -+ g c_i^2``,
+    where ``n_i = fl32(|x_i|^2)``; and the largest ``c_i``."""
 
     c: np.ndarray
     n_lo: np.ndarray
@@ -440,18 +440,17 @@ def _screen_rows(mat: np.ndarray) -> Optional[_ScreenRows]:
     return _ScreenRows(_frozen(c), _frozen(n - w), _frozen(n + w), float(c.max()))
 
 
-def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind,
-            ids: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-    """Rows of ``ids`` (all rows by default) that may hold the exact top-k,
-    from a certified float32 scan; None where the screen does not apply.
+def _score_bounds(X: Collection, q: Vector, kind: DistanceKind,
+                  ids: Optional[np.ndarray] = None) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Certified float64 bounds ``(lo, hi)`` on the exact scores of the
+    rows ``ids`` (all rows by default), from one float32 scan; None where
+    the bound does not apply.
 
     Each row i gets a float32-fast estimate ``a_i`` of its exact score
-    ``s_i`` (the float64 value :func:`score_rows` returns) and a bound
-    ``e_i >= |a_i - s_i|``. With ``T`` the k-th smallest of the
-    ``a_i + e_i``, every row scoring at most the k-th exact score of
-    all of them, ties included, satisfies ``a_i - e_i <= s_i <= T``. So
-    the rows ``a_i - e_i <= T`` hold those of the top-k, and rescoring them
-    gives brute force's answer bit for bit.
+    ``s_i`` (the float64 value :func:`score_rows` returns; for L2_SQUARED,
+    any float64 sum of the squared differences, in any order) and a bound
+    ``e_i >= |a_i - s_i|``; then ``lo_i = a_i - e_i <= s_i <= a_i + e_i =
+    hi_i``.
 
     The estimate: ``q32 = fl32(q)``, ``p_i = fl32(x_i . q32)`` (one
     sgemv), ``n_i = fl32(|x_i|^2)``; then ``a_i = n_i - 2 p_i + |q|^2``
@@ -494,20 +493,19 @@ def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind,
     ``-p_i -+ ((g b + rho) c_i + d 2^-150 (1 + g))`` for
     NEG_INNER_PRODUCT.
 
-    The bound assumes no overflow, so the screen gives up (None) when
-    ``|q|`` reaches float32's largest value, a row norm overflows float32,
-    or ``b max_i c_i`` exceeds half that value (every float32 partial sum
-    of ``p_i`` is at most ``(1 + gamma_d) c_i b`` in size, so none
-    overflows); also when there are no more than k rows, for other kinds
-    (ANGULAR keeps its zero-row check), sparse vectors, and a query of the
-    wrong shape (the full path raises).
+    The bound assumes no overflow, so it gives up (None) when ``|q|``
+    reaches float32's largest value, a row norm overflows float32, or
+    ``b max_i c_i`` exceeds half that value (every float32 partial sum of
+    ``p_i`` is at most ``(1 + gamma_d) c_i b`` in size, so none
+    overflows); also for other kinds (ANGULAR keeps its zero-row check),
+    sparse vectors, and a query of the wrong shape (the full path raises).
     """
     if kind not in _SCREEN_KINDS or not X.is_dense or isinstance(q, SparseVector):
         return None
     mat = X.vectors
-    m, d = mat.shape
+    d = mat.shape[1]
     qv = _as_f64(q)
-    if k >= (m if ids is None else ids.size) or qv.shape != (d,):
+    if qv.shape != (d,):
         return None
     qq = float(qv @ qv)
     rows = X.screen_rows
@@ -537,6 +535,27 @@ def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind,
         lin += d * 2.0 ** -150 * (1.0 + g)
         hi = v + lin
         lo = v - lin
+    return lo, hi
+
+
+def _screen(X: Collection, q: Vector, k: int, kind: DistanceKind,
+            ids: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """Rows of ``ids`` (all rows by default) that may hold the exact top-k,
+    from a certified float32 scan; None where the screen does not apply:
+    when there are no more than k rows, or :func:`_score_bounds` gives up.
+
+    With ``T`` the k-th smallest of the upper bounds ``hi_i``, every row
+    scoring at most the k-th exact score of all of them, ties included,
+    satisfies ``lo_i <= s_i <= T``. So the rows ``lo_i <= T`` hold those
+    of the top-k, and rescoring them gives brute force's answer bit for
+    bit.
+    """
+    if k >= (len(X) if ids is None else ids.size):
+        return None
+    bounds = _score_bounds(X, q, kind, ids)
+    if bounds is None:
+        return None
+    lo, hi = bounds
     kth = np.partition(hi, k - 1)[k - 1]
     keep = np.flatnonzero(lo <= kth)
     return keep if ids is None else ids[keep]

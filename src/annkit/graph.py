@@ -216,9 +216,13 @@ def _l2_rows(vectors: np.ndarray, ids: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def _pair_scores(X: Collection, ids: np.ndarray, Q64: np.ndarray, rows: np.ndarray,
                  kind: DistanceKind) -> np.ndarray:
     """Scores of the query ``Q64[rows[i]]`` against the row ``ids[i]`` of
-    ``X``, each equal bit for bit to :func:`score_rows`'."""
+    ``X``, each equal bit for bit to :func:`score_rows`'. For dense L2 the
+    gathered queries are the buffer: the mixed subtract upcasts each
+    float32 row inside the ufunc, exactly, as :func:`_l2_rows` does first."""
     if kind is DistanceKind.L2_SQUARED and X.is_dense:
-        return _l2_rows(X.vectors, ids, Q64[rows])
+        diff = Q64.take(rows, axis=0)
+        np.subtract(X.vectors.take(ids, axis=0), diff, out=diff)
+        return np.einsum("ij,ij->i", diff, diff)
     return np.array([score_rows(X, ids[i:i + 1], Q64[r], kind)[0] for i, r in enumerate(rows.tolist())])
 
 
@@ -235,10 +239,9 @@ def _search_block(table: np.ndarray, X: Collection, Q64: np.ndarray, entries: np
     seen = seen.reshape(-1)
     # per live query: its beam in the first b columns, kept in (score, id)
     # order, and the neighbors of the node it expands in the last w; empty
-    # slots hold id m and a NaN score, which sorts after every score and
-    # equals none
+    # slots hold id m and a +inf score, above every score (all are finite)
     ids = np.full((n, b + w), m, dtype=np.int64)
-    scores = np.full((n, b + w), np.nan)
+    scores = np.full((n, b + w), np.inf)
     is_open = np.zeros((n, b + w), dtype=bool)  # holds a node not yet expanded
     qid = np.arange(n)
     ids[:, 0], scores[:, 0], is_open[:, 0] = entries, _pair_scores(X, entries, Q64, qid, kind), True
@@ -259,23 +262,23 @@ def _search_block(table: np.ndarray, X: Collection, Q64: np.ndarray, entries: np
         seen[flat[fresh]] = True
         r, c = np.nonzero(fresh)
         c += b
-        ids[:, b:], scores[:, b:], is_open[:, b:] = m, np.nan, fresh
+        ids[:, b:], scores[:, b:], is_open[:, b:] = m, np.inf, fresh
         ids[r, c] = nbr[fresh]
         scores[r, c] = _pair_scores(X, ids[r, c], Q64, qid[r], kind)
-        # the first b + 1 by score are the first b + 1 by (score, id) unless
-        # two of them tie; rows with a tie are ordered by (score, id)
-        order = np.argsort(scores, axis=1, kind="stable")[:, :b + 1]
+        # the first b + 1 by score, in any sort, are the first b + 1 by
+        # (score, id) unless two finite ones tie (empty slots are all alike);
+        # rows with a tie are ordered by (score, id)
+        order = np.argsort(scores, axis=1)[:, :b + 1]
         order += (rows * (b + w))[:, None]
         top = scores.reshape(-1)[order]
-        tied = np.flatnonzero((top[:, 1:] == top[:, :-1]).any(axis=1))
+        tied = np.flatnonzero(((top[:, 1:] == top[:, :-1]) & (top[:, 1:] < np.inf)).any(axis=1))
         if tied.size:
             order[tied] = np.lexsort((ids[tied], scores[tied]), axis=1)[:, :b + 1] + (tied * (b + w))[:, None]
         order = order[:, :b]
         ids[:, :b], scores[:, :b], is_open[:, :b] = \
             ids.reshape(-1)[order], scores.reshape(-1)[order], is_open.reshape(-1)[order]
         live = is_open[:, :b].any(axis=1)
-    empty = out_ids == m
-    out_ids[empty], out_scores[empty] = -1, np.inf
+    out_ids[out_ids == m] = -1
     return out_ids, out_scores
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from annkit.core import Collection, DistanceKind, TopKResult, _smallest, pairwise_scores, rescore
+from annkit.core import Collection, DistanceKind, TopKResult, _score_bounds, _smallest, pairwise_scores, rescore
 
 __all__ = ["KMeansKind", "KMeansModel", "IvfIndex", "kmeans_train", "build_ivf", "inverted_lists", "route",
            "ivf_search"]
@@ -60,24 +60,36 @@ class IvfIndex:
 _BLOCK_ELEMS = 1 << 16
 
 
-def _sq_dists_rowwise(mat: np.ndarray, centroids: np.ndarray, assign, out: np.ndarray) -> np.ndarray:
+def _sq_dists_rowwise(mat: np.ndarray, centroids: np.ndarray, assign, out: np.ndarray,
+                      rows: np.ndarray | None = None) -> np.ndarray:
     """``out[i] = |mat[i] - centroids[assign[i]]|^2``, or against the one
-    row ``centroids[assign]`` when ``assign`` is an int. The differences
-    are taken block by block in one reused buffer; each value equals the
+    row ``centroids[assign]`` when ``assign`` is an int; given ``rows``,
+    ``out[j]`` is that value of the row ``rows[j]``. The differences are
+    taken block by block in one reused buffer; each value equals the
     full-size difference einsum's bit for bit."""
-    m, d = mat.shape
+    n, d = mat.shape[0] if rows is None else rows.size, mat.shape[1]
     step = max(1, _BLOCK_ELEMS // d)
-    buf = np.empty((min(step, m), d))
-    for s in range(0, m, step):
-        e = min(s + step, m)
-        target = centroids[assign] if isinstance(assign, int) else centroids[assign[s:e]]
-        diff = np.subtract(mat[s:e], target, out=buf[:e - s])
+    buf = np.empty((min(step, n), d))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        block = slice(s, e) if rows is None else rows[s:e]
+        target = centroids[assign] if isinstance(assign, int) else centroids[assign[block]]
+        diff = np.subtract(mat[block], target, out=buf[:e - s])
         np.einsum("ij,ij->i", diff, diff, out=out[s:e])
     return out
 
 
-def _plusplus_init(mat: np.ndarray, C: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-weighted seeding."""
+def _plusplus_init(X: Collection, mat: np.ndarray, C: int, rng: np.random.Generator) -> np.ndarray:
+    """Distance-weighted seeding over ``mat``, the rows of ``X`` in float64.
+
+    ``d2[i]`` is row i's squared distance to its nearest seed so far. A new
+    seed, itself a row, can only lower the ``d2[i]`` above the certified
+    lower bound ``lo[i]`` on their distance that :func:`core._score_bounds`
+    gives from one float32 scan of ``X``: where ``lo[i] >= d2[i]``,
+    ``np.minimum`` would keep ``d2[i]``. Only the other rows get the exact
+    difference einsum, and where the bound gives up every row does. So
+    ``d2``, the draws and the seeds keep the bits of scoring every row.
+    """
     m = mat.shape[0]
     centroids = np.empty((C, mat.shape[1]))
     centroids[0] = mat[rng.integers(m)]
@@ -89,7 +101,10 @@ def _plusplus_init(mat: np.ndarray, C: int, rng: np.random.Generator) -> np.ndar
         else:
             centroids[c] = mat[rng.choice(m, p=d2 / total)]
         if c + 1 < C:  # the last centroid's distances would go unused
-            np.minimum(d2, _sq_dists_rowwise(mat, centroids, c, latest), out=d2)
+            bounds = _score_bounds(X, centroids[c], DistanceKind.L2_SQUARED)
+            rows = np.flatnonzero((-np.inf if bounds is None else bounds[0]) < d2)
+            near = _sq_dists_rowwise(mat, centroids, c, latest[:rows.size], rows)
+            d2[rows] = np.minimum(d2[rows], near, out=near)
     return centroids
 
 
@@ -105,12 +120,21 @@ def _sq_norms(mat: np.ndarray) -> np.ndarray:
 
 def _sq_dists(mat: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(m, C) squared distances ``(|x|^2 - 2 x.c) + |c|^2``, built in place
-    on one GEMM's output. Scaling by -2 is exact and ``a + (-b)`` is
-    ``a - b`` in IEEE arithmetic, so the bits equal the three-temporary
-    expression. The GEMM is not split by rows: smaller row blocks can
-    change its float64 products."""
-    d2 = mat @ centroids.T
-    d2 *= -2.0
+    on the output of one GEMM against ``-2 c``.
+
+    The bits equal the three-temporary expression. ``a + (-b)`` is ``a - b``
+    in IEEE arithmetic, and scaling by -2 commutes with every rounding of
+    the GEMM, fused or not, as long as no product or partial sum overflows
+    or falls below 2^-1022. Float32-valued rows rule both out. Their
+    entries are multiples of 2^-149 below 2^128. A centroid that is a
+    float32 row, a mean of such rows, or either divided by its norm has
+    entries of size 0 or above 2^-400, so multiples of 2^-452. Then every
+    product and partial sum is a multiple of 2^-601, so 0 or above that,
+    and below 2^270. (The one-vector encoders pass the caller's float64
+    vector, which meets this unless it has entries below about 2^-550.)
+    The GEMM is not split by rows: smaller row blocks can change its
+    float64 products."""
+    d2 = mat @ (-2.0 * centroids).T
     d2 += sq_norms[:, None]
     d2 += _sq_norms(centroids)
     return d2
@@ -174,7 +198,7 @@ def kmeans_train(
     the largest cluster, which never increases the Euclidean objective.
     """
     trace = []
-    centroids, assign = _lloyd(X.vectors.astype(np.float64), C, kind, max_iters, seed, trace)
+    centroids, assign = _lloyd(X, C, kind, max_iters, seed, trace)
     return KMeansModel(
         centroids=centroids.astype(np.float32),
         assignment=assign.astype(np.int64),
@@ -183,17 +207,18 @@ def kmeans_train(
     )
 
 
-def _lloyd(mat: np.ndarray, C: int, kind: KMeansKind, max_iters: int, seed: int,
+def _lloyd(X: Collection, C: int, kind: KMeansKind, max_iters: int, seed: int,
            trace: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`kmeans_train` on float64 rows: returns the float64 centroids
-    and the assignment, and appends the objective after every assignment to
-    ``trace`` when one is given (PQ keeps none)."""
-    m = mat.shape[0]
+    """:func:`kmeans_train` on the rows of ``X`` in float64: returns the
+    float64 centroids and the assignment, and appends the objective after
+    every assignment to ``trace`` when one is given (PQ keeps none)."""
+    m = len(X)
     if not 1 <= C <= m:
         raise ValueError("need 1 <= C <= m")
+    mat = X.vectors.astype(np.float64)
     rng = np.random.default_rng(seed)
     sq_norms = _sq_norms(mat) if kind is KMeansKind.EUCLIDEAN else None
-    centroids = _plusplus_init(mat, C, rng)
+    centroids = _plusplus_init(X, mat, C, rng)
     if kind is KMeansKind.SPHERICAL:
         centroids = _normalize_rows(centroids)
     assign = _assign(mat, centroids, kind, sq_norms)

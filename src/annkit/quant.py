@@ -94,7 +94,7 @@ def pq_train(X: Collection, L: int, C: int, seed: int = 0, max_iters: int = 50) 
     d_sub = d // L
     books = []
     for i in range(L):
-        chunk = np.ascontiguousarray(X.vectors[:, i * d_sub:(i + 1) * d_sub]).astype(np.float64)
+        chunk = Collection(np.ascontiguousarray(X.vectors[:, i * d_sub:(i + 1) * d_sub]))
         centroids, _ = _lloyd(chunk, C, KMeansKind.EUCLIDEAN, max_iters, seed * 7919 + i)
         books.append(centroids.astype(np.float32))
     return PqCodebook(codewords=np.stack(books))

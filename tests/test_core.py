@@ -179,6 +179,21 @@ class TestScreen:
     def test_equals_full_scores_on_adversarial_data(self, case):
         self.check_every_k(*case)
 
+    @settings(max_examples=400, deadline=None)
+    @given(screen_cases(), st.data())
+    def test_bounds_hold_on_adversarial_data(self, case, data):
+        """``_score_bounds``, which the screen and the k-means++ seeding
+        share, brackets every exact score of the rows asked for."""
+        X, q = case
+        m = len(X)
+        ids = np.array(data.draw(st.permutations(range(m)))[:data.draw(st.integers(1, m))], dtype=np.int64)
+        for kind in (DistanceKind.L2_SQUARED, DistanceKind.NEG_INNER_PRODUCT):
+            full = pairwise_scores(X, q, kind)
+            for rows, want in ((None, full), (ids, full[ids])):
+                bounds = core._score_bounds(X, q, kind, rows)
+                if bounds is not None:
+                    assert (bounds[0] <= want).all() and (want <= bounds[1]).all()
+
     def test_rounding_ties_at_the_underflow_threshold(self):
         rng = np.random.default_rng(21)
         for _ in range(100):

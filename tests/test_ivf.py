@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annkit.core import Collection, DistanceKind, SparseVector, brute_force_topk, recall
+import annkit.ivf as ivf
+from annkit.core import Collection, DistanceKind, SparseVector, _score_bounds, brute_force_topk, recall
 from annkit.harness.container import save_index
 from annkit.ivf import KMeansKind, KMeansModel, _lloyd_means, build_ivf, ivf_search, kmeans_train, route
+from script_module import load_script
 
 
 def rand_collection(m, d, seed):
@@ -26,9 +29,86 @@ def lloyd_means_reference(mat, assign, centroids):
     return out
 
 
+def plusplus_init_reference(mat, C, rng):
+    """Distance-weighted seeding that scores every row against every new
+    seed with one full-size difference einsum."""
+    m = mat.shape[0]
+    centroids = np.empty((C, mat.shape[1]))
+    centroids[0] = mat[rng.integers(m)]
+    diff = mat - centroids[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    for c in range(1, C):
+        total = d2.sum()
+        if total <= 0:
+            centroids[c] = mat[rng.integers(m)]
+        else:
+            centroids[c] = mat[rng.choice(m, p=d2 / total)]
+        diff = mat - centroids[c]
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+    return centroids
+
+
+class RecordingRng:
+    """A seeded generator that keeps a copy of every ``p`` the seeding
+    draws from, so that two seedings can be compared on every ``d2 / total``
+    they form, not only on the rows they draw."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def integers(self, high):
+        return self.rng.integers(high)
+
+    def choice(self, m, p):
+        self.draws.append(p.copy())
+        return self.rng.choice(m, p=p)
+
+
+def sq_dists_reference(mat, sq_norms, centroids):
+    """``(|x|^2 - 2 x.c) + |c|^2`` with the -2 applied to the GEMM's output."""
+    d2 = mat @ centroids.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += np.einsum("ij,ij->i", centroids, centroids)
+    return d2
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def seeding_cases(draw):
+    """Float32 rows for the seeding: Gaussian, small integer grids (tied
+    distances), wide ones whose rows come in twins one unit apart (so that
+    a new seed often lowers a row's distance by a few millionths of it), a
+    few distinct rows repeated, all rows equal (every distance 0), or
+    near-equal rows under a large offset; scaled so that row norms run
+    from about 1e-30 to 1e18, or to 3e19, whose float32 squared norm
+    overflows and makes the bound give up. C runs up to m."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 60))
+    d = draw(st.sampled_from([1, 2, 3, 64]))
+    style = draw(st.sampled_from(["gauss", "int", "wide", "dup", "equal", "offset"]))
+    if style == "int":
+        rows = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+    elif style == "wide":
+        rows = rng.integers(-4096, 4097, size=(m, d)).astype(np.float64)
+        rows[1::2] = rows[::2][:m // 2]
+        rows[1::2, rng.integers(d)] += 1.0
+    elif style == "dup":
+        base = rng.standard_normal((draw(st.integers(1, 4)), d))
+        rows = base[rng.integers(0, base.shape[0], size=m)]
+    elif style == "equal":
+        rows = np.repeat(rng.standard_normal((1, d)), m, axis=0)
+    elif style == "offset":
+        rows = 1.0 + 1e-6 * rng.standard_normal((m, d))
+    else:
+        rows = rng.standard_normal((m, d))
+    scale = draw(st.sampled_from([1e-30, 1e-20, 1.0, 1e15, 1e18, 3e19]))
+    C = draw(st.one_of(st.just(m), st.integers(1, m)))
+    return Collection((rows * scale).astype(np.float32)), C, draw(st.integers(0, 2**32 - 1))
 
 
 class TestLloydMeans:
@@ -103,6 +183,72 @@ class TestLloydMeans:
         centroids = rng.standard_normal((C, d))
         got, _ = _lloyd_means(mat, assign, centroids)
         assert_same_bits(got, lloyd_means_reference(mat, assign, centroids))
+
+
+class TestPlusPlusInit:
+    """The seeding scores exactly only the rows its float32 bound leaves
+    open; its seeds must equal scoring every row, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seeding_cases())
+    def test_equals_reference_on_adversarial_data(self, case):
+        X, C, seed = case
+        mat = X.vectors.astype(np.float64)
+        got_rng, want_rng = RecordingRng(seed), RecordingRng(seed)
+        got = ivf._plusplus_init(X, mat, C, got_rng)
+        assert_same_bits(got, plusplus_init_reference(mat, C, want_rng))
+        assert len(got_rng.draws) == len(want_rng.draws)
+        for p, want in zip(got_rng.draws, want_rng.draws):
+            assert_same_bits(p, want)
+
+    def test_bound_gives_up_and_equals_reference(self):
+        rng = np.random.default_rng(3)
+        X = Collection((rng.standard_normal((40, 2)) * 3e19).astype(np.float32))
+        mat = X.vectors.astype(np.float64)
+        assert _score_bounds(X, mat[0], DistanceKind.L2_SQUARED) is None
+        got = ivf._plusplus_init(X, mat, 12, np.random.default_rng(4))
+        assert_same_bits(got, plusplus_init_reference(mat, 12, np.random.default_rng(4)))
+
+    def test_bound_leaves_few_rows_to_the_exact_pass(self):
+        rng = np.random.default_rng(5)
+        centres = rng.standard_normal((20, 16)) * 1.5
+        X = Collection((centres[rng.integers(20, size=3000)] + rng.standard_normal((3000, 16))).astype(np.float32))
+        mat = X.vectors.astype(np.float64)
+        scored, rowwise = [], ivf._sq_dists_rowwise
+
+        def spy(*args):
+            out = rowwise(*args)
+            scored.append(out.size)
+            return out
+
+        with mock.patch.object(ivf, "_sq_dists_rowwise", spy):
+            got = ivf._plusplus_init(X, mat, 40, np.random.default_rng(6))
+        assert_same_bits(got, plusplus_init_reference(mat, 40, np.random.default_rng(6)))
+        # the first seed scores all 3000 rows; the next 38 a small share
+        assert scored[0] == 3000 and len(scored) == 39
+        assert sum(scored[1:]) < 0.2 * 38 * 3000
+
+
+class TestSqDists:
+    """The assignment's GEMM against ``-2 c`` equals scaling its output by
+    -2, bit for bit, down to float32's subnormals and up to its largest
+    values, for centroids that are rows, means and normalized rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 50), st.sampled_from([1, 2, 5, 64]),
+           st.integers(1, 12))
+    def test_folded_scale_equals_three_steps(self, seed, m, d, C):
+        rng = np.random.default_rng(seed)
+        mant = rng.uniform(1.0, 1.5, size=(m, d)) * rng.choice([-1.0, 1.0], size=(m, d))
+        rows = np.ldexp(mant, rng.integers(-149, 127, size=(m, d))).astype(np.float32)
+        rows[rng.random((m, d)) < 0.1] = 0.0
+        mat = rows.astype(np.float64)
+        sq_norms = ivf._sq_norms(mat)
+        means, _ = _lloyd_means(mat, rng.integers(C, size=m), mat[rng.integers(m, size=C)])
+        for centroids in (mat[rng.integers(m, size=C)], means, ivf._normalize_rows(mat[:C]),
+                          ivf._normalize_rows(means)):
+            assert_same_bits(ivf._sq_dists(mat, sq_norms, centroids),
+                             sq_dists_reference(mat, sq_norms, centroids))
 
 
 class TestKMeans:
@@ -282,3 +428,27 @@ class TestSearch:
         got = ivf_search(index, X, q, 5, 16)
         want = brute_force_topk(X, q, 5, DistanceKind.NEG_INNER_PRODUCT)
         assert got.ids.tolist() == want.ids.tolist()
+
+
+class TestBenchConstructionCheck:
+    """``scripts/bench_construction.py --check`` builds each row once,
+    compares its digests, writes nothing and fails on a mismatch."""
+
+    out_path = Path(__file__).resolve().parent.parent / "BENCH_construction.json"
+
+    def test_ivf_cli_files_digests_match(self, capsys):
+        before = self.out_path.read_bytes()
+        assert load_script("bench_construction").main(["--check", "--only", "ivf-cli-files"]) == 0
+        assert "ivf-cli-files: median" in capsys.readouterr().out
+        assert self.out_path.read_bytes() == before
+
+    def test_mismatch_exits_1(self):
+        bench = load_script("bench_construction")
+        bench.PINNED["ivf-cli-files"] = (None, "0" * 64)
+        assert bench.main(["--check", "--only", "ivf-cli-files"]) == 1
+
+    @pytest.mark.parametrize("argv", [[], ["--check", "--label", "x"]])
+    def test_needs_exactly_one_of_label_and_check(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            load_script("bench_construction").main(argv)
+        assert exit_info.value.code == 2
