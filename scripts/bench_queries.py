@@ -19,10 +19,11 @@ queries from the same mixture, k = 10:
 * ``boundedme``: ``boundedme_topk`` with eps = delta = 0.9 and seed 3,
   120 queries.
 
-Each index is built once, untimed. Every query is timed on its own; a
-row reports the median over all repeats (``p50_ms``) and each repeat's
-median. Every answer's ``(ids, scores)`` bytes are hashed in query order
-and compared with a pinned digest; a mismatch fails the run.
+Each index is built once, untimed; ``--only`` runs and builds only the
+named families. Every query is timed on its own; a row reports the
+median over all repeats (``p50_ms``) and each repeat's median. Every
+answer's ``(ids, scores)`` bytes are hashed in query order and compared
+with a pinned digest; a mismatch fails the run.
 Results are merged into ``BENCH_queries.json`` at the repository root
 under ``--label`` and the family's name, so that runs of two source trees
 on one machine sit side by side:
@@ -84,21 +85,29 @@ def mixture(seed: int, m: int, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
     return draw(m), draw(n_queries)
 
 
-def families(X: Collection) -> dict:
-    """family -> one query's search, over indexes built here."""
+def families(X: Collection, names) -> dict:
+    """family -> one query's search, for each family in ``names``; only
+    their indexes are built, here."""
     l2 = DistanceKind.L2_SQUARED
-    index = ivf.build_ivf(X, 0, max_iters=20, seed=1)
-    forest = [trees.rp_build(X, 128, seed=100 + t) for t in range(8)]
-    tables = lsh.build_index(X, lsh.HashFamily(lsh.FamilyKind.HYPERPLANE, seed=7, d=X.dim), 8, 16)
-    kd = trees.kd_build(X, 32)
-    return {
-        "brute": lambda q: brute_force_topk(X, q, K, l2),
-        "ivf": lambda q: ivf.ivf_search(index, X, q, K, 4),
-        "rp": lambda q: trees.defeatist_search(forest, X, q, K),
-        "lsh": lambda q: lsh.lsh_topk(tables, X, q, K, l2),
-        "kd": lambda q: trees.kd_search_exact(kd, X, q, K),
-        "boundedme": lambda q: sampling.boundedme_topk(X, q, K, eps=0.9, delta=0.9, seed=3)[0],
-    }
+
+    def search(name):
+        if name == "brute":
+            return lambda q: brute_force_topk(X, q, K, l2)
+        if name == "ivf":
+            index = ivf.build_ivf(X, 0, max_iters=20, seed=1)
+            return lambda q: ivf.ivf_search(index, X, q, K, 4)
+        if name == "rp":
+            forest = [trees.rp_build(X, 128, seed=100 + t) for t in range(8)]
+            return lambda q: trees.defeatist_search(forest, X, q, K)
+        if name == "lsh":
+            tables = lsh.build_index(X, lsh.HashFamily(lsh.FamilyKind.HYPERPLANE, seed=7, d=X.dim), 8, 16)
+            return lambda q: lsh.lsh_topk(tables, X, q, K, l2)
+        if name == "kd":
+            kd = trees.kd_build(X, 32)
+            return lambda q: trees.kd_search_exact(kd, X, q, K)
+        return lambda q: sampling.boundedme_topk(X, q, K, eps=0.9, delta=0.9, seed=3)[0]  # boundedme
+
+    return {name: search(name) for name in names}
 
 
 def main(argv=None) -> int:
@@ -107,7 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="only compare every digest with its pin; write nothing")
     parser.add_argument("--repeats", type=int, help="repeats per family (default 3, 1 with --check)")
-    parser.add_argument("--only", action="append", help="run only the named family (repeatable)")
+    parser.add_argument("--only", action="append", choices=list(COUNTS),
+                        help="run and build only the named family (repeatable)")
     args = parser.parse_args(argv)
     if args.check == bool(args.label):
         parser.error("give exactly one of --label and --check")
@@ -119,9 +129,7 @@ def main(argv=None) -> int:
     X32, Q32 = mixture(1, 20000, max(COUNTS.values()))
     X = Collection(X32)
     results, ok = {}, True
-    for name, search in families(X).items():
-        if args.only and name not in args.only:
-            continue
+    for name, search in families(X, [name for name in COUNTS if name in (args.only or COUNTS)]).items():
         queries = Q32[:COUNTS[name]]
         medians, seconds = [], []
         for _ in range(args.repeats):

@@ -60,7 +60,7 @@ def _ints(csv: str) -> list[int]:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --k: an int of at least 1."""
+    """argparse type of --k and --trees: an int of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--kind", choices=sorted(_KINDS), default="l2")
     p.add_argument("--leaf-capacity", type=int, default=32)
-    p.add_argument("--trees", type=int, default=1)
+    p.add_argument("--trees", type=_positive_int, default=1)
     p.add_argument("--alpha", type=float, default=1.2, help="prune slack for sng/vamana")
     p.add_argument("--overlap", type=float, default=0.1, help="spill tree overlap fraction")
     p.add_argument("--family", choices=_LSH_FAMILIES, default="hyperplane")

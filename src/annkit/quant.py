@@ -86,12 +86,18 @@ class PqCodebook:
         return self.codewords.shape[2]
 
 
-def pq_train(X: Collection, L: int, C: int, seed: int = 0, max_iters: int = 50) -> PqCodebook:
-    """L independent KMeans problems, one per contiguous chunk."""
-    d = X.dim
+def _sub_dim(d: int, L: int) -> int:
+    """The width of each of L equal contiguous subspaces of d dimensions."""
+    if L < 1:
+        raise ValueError(f"need at least one subspace, not L={L}")
     if d % L != 0:
         raise ValueError(f"d={d} not divisible by L={L}")
-    d_sub = d // L
+    return d // L
+
+
+def pq_train(X: Collection, L: int, C: int, seed: int = 0, max_iters: int = 50) -> PqCodebook:
+    """L independent KMeans problems, one per contiguous chunk."""
+    d_sub = _sub_dim(X.dim, L)
     books = []
     for i in range(L):
         chunk = Collection(np.ascontiguousarray(X.vectors[:, i * d_sub:(i + 1) * d_sub]))
@@ -173,8 +179,7 @@ def opq_train(X: Collection, L: int, C: int, iters: int, seed: int = 0,
     iterations, and the shared objective ||R u - decode(code)||^2 never
     increases across outer iterations."""
     d = X.dim
-    if d % L != 0:
-        raise ValueError(f"d={d} not divisible by L={L}")
+    _sub_dim(d, L)
     rotation = np.eye(d)
     mat = X.vectors.astype(np.float64)
     codebook = pq_train(X, L, C, seed=seed, max_iters=kmeans_iters)
@@ -296,6 +301,8 @@ def aq_train(X: Collection, L: int, C: int, beam: int, iters: int, seed: int = 0
     Encoding keeps a point's previous tuple whenever the fresh beam search
     fails to improve it, so the training error is non-increasing per outer
     iteration. Returns (codebook, codes array, error trace)."""
+    if L < 1:
+        raise ValueError(f"need at least one codebook, not L={L}")
     rng = np.random.default_rng(seed)
     m = len(X)
     mat = X.vectors.astype(np.float64)

@@ -25,7 +25,7 @@ import numpy as np
 
 from annkit.core import Collection, DistanceKind, TopKResult, brute_force_topk, rescore
 from annkit.core import pairwise_scores  # noqa: F401 -- perfbench traces calls through this name
-from annkit.trees.preorder import grow, leaf_offsets, leaf_paths, node_view
+from annkit.trees.preorder import grow, leaf_offsets, levels, node_view
 
 __all__ = ["KdTree", "kd_build", "kd_search_exact"]
 
@@ -41,11 +41,11 @@ class KdTree:
     leaf_capacity: int
     dim: int
     size: int
-    paths: np.ndarray = field(init=False, repr=False, compare=False)  # see leaf_paths
+    levels: list = field(init=False, repr=False, compare=False)  # see levels
     offsets: np.ndarray = field(init=False, repr=False, compare=False)  # see leaf_offsets
 
     def __post_init__(self):
-        self.paths = leaf_paths(self.leaf_size)
+        self.levels = levels(self.leaf_size)
         self.offsets = leaf_offsets(self.leaf_size)
 
     @cached_property
@@ -87,13 +87,16 @@ def _leaf_bounds(tree: KdTree, q64: np.ndarray) -> np.ndarray:
     A NaN or infinite coordinate admits no such test, so every bound is 0.
     """
     if not np.isfinite(q64).all():
-        return np.zeros(tree.paths.shape[0])
+        return np.zeros(tree.offsets.size - 1)
     diff = q64[tree.axes] - tree.splits
     sq = diff * diff
-    far = np.zeros(2 * diff.size + 1)  # the last slot pads short paths
-    far[0:-1:2] = np.where(diff > 0, sq, 0.0)  # leaves left of a split
-    far[1:-1:2] = np.where(diff <= 0, sq, 0.0)  # leaves right of a split
-    return far[tree.paths].max(axis=1)
+    far = np.empty(2 * diff.size)  # slot 2 * j + side of split j
+    far[0::2] = np.where(diff > 0, sq, 0.0)  # nodes left of a split
+    far[1::2] = np.where(diff <= 0, sq, 0.0)  # nodes right of a split
+    bound = np.zeros(tree.leaf_size.size)  # inner node j at j, leaf i at ~i
+    for codes, parents, slots in tree.levels:  # a node's bound is its parent's or its far term
+        bound[codes] = np.maximum(bound[parents], far[slots])
+    return bound[tree.axes.size:][::-1]
 
 
 def _leaf_rows(tree: KdTree, leaves: np.ndarray) -> np.ndarray:
@@ -118,7 +121,7 @@ def kd_search_exact(tree: KdTree, X: Collection, q: np.ndarray, k: int) -> TopKR
     if k < 1:
         raise ValueError("k must be at least 1")
     q64 = np.asarray(q, dtype=np.float64)
-    if q64.shape[0] != tree.dim:
+    if q64.shape != (tree.dim,):
         raise ValueError("query dimension mismatch")
     bounds = _leaf_bounds(tree, q64)
     order = np.argsort(bounds, kind="stable")

@@ -64,20 +64,17 @@ def subtree_leaves(leaf_size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(first, dtype=np.int64), np.array(stop, dtype=np.int64)
 
 
-def leaf_paths(leaf_size: np.ndarray) -> np.ndarray:
-    """(n_leaves, depth): each leaf's ancestors as slots ``2 * j + side``, j
-    the ancestor's number and side 1 when the leaf lies right of its split;
-    shorter rows padded with ``2 * n_inner``."""
+def levels(leaf_size: np.ndarray) -> list:
+    """The tree top-down, one ``(codes, parents, slots)`` per level below the
+    root: each node's code (as :func:`children` gives it), its parent's
+    number j and its slot ``2 * j + side``, side 1 for a right child."""
     left, right, root = children(leaf_size)
-    paths, stack = [()] * (len(left) + 1), [(root, ())]
-    while stack:
-        code, path = stack.pop()
-        if code < 0:
-            paths[~code] = path
-        else:
-            stack += ((left[code], path + (2 * code,)), (right[code], path + (2 * code + 1,)))
-    width = max(1, max(map(len, paths)))
-    return np.array([path + (2 * len(left),) * (width - len(path)) for path in paths], dtype=np.intp)
+    kids, table, codes = np.ravel([left, right], order="F"), [], np.array([root])
+    while (parents := codes[codes >= 0]).size:
+        slots = (2 * parents[:, None] + (0, 1)).ravel()
+        codes = kids[slots]
+        table.append((codes, parents.repeat(2), slots))
+    return table
 
 
 def node_view(leaf_size: np.ndarray, leaf_ids: np.ndarray, **rows) -> SimpleNamespace:
@@ -85,7 +82,7 @@ def node_view(leaf_size: np.ndarray, leaf_ids: np.ndarray, **rows) -> SimpleName
     ``ids``, a read-only view of its run of ``leaf_ids``; an inner node has
     ``ids`` None, ``left``, ``right`` and its row of each array in ``rows``.
     It stays until the benchmark, which walks such nodes, reads the arrays
-    (ROADMAP item 8)."""
+    (ROADMAP item 7)."""
     ids = np.lib.stride_tricks.as_strided(leaf_ids, writeable=False)
     offsets = leaf_offsets(leaf_size).tolist()
     left, right, root = children(leaf_size)

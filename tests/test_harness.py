@@ -988,18 +988,22 @@ class TestCli:
         ["query", "--index-file", "{pq}", "--k", "0"],
         ["query", "--index-file", "{pq}", "--k", "-3"],
         ["bench", "ivf", "--k", "0"],
-    ], ids=["query_k0", "query_k_minus_3", "bench_k0"])
+        ["build", "--index", "rp", "--out", "{pq}", "--trees", "0"],
+        ["build", "--index", "spill", "--out", "{pq}", "--trees", "-1"],
+    ], ids=["query_k0", "query_k_minus_3", "bench_k0", "rp_trees0", "spill_trees_minus_1"])
     def test_k_below_one_is_a_usage_error(self, tmp_path, argv):
         data, queries, pq = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "pq.akx"
         save_vecs(data, rand_collection(50, 8, 61))
         save_vecs(queries, rand_collection(2, 8, 62))
         save_index(pq, pq_train(load_vecs(data), 2, 4, seed=1))
-        out = run_cli(*(arg.format(pq=pq) for arg in argv), "--data", str(data), "--queries", str(queries))
+        extra = ["--queries", str(queries)] if argv[0] != "build" else []
+        out = run_cli(*(arg.format(pq=pq) for arg in argv), "--data", str(data), *extra)
         assert out.returncode == 2 and out.stdout == ""
-        assert "argument --k: must be at least 1" in out.stderr
+        assert f"argument {argv[-2]}: must be at least 1" in out.stderr
 
     @pytest.mark.parametrize("case", ["pq_subspaces", "query_dimension", "truncated_akx", "nan_centroid",
-                                      "repeated_neighbour", "missing_file"])
+                                      "repeated_neighbour", "missing_file", "pq_subspaces0", "opq_subspaces0",
+                                      "aq_codebooks0"])
     def test_bad_input_exits_2_with_one_error_line(self, tmp_path, case):
         data, queries, idx = tmp_path / "d.vecs", tmp_path / "q.vecs", tmp_path / "kd.akx"
         save_vecs(data, rand_collection(50, 8, 63))
@@ -1009,6 +1013,10 @@ class TestCli:
         if case == "pq_subspaces":
             argv, message = ["build", "--index", "pq", "--subspaces", "3", "--data", str(data),
                              "--out", str(tmp_path / "pq.akx")], "d=8 not divisible by L=3"
+        elif case.endswith("0"):  # no subspace or codebook: one error line, not a ZeroDivisionError
+            family, flag = case[:-1].split("_")
+            argv, message = ["build", "--index", family, f"--{flag}", "0", "--data", str(data),
+                             "--out", str(tmp_path / "q.akx")], f"need at least one {flag[:-1]}, not L=0"
         elif case == "query_dimension":
             argv, message = query, f"{queries}: queries have dimension 6, the data {data} 8"
         elif case == "truncated_akx":

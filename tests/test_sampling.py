@@ -406,7 +406,7 @@ class TestBoundedMe:
         bench = load_script("bench_queries")
         out = Path(bench.__file__).resolve().parent.parent / "BENCH_queries.json"
         before = out.read_bytes() if out.exists() else None
-        brute = lambda X: {"brute": lambda q: brute_force_topk(X, q, bench.K, DistanceKind.L2_SQUARED)}
+        brute = lambda X, names: {"brute": lambda q: brute_force_topk(X, q, bench.K, DistanceKind.L2_SQUARED)}
         monkeypatch.setattr(bench, "families", brute)
         assert bench.main(["--check"]) == 0
         monkeypatch.setitem(bench.PINNED, "brute", "0" * 64)

@@ -1,5 +1,6 @@
 import hashlib
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +14,7 @@ import annkit.trees.kd as kd_module
 from annkit.core import Collection, DistanceKind, brute_force_topk
 from annkit.harness.container import load_index, save_index
 from annkit.trees import kd_build, kd_search_exact
+from script_module import load_script
 from tree_reader import Inner, leaves, read_tree
 
 
@@ -189,6 +191,45 @@ class TestSearchExact:
             assert np.array_equal(got.ids, want.ids)
             assert got.scores.tobytes() == want.scores.tobytes()
             assert 10 <= sum(scored) < 250, scored
+
+    @pytest.mark.parametrize("shape", [(), (3, 3), (3, 1), (1, 3), (2,), (4,)])
+    def test_query_of_another_shape_rejected(self, shape):
+        X = rand_collection(30, 3, 9)
+        with pytest.raises(ValueError, match="query dimension mismatch"):
+            kd_search_exact(kd_build(X, 4), X, np.zeros(shape), 1)
+
+    def test_identical_rows_chain_stays_linear(self):
+        """3000 equal rows make a chain of 2968 levels; every array the tree
+        holds has at most one entry per node (leaf ids one per row), a build
+        and a search stay under 16 MB, and the answers are brute force's."""
+        X = Collection(np.full((3000, 4), 0.25, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            tree = kd_build(X, 32)
+            kd_search_exact(tree, X, np.full(4, 0.5), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+        n_nodes = tree.leaf_size.size
+        assert len(tree.levels) == 2968 and n_nodes == 2 * 2968 + 1
+        assert tree.leaf_ids.size == len(X)
+        arrays = [a for name, a in vars(tree).items() if isinstance(a, np.ndarray) and name != "leaf_ids"]
+        arrays += [a for level in tree.levels for a in level]
+        assert max(a.size for a in arrays) <= n_nodes + 1
+        assert sum(a.size for level in tree.levels for a in level) == 3 * (n_nodes - 1)
+        for q in (np.full(4, 0.25), np.full(4, 0.5), np.array([0.25, -1.0, 2.0, 0.25])):
+            for k in (1, 5, 3000):
+                got = kd_search_exact(tree, X, q, k)
+                want = brute_force_topk(X, q, k, DistanceKind.L2_SQUARED)
+                assert np.array_equal(got.ids, want.ids)
+                assert got.scores.tobytes() == want.scores.tobytes()
+
+    def test_query_clustered_answers_match_pinned_digest(self, capsys):
+        """The 60 k-d answers at query-clustered's shape hash to the digest
+        that ``scripts/bench_queries.py`` pins; only the k-d tree is built."""
+        assert load_script("bench_queries").main(["--check", "--only", "kd"]) == 0
+        assert capsys.readouterr().out.startswith("kd: p50")
 
     def test_rejects_sparse(self):
         from annkit.core import SparseVector
